@@ -21,7 +21,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fock
-from .opalg import adjoint, hs_norm, operator_norm, psd_sqrt
+from .hardyshift import DilationOperator
+from .opalg import (
+    adjoint,
+    hs_norm,
+    lowrank_hs_norm,
+    lowrank_operator_norm,
+    operator_norm,
+    psd_sqrt,
+)
 from .quasifree import CovarianceState, tensor
 
 _STAB_TOL = 1e-12
@@ -88,18 +96,50 @@ def _covariance_matrix(r, size):
     return float(r) * np.eye(size)
 
 
-def weighted_hs_norm(r_matrix, x):
-    """``||R^{1/2}(1-R)^{1/2} X||_2`` for a covariance matrix and operator X."""
-    r_matrix = np.asarray(r_matrix, dtype=float)
-    weight = psd_sqrt(r_matrix @ (np.eye(r_matrix.shape[0]) - r_matrix))
-    return hs_norm(weight @ np.asarray(x, dtype=complex))
+def _covariance(r, size):
+    """The isotropic ``nu`` as a float, or the matrix of a callable rule."""
+    return np.asarray(r(size), dtype=float) if callable(r) else float(r)
+
+
+def weighted_hs_norm(r, x):
+    """``||R^{1/2}(1-R)^{1/2} X||_2``.
+
+    ``r`` is an isotropic ``nu`` (a float; the weight is then the scalar
+    ``sqrt(nu(1-nu))``) or a covariance matrix.  ``x`` is a dense matrix or a
+    pair of factors ``(a, b)`` with ``X = a b*``; the factored norm is
+    ``sqrt(tr((a* W^2 a)(b* b)))``.
+    """
+    if np.ndim(r) == 0:
+        nu = float(r)
+        weigh = lambda m: np.sqrt(nu * (1.0 - nu)) * m
+    else:
+        r = np.asarray(r, dtype=float)
+        weight = psd_sqrt(r @ (np.eye(r.shape[0]) - r))
+        weigh = lambda m: weight @ m
+    if isinstance(x, tuple):
+        a, b = x
+        return lowrank_hs_norm(weigh(a), b)
+    return hs_norm(weigh(np.asarray(x, dtype=complex)))
 
 
 def _check_unitary(v, tol=1e-8, label="V"):
-    v = np.asarray(v, dtype=complex)
-    if operator_norm(adjoint(v) @ v - np.eye(v.shape[0])) > tol:
+    """``v`` (a :class:`DilationOperator` or a dense matrix) if ``||v*v - 1|| <= tol``."""
+    if isinstance(v, DilationOperator):
+        resid = v.unitarity_residual()
+    else:
+        v = np.asarray(v, dtype=complex)
+        resid = operator_norm(adjoint(v) @ v - np.eye(v.shape[0]))
+    if resid > tol:
         raise ValueError(f"{label} is not an isometry at tolerance {tol:g}")
     return v
+
+
+def _factored_pair(u, v):
+    """Whether ``u`` and ``v`` are both dilations; mixing forms is an error."""
+    factored = [isinstance(op, DilationOperator) for op in (u, v)]
+    if factored[0] != factored[1]:
+        raise TypeError("operands must both be DilationOperators or both dense")
+    return factored[0]
 
 
 def innerness_norm(r, w, sizes):
@@ -111,9 +151,8 @@ def innerness_norm(r, w, sizes):
     """
     values = []
     for n in sizes:
-        rn = _covariance_matrix(r, n)
         wn = np.asarray(w(n) if callable(w) else w, dtype=complex)
-        values.append(weighted_hs_norm(rn, wn - np.eye(n)))
+        values.append(weighted_hs_norm(_covariance(r, n), wn - np.eye(n)))
     verdict, inc_e, val_e = fit_verdict(sizes, values)
     return CriterionReport(list(sizes), values, verdict, inc_e, val_e)
 
@@ -123,10 +162,9 @@ def extension_criterion(r_prime, v_prime, w_prime, sizes):
     ``||R'^{1/2}(1-R')^{1/2}(V' - W')||_2`` trend over truncations."""
     values = []
     for n in sizes:
-        rn = _covariance_matrix(r_prime, n)
         vn = np.asarray(v_prime(n), dtype=complex)
         wn = np.asarray(w_prime(n), dtype=complex)
-        values.append(weighted_hs_norm(rn, vn - wn))
+        values.append(weighted_hs_norm(_covariance(r_prime, n), vn - wn))
     verdict, inc_e, val_e = fit_verdict(sizes, values)
     return CriterionReport(list(sizes), values, verdict, inc_e, val_e)
 
@@ -159,8 +197,10 @@ def conjugacy_criterion(r, u_path, v_path, t_grid, sizes):
     """Conjugacy criterion: for each ``t`` the truncation trend of
     ``||R^{1/2}(1-R)^{1/2}(U_t - V_t)||_2``.
 
-    ``u_path`` and ``v_path`` are callables ``(t, size) -> unitary``.
-    Returns an overall verdict (worst case over the grid) plus per-t reports.
+    ``u_path`` and ``v_path`` are callables ``(t, size) -> unitary``, where a
+    unitary is a dense matrix or a :class:`DilationOperator`; two dilations
+    must share their permutation and are never densified.  Returns an
+    overall verdict (worst case over the grid) plus per-t reports.
     """
     per_t = {}
     order = {"converges": 0, "inconclusive": 1, "diverges": 2}
@@ -168,10 +208,10 @@ def conjugacy_criterion(r, u_path, v_path, t_grid, sizes):
     for t in t_grid:
         values = []
         for n in sizes:
-            rn = _covariance_matrix(r, n)
             ut = _check_unitary(u_path(t, n), label=f"U_{t}")
             vt = _check_unitary(v_path(t, n), label=f"V_{t}")
-            values.append(weighted_hs_norm(rn, ut - vt))
+            diff = ut.difference_factors(vt) if _factored_pair(ut, vt) else ut - vt
+            values.append(weighted_hs_norm(_covariance(r, n), diff))
         verdict, inc_e, val_e = fit_verdict(sizes, values)
         per_t[float(t)] = CriterionReport(list(sizes), values, verdict, inc_e, val_e)
         if order[verdict] > order[worst]:
@@ -219,23 +259,33 @@ def lift(rep, v, tol=1e-10):
 def approximation_check(u_dil, v_dil, k_dim, t_grid, tol=1e-10, hs_bound=None):
     """Check the two approximation conditions for unitary dilations.
 
-    ``u_dil``/``v_dil``: callables ``t -> unitary`` (dense matrices on the
-    doubled grid space); ``k_dim``: dimension of the embedded subspace ``K``
-    (first block of coordinates).  For each ``t`` reports the Hilbert-Schmidt
-    norm of ``U'_t - V'_t`` and the operator-norm deviation of ``U'_t V'_t*``
-    from the identity on ``K' (-) K``.  Passes when all deviations are below
-    ``tol`` and the HS values stay bounded (below ``hs_bound`` when given).
+    ``u_dil``/``v_dil``: callables ``t -> unitary`` on the doubled grid space,
+    both dilations (:class:`DilationOperator`) sharing a permutation or both dense
+    matrices; ``k_dim``: dimension of the embedded subspace ``K`` (first block
+    of coordinates).  For each ``t`` reports the Hilbert-Schmidt norm of
+    ``U'_t - V'_t`` and the operator-norm deviation of ``U'_t V'_t*`` from the
+    identity on ``K' (-) K``: the larger of the norms of its diagonal block
+    minus 1 and of the mixed block ``K' -> K``.  Passes when all deviations
+    are below ``tol`` and the HS values stay bounded (below ``hs_bound`` when
+    given).
     """
     rows = []
     ok = True
     for t in t_grid:
-        ut = np.asarray(u_dil(t), dtype=complex)
-        vt = np.asarray(v_dil(t), dtype=complex)
-        hs = hs_norm(ut - vt)
-        prod = ut @ adjoint(vt)
-        block = prod[k_dim:, k_dim:] - np.eye(prod.shape[0] - k_dim)
-        mixed = prod[:k_dim, k_dim:]
-        dev = max(operator_norm(block), operator_norm(mixed))
+        ut, vt = u_dil(t), v_dil(t)
+        if _factored_pair(ut, vt):
+            hs = lowrank_hs_norm(*ut.difference_factors(vt))
+            # U V* - 1 = l r*, so each block is a product of row blocks
+            l, r = ut.product_defect_factors(vt)
+            block = lowrank_operator_norm(l[k_dim:], r[k_dim:])
+            mixed = lowrank_operator_norm(l[:k_dim], r[k_dim:])
+        else:
+            ut, vt = np.asarray(ut, dtype=complex), np.asarray(vt, dtype=complex)
+            hs = hs_norm(ut - vt)
+            prod = ut @ adjoint(vt)
+            block = operator_norm(prod[k_dim:, k_dim:] - np.eye(prod.shape[0] - k_dim))
+            mixed = operator_norm(prod[:k_dim, k_dim:])
+        dev = max(block, mixed)
         rows.append({"t": float(t), "hs_norm": hs, "offspace_deviation": dev})
         if dev > tol:
             ok = False

@@ -230,6 +230,17 @@ def _dilation_models(basis, horizons, step):
     return models
 
 
+def _conjugacy(nu, models, t_grid):
+    """Conjugacy criterion between the factored shift and flow dilations."""
+    return bogoliubov.conjugacy_criterion(
+        nu,
+        lambda t, n: models[n].shift_dilation(t),
+        lambda t, n: models[n].flow_dilation(t),
+        t_grid,
+        sorted(models),
+    )
+
+
 def _run_conjugacy(params, seed, base_dir):
     nu = _get(params, "nu", float, 0.25)
     lambdas = load_lambda_file(_get(params, "family", str, "-"), base_dir)
@@ -239,15 +250,7 @@ def _run_conjugacy(params, seed, base_dir):
     family = hardyshift.ExponentialFamily(lambdas)
     basis = hardyshift.orthogonalize(family)
     models = _dilation_models(basis, horizons, step)
-    sizes = sorted(models)
-
-    def u_path(t, n):
-        return models[n].shift_dilation(t).to_dense()
-
-    def v_path(t, n):
-        return models[n].flow_dilation(t).to_dense()
-
-    verdict, per_t = bogoliubov.conjugacy_criterion(nu, u_path, v_path, t_grid, sizes)
+    verdict, per_t = _conjugacy(nu, models, t_grid)
     rows = []
     for t in t_grid:
         rep = per_t[t]
@@ -366,28 +369,17 @@ def _run_pipeline(params, seed, base_dir):
     step = _get(params, "step", float, 1.0 / 16)
     horizons = _get(params, "horizons", _float_list, [12.0, 16.0, 20.0])
     models = _dilation_models(basis, horizons, step)
-    sizes = sorted(models)
-    largest = models[sizes[-1]]
+    largest = models[max(models)]
     t_check = [0.25, 0.5]
     approx = bogoliubov.approximation_check(
-        lambda t: largest.shift_dilation(t).to_dense(),
-        lambda t: largest.flow_dilation(t).to_dense(),
-        largest.n,
-        t_check,
-        tol=1e-6,
+        largest.shift_dilation, largest.flow_dilation, largest.n, t_check, tol=1e-6
     )
     worst_dev = max(row["offspace_deviation"] for row in approx["rows"])
     rows.append(("approximation", float(worst_dev)))
     verdicts["approximation"] = (approx["pass"], float(worst_dev))
 
     # stage 5: conjugacy-criterion weighted norms on the dilated pair
-    def u_path(t, n):
-        return models[n].shift_dilation(t).to_dense()
-
-    def v_path(t, n):
-        return models[n].flow_dilation(t).to_dense()
-
-    verdict, per_t = bogoliubov.conjugacy_criterion(nu, u_path, v_path, t_check, sizes)
+    verdict, per_t = _conjugacy(nu, models, t_check)
     last = per_t[t_check[-1]].values[-1]
     rows.append(("conjugacy", float(last)))
     verdicts["conjugacy"] = (verdict != "diverges", float(last))
@@ -429,8 +421,9 @@ SCHEMAS = {
 
 
 def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
+    # repr of a numpy scalar is "np.float64(x)" under numpy 2
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 

@@ -21,7 +21,7 @@ from scipy.linalg import solve_triangular
 
 from . import expcalc
 from .expcalc import ExpCombo, theta_apply as _theta_terms
-from .opalg import hs_norm, operator_norm
+from .opalg import lowrank_hs_norm, lowrank_operator_norm, operator_norm
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +400,7 @@ class DilationOperator:
         return out
 
     def to_dense(self, max_dim=6000):
+        """The dense matrix, kept as a test oracle; refused above ``max_dim``."""
         if self.dim > max_dim:
             raise ValueError(f"dense form refused above dimension {max_dim}")
         m = np.eye(self.dim, dtype=complex) + self.x @ self.y.conj().T
@@ -407,22 +408,10 @@ class DilationOperator:
 
     def unitarity_residual(self):
         """Operator norm of ``U*U - 1`` (exact, via the low-rank factors)."""
-        if self.x.shape[1] == 0:
-            return 0.0
         gram = self.x.conj().T @ self.x
         a = np.hstack([self.y, self.x, self.y @ gram])
         b = np.hstack([self.x, self.y, self.y])
-        _, ra = np.linalg.qr(a)
-        _, rb = np.linalg.qr(b)
-        return float(operator_norm(ra @ rb.conj().T))
-
-    def hs_distance_from_permutation(self):
-        """``||U - S'||_2`` -- Hilbert-Schmidt norm of the low-rank part."""
-        if self.x.shape[1] == 0:
-            return 0.0
-        g1 = self.x.conj().T @ self.x
-        g2 = self.y.conj().T @ self.y
-        return float(np.sqrt(max(np.trace(g1 @ g2).real, 0.0)))
+        return lowrank_operator_norm(a, b)
 
     def offspace_deviation(self):
         """Operator norm of ``(S' U* - 1)`` restricted to the second summand."""
@@ -439,11 +428,31 @@ class DilationOperator:
         out[self.perm, :] = block
         return out
 
-    def compression(self):
-        """Dense compression to the first summand (cells of ``[0, T)``)."""
-        k = self.k_dim
-        dense = self.to_dense()
-        return dense[:k, :k]
+    def difference_factors(self, other):
+        """Factors ``(a, b)`` with ``self - other = a b*``.
+
+        Both operators must share the permutation ``P``; then
+        ``self - other = P [X_u, -X_v] [Y_u, Y_v]*``.
+        """
+        self._check_same_perm(other)
+        a = self._permute_vec_block(np.hstack([self.x, -other.x]))
+        return a, np.hstack([self.y, other.y])
+
+    def product_defect_factors(self, other):
+        """Factors ``(l, r)`` with ``self other* - 1 = l r*``.
+
+        With a shared permutation ``P``,
+        ``U V* - 1 = P [X_u, Y_v + X_u (Y_u* Y_v)] (P [Y_u, X_v])*``.
+        """
+        self._check_same_perm(other)
+        cross = other.y + self.x @ (self.y.conj().T @ other.y)
+        l = self._permute_vec_block(np.hstack([self.x, cross]))
+        r = self._permute_vec_block(np.hstack([self.y, other.x]))
+        return l, r
+
+    def _check_same_perm(self, other):
+        if not np.array_equal(self.perm, other.perm):
+            raise ValueError("dilations with different permutations have no shared factored form")
 
 
 class GridModel:
@@ -572,11 +581,7 @@ class GridModel:
         sx = dil._permute_vec_block(dil.x)[: self.n, :]
         yk = dil.y[: self.n, :]
         xd, yd = self.flow_lowrank(t)
-        u = np.hstack([sx, -xd])
-        v = np.hstack([yk, yd])
-        g1 = u.conj().T @ u
-        g2 = v.conj().T @ v
-        return float(np.sqrt(max(np.trace(g1 @ g2).real, 0.0)))
+        return lowrank_hs_norm(np.hstack([sx, -xd]), np.hstack([yk, yd]))
 
 
 def _complement_basis(q, cols, rank_tol):

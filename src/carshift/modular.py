@@ -124,11 +124,6 @@ def commutant_generator(rep, f):
     return rep.gamma_gamma @ rep.field(None, f)
 
 
-def commutant_generator_right(rep, f):
-    """Variant with the grading on the right; equals ``-b(f)``."""
-    return rep.field(None, f) @ rep.gamma_gamma
-
-
 def _algebra_span(rep, create, annihilate):
     """Vectorized span of all normal-ordered monomials in the given generators."""
     pairs = monomial_indices(rep.n)

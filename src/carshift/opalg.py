@@ -1,4 +1,5 @@
-"""Dense complex operator helpers: norms, polar decompositions, antilinear maps.
+"""Complex operator helpers: norms (dense, and of low-rank products ``a b*`` from
+their factors), polar decompositions, antilinear maps.
 
 Inner products are antilinear in the first argument throughout the package
 (``inner(u, v) == np.vdot(u, v)``).
@@ -33,6 +34,23 @@ def hs_norm(a):
 def operator_norm(a):
     """Operator (spectral) norm, i.e. the largest singular value."""
     return float(np.linalg.norm(np.asarray(a), ord=2))
+
+
+def lowrank_hs_norm(a, b):
+    """``||a b*||_2`` from the factors: ``sqrt(tr((a* a)(b* b)))``."""
+    if a.shape[1] == 0:
+        return 0.0
+    gram = (adjoint(a) @ a) @ (adjoint(b) @ b)
+    return float(np.sqrt(max(np.trace(gram).real, 0.0)))
+
+
+def lowrank_operator_norm(a, b):
+    """``||a b*||`` from the triangular factors of reduced QRs of ``a`` and ``b``."""
+    if a.shape[1] == 0:
+        return 0.0
+    _, ra = np.linalg.qr(a)
+    _, rb = np.linalg.qr(b)
+    return operator_norm(ra @ adjoint(rb))
 
 
 def adjoint(a):

@@ -134,14 +134,6 @@ class DoubledRepresentation:
             v = op @ v
         return inner(self.vacuum, v)
 
-    def state_value(self, ops):
-        return self.vacuum_expectation(ops)
-
-
-def gns_representation(state):
-    """GNS triple data of the quasifree state (single-argument field form)."""
-    return DoubledRepresentation(state)
-
 
 def doubled_representation(state):
     """The representation of the CAR algebra over the doubled space ``K (+) K``."""

@@ -217,11 +217,7 @@ def test_criterion_11_dilations_and_approximation():
     # approximation conditions on a horizon long enough for the edge tail
     model = hardyshift.GridModel(basis, horizon=20.0, step=1.0 / 16)
     report = bogoliubov.approximation_check(
-        lambda t: model.shift_dilation(t).to_dense(),
-        lambda t: model.flow_dilation(t).to_dense(),
-        model.n,
-        [0.25, 0.5],
-        tol=1e-6,
+        model.shift_dilation, model.flow_dilation, model.n, [0.25, 0.5], tol=1e-6
     )
     assert report["pass"]
     assert time.time() - start < 120.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from carshift import bogoliubov, quasifree
+from carshift import bogoliubov, hardyshift, quasifree
 from carshift.opalg import adjoint, hs_norm, operator_norm
 
 rng = np.random.default_rng(31)
@@ -156,3 +156,115 @@ def test_approximation_check_contract():
         lambda t: perm, lambda t: np.eye(6), 3, [0.5], tol=1e-12
     )
     assert not bad["pass"]
+
+
+# ---------------------------------------------------------------------------
+# factored dilations against their dense form
+
+FAM3 = [-1.0, -2.0 + 0.5j, -0.5 + 1.0j]
+
+
+def _models(lambdas):
+    basis = hardyshift.orthogonalize(hardyshift.ExponentialFamily(lambdas))
+    models = {}
+    for horizon in (4.0, 6.0):
+        model = hardyshift.GridModel(basis, horizon, 1.0 / 8)
+        models[2 * model.n] = model
+    return models
+
+
+def _first_dilation(first, t, n):
+    """The shift (no low-rank part), a flow of another family on the same grid,
+    or that flow with its low-rank part doubled (not unitary); all share the
+    permutation of the fam3 flow dilation."""
+    if first == "shift":
+        return _models(FAM3)[n].shift_dilation(t)
+    dil = _models([-1.0])[n].flow_dilation(t)
+    if first == "fam1-flow":
+        return dil
+    return hardyshift.DilationOperator(dil.perm, 2.0 * dil.x, dil.y, dil.k_dim)
+
+
+def _random_covariance(size):
+    a = np.random.default_rng(size).standard_normal((size, size))
+    w, v = np.linalg.eigh(a + a.T)
+    return (v * (0.1 + 0.8 * (w - w.min()) / np.ptp(w))) @ v.T
+
+
+@pytest.mark.parametrize("first", ["shift", "fam1-flow"])
+@pytest.mark.parametrize("r", [0.25, _random_covariance], ids=["isotropic", "general"])
+def test_conjugacy_factored_matches_dense(r, first):
+    models = _models(FAM3)
+
+    def paths(dense):
+        def u_path(t, n):
+            dil = _first_dilation(first, t, n)
+            return dil.to_dense() if dense else dil
+
+        def v_path(t, n):
+            dil = models[n].flow_dilation(t)
+            return dil.to_dense() if dense else dil
+
+        return u_path, v_path
+
+    t_grid, sizes = [0.25, 0.5], sorted(models)
+    verdict, per_t = bogoliubov.conjugacy_criterion(r, *paths(False), t_grid, sizes)
+    want_verdict, want = bogoliubov.conjugacy_criterion(r, *paths(True), t_grid, sizes)
+    assert verdict == want_verdict
+    for t in t_grid:
+        assert per_t[t].values == pytest.approx(want[t].values, rel=0, abs=1e-12)
+        assert min(per_t[t].values) > 0.1
+
+
+@pytest.mark.parametrize("first", ["shift", "fam1-flow", "non-unitary"])
+def test_approximation_factored_matches_dense(first):
+    model = _models(FAM3)[96]
+    t_grid = [0.25, 0.5]
+    got = bogoliubov.approximation_check(
+        lambda t: _first_dilation(first, t, 96), model.flow_dilation, model.n, t_grid, tol=1e-6
+    )
+    want = bogoliubov.approximation_check(
+        lambda t: _first_dilation(first, t, 96).to_dense(),
+        lambda t: model.flow_dilation(t).to_dense(),
+        model.n,
+        t_grid,
+        tol=1e-6,
+    )
+    assert got["pass"] == want["pass"]
+    for row, ref in zip(got["rows"], want["rows"]):
+        assert row["hs_norm"] == pytest.approx(ref["hs_norm"], rel=0, abs=1e-12)
+        assert row["offspace_deviation"] == pytest.approx(
+            ref["offspace_deviation"], rel=0, abs=1e-12
+        )
+        assert row["offspace_deviation"] > 1e-6
+
+
+def test_conjugacy_rejects_non_unitary_dilation():
+    model = _models(FAM3)[64]
+    with pytest.raises(ValueError, match="isometry"):
+        bogoliubov.conjugacy_criterion(
+            0.25,
+            lambda t, n: model.flow_dilation(t),
+            lambda t, n: _first_dilation("non-unitary", t, n),
+            [0.25],
+            [64],
+        )
+
+
+def test_factored_criteria_need_a_shared_permutation():
+    model = _models(FAM3)[64]
+    with pytest.raises(ValueError, match="permutation"):
+        bogoliubov.conjugacy_criterion(
+            0.25,
+            lambda t, n: model.shift_dilation(0.25),
+            lambda t, n: model.flow_dilation(0.5),
+            [0.25],
+            [64],
+        )
+    with pytest.raises(ValueError, match="permutation"):
+        bogoliubov.approximation_check(
+            lambda t: model.shift_dilation(0.25),
+            lambda t: model.flow_dilation(0.5),
+            model.n,
+            [0.25],
+        )

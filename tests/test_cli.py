@@ -62,11 +62,60 @@ def test_car_check_passes_and_writes_reports(tmp_path):
 
 def test_csv_bytes_deterministic(tmp_path):
     fam = write_family(tmp_path, [-1.0 + 0.0j])
-    config = write_config(tmp_path, "blaschke", {"family": fam, "samples": 100})
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["run", "--config", config, "--out", str(out1)]) == 0
-    assert cli.main(["run", "--config", config, "--out", str(out2)]) == 0
-    assert (out1 / "blaschke.csv").read_bytes() == (out2 / "blaschke.csv").read_bytes()
+    for kind, params in [
+        ("blaschke", {"family": fam, "samples": 100}),
+        ("conjugacy", {"family": fam}),
+        ("pipeline", {"family": fam}),
+    ]:
+        config = write_config(tmp_path, kind, params)
+        out1, out2 = tmp_path / kind / "a", tmp_path / kind / "b"
+        assert cli.main(["run", "--config", config, "--out", str(out1)]) == 0
+        assert cli.main(["run", "--config", config, "--out", str(out2)]) == 0
+        assert (out1 / f"{kind}.csv").read_bytes() == (out2 / f"{kind}.csv").read_bytes()
+
+
+SMALL_PARAMS = {
+    "car-check": {"modes": 2, "trials": 3},
+    "quasifree-verify": {"modes": 2, "degree": 2, "trials": 3},
+    "modular-verify": {"modes": 2},
+    "innerness": {"sizes": "4 8 16"},
+    "extension": {"sizes": "4 8 16"},
+    "conjugacy": {"horizons": "12 16"},
+    "approx": {},
+    "blaschke": {"samples": 20},
+    "prop2": {"delta_grid": "0.125 0.0625", "k_max": 8},
+    "dilation-check": {"step": 0.0625},
+    "pipeline": {"horizons": "12 16"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(cli.EXPERIMENTS))
+def test_csv_cells_are_plain_numbers(tmp_path, kind):
+    params = {"family": write_family(tmp_path, [-1.0 + 0.0j]), **SMALL_PARAMS[kind]}
+    config = write_config(tmp_path, kind, params)
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 0
+    assert "np." not in (tmp_path / f"{kind}.csv").read_text()
+
+
+def _conjugacy_values(tmp_path, step):
+    fam = write_family(tmp_path, [-1.0 + 0.0j])
+    config = write_config(tmp_path, "conjugacy", {"family": fam, "step": step})
+    out = tmp_path / str(step)
+    assert cli.main(["run", "--config", config, "--out", str(out)]) == 0
+    assert json.loads((out / "conjugacy.json").read_text())["extra"]["verdict"] == "converges"
+    rows = [line.split(",") for line in (out / "conjugacy.csv").read_text().splitlines()[1:]]
+    return sorted((float(t), int(size), float(val)) for t, size, val in rows)
+
+
+def test_conjugacy_beyond_the_dense_cap(tmp_path):
+    # horizons 12/16/20 at step 1/256 give grid dims 6144/8192/10240, above
+    # the 6000 cap of DilationOperator.to_dense
+    fine = _conjugacy_values(tmp_path, 1.0 / 256)
+    coarse = _conjugacy_values(tmp_path, 1.0 / 16)
+    assert [size for _, size, _ in fine] == [6144, 8192, 10240] * 2
+    for (t, _, val), (t_ref, _, ref) in zip(fine, coarse):
+        assert t == t_ref
+        assert val == pytest.approx(ref, rel=0, abs=1e-9)
 
 
 def test_seed_flag_overrides_config(tmp_path):
