@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fock
-from .hardyshift import DilationOperator
+from .hardyshift import DilationOperator, fit_power
 from .opalg import (
     adjoint,
     hs_norm,
@@ -55,16 +55,15 @@ class CriterionReport:
         }
 
 
-def _loglog_slope(xs, ys):
-    xs = np.log(np.asarray(xs, dtype=float))
-    ys = np.log(np.asarray(ys, dtype=float))
-    if len(xs) < 2:
-        return None
-    return float(np.polyfit(xs, ys, 1)[0])
-
-
 def fit_verdict(sizes, values):
-    """Apply the convergence verdict policy to values along truncation sizes."""
+    """Apply the convergence verdict policy to values along truncation sizes.
+
+    Returns ``(verdict, increment_exponent, value_exponent)``; an exponent is
+    ``None`` where the branch taken fits none.  Known miss: a
+    bounded sequence whose increments decay slower than ``n^(-1/2)`` is
+    labelled "diverges", e.g. ``1 - n^(-1/4)`` on sizes 4..64 (increment
+    exponent -0.25).
+    """
     sizes = [float(s) for s in sizes]
     values = [float(v) for v in values]
     if len(sizes) != len(values) or len(sizes) < 2:
@@ -75,16 +74,16 @@ def fit_verdict(sizes, values):
     incs = [abs(values[k + 1] - values[k]) for k in range(len(values) - 1)]
     # rounding noise of repeated dense HS norms sits well above 1e-12
     if max(incs) <= 1e-9 * scale:
-        return "converges", None, _loglog_slope(sizes, np.maximum(values, 1e-300))
+        return "converges", None, fit_power(sizes, np.maximum(values, 1e-300))
     pos = [(s, d) for s, d in zip(sizes[1:], incs) if d > _STAB_TOL * scale]
-    val_slope = _loglog_slope(sizes, np.maximum(values, 1e-300))
+    val_slope = fit_power(sizes, np.maximum(values, 1e-300))
     if len(pos) < 2:
         # increments mostly below the noise floor: the tail has stabilized
         return "converges", None, val_slope
-    inc_slope = _loglog_slope([s for s, _ in pos], [d for _, d in pos])
-    if inc_slope is not None and inc_slope < -0.5:
+    inc_slope = fit_power([s for s, _ in pos], [d for _, d in pos])
+    if inc_slope < -0.5:
         return "converges", inc_slope, val_slope
-    if val_slope is not None and val_slope >= -1e-9:
+    if val_slope >= -1e-9:
         return "diverges", inc_slope, val_slope
     return "inconclusive", inc_slope, val_slope
 

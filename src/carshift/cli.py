@@ -95,6 +95,7 @@ def _run_car_check(params, seed, base_dir):
     trials = _get(params, "trials", int, 100)
     rng = np.random.default_rng(seed)
     space = fock.FockSpace(modes)
+    numbers = fock.particle_numbers(space)
     rows = []
     worst_car = 0.0
     worst_norm = 0.0
@@ -103,11 +104,12 @@ def _run_car_check(params, seed, base_dir):
         g = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
         af = fock.annihilator(space, f)
         ag = fock.annihilator(space, g)
-        r1 = opalg.operator_norm(opalg.anticommutator(af, ag))
-        r2 = opalg.operator_norm(
-            opalg.anticommutator(opalg.adjoint(af), ag) - np.vdot(g, f) * np.eye(space.dim)
+        r1 = opalg.sector_operator_norm(opalg.anticommutator(af, ag), numbers)
+        r2 = opalg.sector_operator_norm(
+            opalg.anticommutator(opalg.adjoint(af), ag) - np.vdot(g, f) * np.eye(space.dim),
+            numbers,
         )
-        r3 = abs(opalg.operator_norm(af) - np.linalg.norm(f))
+        r3 = abs(opalg.sector_operator_norm(af, numbers) - np.linalg.norm(f))
         worst_car = max(worst_car, r1, r2)
         worst_norm = max(worst_norm, r3)
         rows.append((trial, r1, r2, r3))
@@ -154,12 +156,12 @@ def _run_modular_verify(params, seed, base_dir):
     rep = quasifree.doubled_representation(state)
     data = modular.tomita_operator(rep)
     j_formula = modular.modular_involution_formula(rep)
-    j_resid = opalg.operator_norm(data.j.matrix - j_formula.matrix)
+    j_resid = opalg.sector_operator_norm(data.j.matrix - j_formula.matrix, rep.charge)
     f = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
     lhs = modular.conjugate_by(data.j, rep.field(f, None))
     rhs = -opalg.adjoint(modular.commutant_generator(rep, f))
-    b_resid = opalg.operator_norm(lhs - rhs)
-    eigs = np.linalg.eigvalsh(data.delta)
+    b_resid = opalg.sector_operator_norm(lhs - rhs, rep.charge)
+    eigs = data.delta_eigenvalues
     eigs = eigs[eigs > 1e-12]
     ratio = nu / (1.0 - nu)
     powers = np.round(np.log(eigs) / np.log(ratio))

@@ -4,7 +4,10 @@ The vacuum is cyclic and separating for the von Neumann algebra ``M`` generated
 by the first-component fields, so the closable map ``S: x vac -> x* vac``
 extends to an invertible antilinear operator on the whole doubled space.  It is
 assembled by solving a linear system over the normal-ordered monomial basis and
-polar-decomposed into ``S = J Delta^{1/2}``.
+polar-decomposed into ``S = J Delta^{1/2}``.  The state is gauge invariant, so
+the monomial ``a*(I) a(J) vac`` lies in the charge sector ``Q = |I| - |J|`` and
+``S`` maps sector ``q`` onto ``-q``: the solve and the polar decomposition run
+sector by sector.
 
 The commutant is generated by ``b(f) = (Gamma (x) Gamma) pi(a(0 (+) f))``;
 its adjoint is ``b(f)* = pi(a*(0 (+) f)) (Gamma (x) Gamma)``.
@@ -37,37 +40,43 @@ def _monomial_columns(rep):
     """Columns ``pi(x_k) vac`` and ``pi(x_k*) vac`` over the monomial basis.
 
     ``x = prod_{i in I} a*(e_i) prod_{j in J} a(e_j)`` with both products in
-    increasing index order; the adjoint reverses the factors.
+    increasing index order; the adjoint reverses the factors.  Each column is
+    one sparse matvec from a column listed before it:
+    ``x vac = a*(e_{I[0]}) (x_{I[1:], J} vac)`` and
+    ``x* vac = a*(e_{J[-1]}) (x_{I, J[:-1]}* vac)``, with ``a(e_{J[0]})`` and
+    ``a(e_{I[-1]})`` in their places when ``I`` or ``J`` is empty.
     """
     n = rep.n
     create = [rep.field_star(_basis_vec(n, i)) for i in range(n)]
     annihilate = [rep.field(_basis_vec(n, i)) for i in range(n)]
     pairs = monomial_indices(n)
-    x_cols = np.empty((rep.dim, len(pairs)), dtype=complex)
-    xstar_cols = np.empty((rep.dim, len(pairs)), dtype=complex)
+    index = {pair: k for k, pair in enumerate(pairs)}
+    x_rows = np.empty((len(pairs), rep.dim), dtype=complex)
+    xstar_rows = np.empty((len(pairs), rep.dim), dtype=complex)
     for k, (i_set, j_set) in enumerate(pairs):
-        v = rep.vacuum
-        for j in reversed(j_set):
-            v = annihilate[j] @ v
-        for i in reversed(i_set):
-            v = create[i] @ v
-        x_cols[:, k] = v
-        w = rep.vacuum
-        for i in i_set:
-            w = annihilate[i] @ w
-        for j in j_set:
-            w = create[j] @ w
-        xstar_cols[:, k] = w
-    return x_cols, xstar_cols
+        if i_set:
+            x_rows[k] = create[i_set[0]] @ x_rows[index[i_set[1:], j_set]]
+        elif j_set:
+            x_rows[k] = annihilate[j_set[0]] @ x_rows[index[(), j_set[1:]]]
+        else:
+            x_rows[k] = rep.vacuum
+        if j_set:
+            xstar_rows[k] = create[j_set[-1]] @ xstar_rows[index[i_set, j_set[:-1]]]
+        elif i_set:
+            xstar_rows[k] = annihilate[i_set[-1]] @ xstar_rows[index[i_set[:-1], ()]]
+        else:
+            xstar_rows[k] = rep.vacuum
+    return x_rows.T, xstar_rows.T
 
 
 class ModularData:
     """Container for the Tomita operator and its polar parts."""
 
-    def __init__(self, s, j, delta, solve_residual):
+    def __init__(self, s, j, delta, delta_eigenvalues, solve_residual):
         self.s = s                      # AntilinearOperator
         self.j = j                      # AntilinearOperator (antiunitary)
         self.delta = delta              # positive definite ndarray
+        self.delta_eigenvalues = delta_eigenvalues  # ascending
         self.solve_residual = solve_residual
 
     def delta_power(self, p):
@@ -80,23 +89,57 @@ class ModularData:
 def tomita_operator(rep, rank_tol=1e-10):
     """Build ``S``, ``J`` and ``Delta`` for the vacuum of a doubled representation.
 
-    Raises if the monomial columns fail to span (vacuum not cyclic at the
-    working precision).
+    The monomial system is solved, and ``S`` polar-decomposed, per charge
+    sector.  The condition number is the largest singular value of the
+    monomial blocks over the smallest, the same as for the full monomial
+    matrix; the ``rank_tol`` cutoff of the polar decomposition is relative to
+    each sector's largest eigenvalue of ``Delta``.  Raises if the monomial
+    columns fail to span (vacuum not cyclic at the working precision) or
+    leave their charge sectors.
     """
     x_cols, xstar_cols = _monomial_columns(rep)
-    # Antilinear S with matrix M: M conj(x_cols) = xstar_cols.
-    xc = np.conj(x_cols)
-    cond = np.linalg.cond(xc)
+    charge = rep.charge
+    col_charge = np.array([len(i) - len(j) for i, j in monomial_indices(rep.n)])
+    if np.any(x_cols[charge[:, None] != col_charge]) or np.any(
+        xstar_cols[charge[:, None] != -col_charge]
+    ):
+        raise ValueError("monomial columns leave their charge sectors")
+    # Antilinear S with matrix M: M conj(x_cols) = xstar_cols, one block per sector.
+    blocks = []
+    for q in np.unique(col_charge):
+        rows = np.flatnonzero(charge == q)
+        image = np.flatnonzero(charge == -q)
+        cols = np.flatnonzero(col_charge == q)
+        xc = np.conj(x_cols[np.ix_(rows, cols)])
+        blocks.append((rows, image, xc, xstar_cols[np.ix_(image, cols)]))
+    sv = np.concatenate([np.linalg.svd(xc, compute_uv=False) for _, _, xc, _ in blocks])
+    cond = sv.max() / sv.min() if sv.min() > 0 else np.inf
     if not np.isfinite(cond) or cond > 1.0 / rank_tol:
         raise ValueError(
             f"vacuum not cyclic/separating at tolerance {rank_tol:g} "
             f"(monomial matrix condition {cond:.3e})"
         )
-    m = np.linalg.solve(xc.T, xstar_cols.T).T
-    residual = hs_norm(m @ xc - xstar_cols) / max(hs_norm(xstar_cols), 1e-300)
-    s = AntilinearOperator(m)
-    j, delta = polar_antilinear(s, rank_tol=rank_tol)
-    return ModularData(s, j, delta, residual)
+    m = np.zeros((rep.dim, rep.dim), dtype=complex)
+    j = np.zeros((rep.dim, rep.dim), dtype=complex)
+    delta = np.zeros((rep.dim, rep.dim), dtype=complex)
+    eigenvalues = []
+    misfit = 0.0
+    for rows, image, xc, y in blocks:
+        mq = np.linalg.solve(xc.T, y.T).T
+        misfit += hs_norm(mq @ xc - y) ** 2
+        jq, dq, wq = polar_antilinear(AntilinearOperator(mq), rank_tol=rank_tol)
+        m[np.ix_(image, rows)] = mq
+        j[np.ix_(image, rows)] = jq.matrix
+        delta[np.ix_(rows, rows)] = dq
+        eigenvalues.append(wq)
+    residual = np.sqrt(misfit) / max(hs_norm(xstar_cols), 1e-300)
+    return ModularData(
+        AntilinearOperator(m),
+        AntilinearOperator(j),
+        delta,
+        np.sort(np.concatenate(eigenvalues)),
+        float(residual),
+    )
 
 
 def modular_involution_formula(rep):
@@ -151,8 +194,8 @@ def commutant_check(rep, tol=1e-8):
     gens = []
     for i in range(n):
         e = _basis_vec(n, i)
-        gens.append(rep.field(e))
-        gens.append(rep.field_star(e))
+        gens.append(rep.field(e).toarray())
+        gens.append(rep.field_star(e).toarray())
     eye = np.eye(d, dtype=complex)
     blocks = [np.kron(eye, g) - np.kron(g.T, eye) for g in gens]
     stacked = np.vstack(blocks)
@@ -179,7 +222,7 @@ def commutant_check(rep, tol=1e-8):
 
 def conjugate_by(j, x):
     """``J x J`` for antiunitary ``j`` and a linear matrix ``x`` (linear result)."""
-    return j.compose(AntilinearOperator(np.asarray(x, dtype=complex) @ j.matrix))
+    return j.compose(AntilinearOperator(x @ j.matrix))
 
 
 def kms_residual(rep, data, ops_x, ops_y):

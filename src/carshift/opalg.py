@@ -1,11 +1,13 @@
-"""Complex operator helpers: norms (dense, and of low-rank products ``a b*`` from
-their factors), polar decompositions, antilinear maps.
+"""Complex operator helpers: norms (dense, of low-rank products ``a b*`` from
+their factors, and of operators graded by a sector label), polar
+decompositions, antilinear maps.
 
 Inner products are antilinear in the first argument throughout the package
 (``inner(u, v) == np.vdot(u, v)``).
 """
 
 import numpy as np
+from scipy import sparse
 
 # Default tolerances used across the package.
 ALG_TOL = 1e-10    # algebraic identities (products, adjoints, projections)
@@ -36,6 +38,34 @@ def operator_norm(a):
     return float(np.linalg.norm(np.asarray(a), ord=2))
 
 
+def sector_operator_norm(op, labels):
+    """Operator norm of a matrix that maps each label sector into one sector.
+
+    ``labels[k]`` is the sector of basis vector ``k``.  When the columns of
+    each sector have nonzero entries in the rows of a single sector, a
+    different one for each source sector (a shift of the particle number, or
+    the charge flip ``q -> -q``), the matrix is a permuted block diagonal and
+    its norm is the largest block norm.  Raises ``ValueError`` when an entry
+    outside those blocks is nonzero.
+    """
+    op = np.asarray(op)
+    labels = np.asarray(labels)
+    if op.shape != (len(labels), len(labels)):
+        raise ValueError(f"expected a {len(labels)}x{len(labels)} matrix, got {op.shape}")
+    sectors = {label: np.flatnonzero(labels == label) for label in np.unique(labels)}
+    targets = set()
+    norm = 0.0
+    for cols in sectors.values():
+        hit = np.unique(labels[np.any(op[:, cols] != 0, axis=1)])
+        if len(hit) == 0:
+            continue
+        if len(hit) > 1 or hit[0] in targets:
+            raise ValueError("matrix does not map each sector into a sector of its own")
+        targets.add(hit[0])
+        norm = max(norm, operator_norm(op[np.ix_(sectors[hit[0]], cols)]))
+    return norm
+
+
 def lowrank_hs_norm(a, b):
     """``||a b*||_2`` from the factors: ``sqrt(tr((a* a)(b* b)))``."""
     if a.shape[1] == 0:
@@ -54,6 +84,9 @@ def lowrank_operator_norm(a, b):
 
 
 def adjoint(a):
+    """Conjugate transpose of a dense or ``scipy.sparse`` matrix."""
+    if sparse.issparse(a):
+        return a.conj().T
     return np.conj(np.asarray(a)).T
 
 
@@ -126,10 +159,11 @@ class AntilinearOperator:
 def polar_antilinear(t, rank_tol=1e-10):
     """Polar decomposition ``t = j o delta^{1/2}`` of an antilinear map.
 
-    Returns ``(j, delta)`` where ``j`` is an antiunitary
-    :class:`AntilinearOperator` and ``delta`` is positive semidefinite with
-    ``t(v) = j(delta^{1/2} @ v)``.  Eigenvalues of ``delta`` below
-    ``rank_tol * max(eig)`` are treated as zero (pseudo-inverted away).
+    Returns ``(j, delta, eigenvalues)`` where ``j`` is an antiunitary
+    :class:`AntilinearOperator`, ``delta`` is positive semidefinite with
+    ``t(v) = j(delta^{1/2} @ v)`` and ``eigenvalues`` are those of ``delta``,
+    ascending.  Eigenvalues of ``delta`` below ``rank_tol * max(eig)`` are
+    treated as zero (pseudo-inverted away).
     """
     if not isinstance(t, AntilinearOperator):
         raise TypeError("polar_antilinear expects an AntilinearOperator")
@@ -144,7 +178,7 @@ def polar_antilinear(t, rank_tol=1e-10):
     delta_inv_sqrt = (vecs * inv_sqrt) @ adjoint(vecs)
     # j = t o delta^{-1/2}: matrix is m @ conj(delta^{-1/2}).
     j = AntilinearOperator(m @ np.conj(delta_inv_sqrt))
-    return j, delta
+    return j, delta, w
 
 
 def psd_sqrt(a, clip=True):

@@ -13,9 +13,14 @@ with ``J`` entrywise conjugation and ``Gamma`` the parity grading.  The
 creation operator in the second summand and the sign of the second-component
 embedding are fixed so that the vacuum two-point function reproduces the
 purification projection ``P = [[R, S], [S, 1-R]]``, ``S = (R(1-R))^{1/2}``.
+
+The fields are ``scipy.sparse`` CSR arrays, built from the signed-permutation
+tables of :mod:`carshift.fock`.  A gauge-invariant state makes the charge
+``Q = N_1 - N_2`` a grading: ``pi(a(f (+) g))`` lowers it by one.
 """
 
 import numpy as np
+from scipy import sparse
 
 from . import fock
 from .opalg import adjoint, as_operator, inner, psd_sqrt
@@ -26,8 +31,11 @@ def tensor(first, second):
 
     With this ordering ``tensor(a_i, I)`` equals the Jordan-Wigner ``a_i`` of
     the combined ``2n``-mode space for ``i < n``: first-factor modes occupy
-    indices ``0..n-1`` and second-factor modes ``n..2n-1``.
+    indices ``0..n-1`` and second-factor modes ``n..2n-1``.  A sparse factor
+    gives a CSR array.
     """
+    if sparse.issparse(first) or sparse.issparse(second):
+        return sparse.kron(second, first, format="csr")
     return np.kron(np.asarray(second), np.asarray(first))
 
 
@@ -76,9 +84,8 @@ def quasifree_expectation(state, fs, gs):
     """Expectation of ``a*(f_m) ... a*(f_1) a(g_1) ... a(g_n)``.
 
     Vanishes unless ``m == n``; otherwise equals the determinant of the
-    matrix with entries ``(f_i, R g_j)`` (inner product antilinear in the
-    first slot).  For complex arguments this formula is tied to real-linear
-    data; see the two-point tests, which use real vectors.
+    matrix with entries ``(g_j, R f_i)`` (inner product antilinear in the
+    first slot), so ``omega(a*(f) a(g)) = (g, R f)``.
     """
     fs = [np.asarray(f, dtype=complex) for f in fs]
     gs = [np.asarray(g, dtype=complex) for g in gs]
@@ -90,12 +97,15 @@ def quasifree_expectation(state, fs, gs):
     mat = np.empty((m, m), dtype=complex)
     for i, f in enumerate(fs):
         for j, g in enumerate(gs):
-            mat[i, j] = inner(f, state.r @ g)
+            mat[i, j] = inner(state.r @ g, f)  # = (g_j, R f_i), R self-adjoint
     return complex(np.linalg.det(mat))
 
 
 class DoubledRepresentation:
-    """GNS representation of the CAR algebra over ``K (+) K`` on ``F(K) (x) F(K)``."""
+    """GNS representation of the CAR algebra over ``K (+) K`` on ``F(K) (x) F(K)``.
+
+    ``charge[k]`` is ``Q = N_1 - N_2`` of basis vector ``k``.
+    """
 
     def __init__(self, state):
         if state.dim > fock.MAX_MODES // 2:
@@ -108,24 +118,27 @@ class DoubledRepresentation:
         self.dim = self.factor.dim ** 2
         self._a = state.sqrt_one_minus_r
         self._b = state.sqrt_r
-        self._gamma = fock.parity(self.factor)
-        self._eye = np.eye(self.factor.dim, dtype=complex)
+        self._gamma = sparse.csr_array(fock.parity(self.factor))
+        self._eye = sparse.csr_array(np.eye(self.factor.dim))
         self.vacuum = tensor(fock.vacuum(self.factor), fock.vacuum(self.factor))
         self.gamma_gamma = tensor(self._gamma, self._gamma)
+        numbers = fock.particle_numbers(self.factor)
+        ones = np.ones_like(numbers)
+        self.charge = tensor(numbers, ones) - tensor(ones, numbers)
 
     def field(self, f, g=None):
-        """The annihilation image ``pi(a(f (+) g))`` (``g`` defaults to 0)."""
+        """The annihilation image ``pi(a(f (+) g))`` as a CSR array (``g`` defaults to 0)."""
         f = np.zeros(self.n) if f is None else np.asarray(f, dtype=complex)
         g = np.zeros(self.n) if g is None else np.asarray(g, dtype=complex)
         u = self._a @ f - self._b @ g
         w = np.conj(self._b @ f + self._a @ g)
-        return tensor(fock.annihilator(self.factor, u), self._gamma) + tensor(
-            self._eye, fock.creator(self.factor, w)
+        return tensor(fock.sparse_annihilator(self.factor, u), self._gamma) + tensor(
+            self._eye, fock.sparse_annihilator(self.factor, w).conj().T
         )
 
     def field_star(self, f, g=None):
         """The creation image ``pi(a*(f (+) g))``."""
-        return adjoint(self.field(f, g))
+        return adjoint(self.field(f, g)).tocsr()
 
     def vacuum_expectation(self, ops):
         """``<vac, ops[0] ... ops[-1] vac>`` applied right to left."""

@@ -27,6 +27,16 @@ def test_fit_verdict_stabilized_at_noise_floor():
     assert bogoliubov.fit_verdict(sizes, vals)[0] == "converges"
 
 
+def test_fit_verdict_known_miss_on_slow_bounded_sequence():
+    # 1 - n^(-1/4) is bounded, but its increments decay like n^(-1/4), above
+    # the n^(-1/2) cutoff, and its values grow: the policy says "diverges".
+    sizes = [4, 8, 16, 32, 64]
+    verdict, inc_exp, val_exp = bogoliubov.fit_verdict(sizes, [1.0 - n ** -0.25 for n in sizes])
+    assert verdict == "diverges"
+    assert inc_exp == pytest.approx(-0.25, abs=1e-12)
+    assert val_exp > 0
+
+
 def test_fit_verdict_needs_two_points():
     with pytest.raises(ValueError):
         bogoliubov.fit_verdict([4], [1.0])

@@ -66,6 +66,9 @@ def test_csv_bytes_deterministic(tmp_path):
         ("blaschke", {"family": fam, "samples": 100}),
         ("conjugacy", {"family": fam}),
         ("pipeline", {"family": fam}),
+        ("car-check", {"modes": 4, "trials": 5}),
+        ("quasifree-verify", {"modes": 3, "degree": 4, "trials": 5}),
+        ("modular-verify", {"modes": 3, "nu": 0.3}),
     ]:
         config = write_config(tmp_path, kind, params)
         out1, out2 = tmp_path / kind / "a", tmp_path / kind / "b"

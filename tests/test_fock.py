@@ -18,6 +18,32 @@ def test_mode_operators_against_pauli_oracle():
     assert np.allclose(a, [[0.0, 1.0], [0.0, 0.0]])
 
 
+def _loop_mode_annihilator(space, i):
+    # the Jordan-Wigner definition, entry by entry
+    op = np.zeros((space.dim, space.dim), dtype=complex)
+    lower = (1 << i) - 1
+    for b in range(space.dim):
+        if b >> i & 1:
+            op[b ^ (1 << i), b] = -1.0 if (b & lower).bit_count() & 1 else 1.0
+    return op
+
+
+def test_tables_match_the_loop_definition():
+    space = fock.FockSpace(5)
+    loops = [_loop_mode_annihilator(space, i) for i in range(5)]
+    for i in range(5):
+        assert np.array_equal(fock.mode_annihilator(space, i), loops[i])
+    f = random_vec(5)
+    f[2] = 0.0
+    want = sum(np.conj(f[i]) * loops[i] for i in range(5))
+    sparse_af = fock.sparse_annihilator(space, f)
+    assert sparse_af.nnz == 4 * 2 ** 4
+    assert np.array_equal(sparse_af.toarray(), want)
+    assert np.array_equal(fock.annihilator(space, f), want)
+    assert np.array_equal(fock.creator(space, f), adjoint(want))
+    assert fock.sparse_annihilator(space, np.zeros(5)).nnz == 0
+
+
 def test_two_mode_sign_string():
     # annihilating mode 1 through an occupied mode 0 picks up a minus sign
     space = fock.FockSpace(2)
@@ -111,3 +137,5 @@ def test_second_quantized_fixes_vacuum():
 def test_mode_guard():
     with pytest.raises(ValueError):
         fock.FockSpace(fock.MAX_MODES + 1)
+    with pytest.raises(ValueError):
+        fock.mode_annihilator(fock.FockSpace(2), 2)

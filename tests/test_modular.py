@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
-from carshift import modular, quasifree
-from carshift.opalg import adjoint, operator_norm
+from carshift import fock, modular, quasifree
+from carshift.opalg import AntilinearOperator, adjoint, operator_norm, polar_antilinear
 
 rng = np.random.default_rng(5)
+
+
+def random_rep(modes, seed):
+    """Doubled representation of a random non-isotropic covariance."""
+    a = np.random.default_rng(seed).standard_normal((modes, modes))
+    w, v = np.linalg.eigh(a + a.T)
+    r = (v * (0.15 + 0.7 * (w - w.min()) / np.ptp(w))) @ v.T
+    return quasifree.doubled_representation(quasifree.CovarianceState(r))
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +81,7 @@ def test_commutant_generators_commute(rep2):
     g = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     b = modular.commutant_generator(rep2, f)
     for x in (rep2.field(g), rep2.field_star(g)):
-        assert operator_norm(x @ b - b @ x) <= 1e-12
+        assert operator_norm((x @ b - b @ x).toarray()) <= 1e-12
 
 
 def test_j_conjugation_lands_in_commutant(rep2, data2):
@@ -104,3 +112,48 @@ def test_non_cyclic_vacuum_rejected():
     rep = quasifree.doubled_representation(state)
     with pytest.raises(ValueError, match="cyclic"):
         modular.tomita_operator(rep, rank_tol=1e-6)
+
+
+@pytest.mark.parametrize("modes", [2, 3])
+def test_delta_matches_closed_form(modes):
+    # Delta = Gamma(h) (x) Gamma(h^{-1}) with h = R (1-R)^{-1}, Gamma the
+    # multiplicative second quantization (Peschel, J. Phys. A 36 (2003) L205)
+    rep = random_rep(modes, seed=modes)
+    data = modular.tomita_operator(rep)
+    r = rep.state.r
+    h = r @ np.linalg.inv(np.eye(modes) - r)
+    want = quasifree.tensor(
+        fock.second_quantized(rep.factor, h), fock.second_quantized(rep.factor, np.linalg.inv(h))
+    )
+    assert operator_norm(data.delta - want) <= 1e-12 * operator_norm(want)
+
+
+@pytest.mark.parametrize("modes", [2, 3])
+def test_sector_solve_matches_dense_solve(modes):
+    # the full monomial system, solved and polar-decomposed as one matrix
+    rep = random_rep(modes, seed=10 + modes)
+    data = modular.tomita_operator(rep)
+    x_cols, xstar_cols = modular._monomial_columns(rep)
+    m = np.linalg.solve(np.conj(x_cols).T, xstar_cols.T).T
+    j, delta, eigenvalues = polar_antilinear(AntilinearOperator(m))
+    assert operator_norm(data.s.matrix - m) <= 1e-12 * operator_norm(m)
+    assert operator_norm(data.j.matrix - j.matrix) <= 1e-12
+    assert operator_norm(data.delta - delta) <= 1e-12 * operator_norm(delta)
+    assert np.max(np.abs(data.delta_eigenvalues - eigenvalues)) <= 1e-12 * eigenvalues[-1]
+
+
+def test_strongly_mixed_state_keeps_j_antiunitary():
+    # nu = 0.01 at 3 modes: Delta spans 99^3 to 99^-3, wider than 1/rank_tol,
+    # but within each charge sector Delta is the scalar 99^(-q)
+    rep = quasifree.doubled_representation(quasifree.CovarianceState.isotropic(0.01, 3))
+    data = modular.tomita_operator(rep)
+    assert data.j.is_antiunitary(tol=1e-9)
+    formula = modular.modular_involution_formula(rep)
+    assert operator_norm(data.j.matrix - formula.matrix) <= 1e-9
+
+
+def test_columns_outside_their_charge_sector_rejected():
+    rep = quasifree.doubled_representation(quasifree.CovarianceState.isotropic(0.25, 2))
+    rep.charge = rep.charge[::-1].copy()
+    with pytest.raises(ValueError, match="charge"):
+        modular.tomita_operator(rep)

@@ -50,6 +50,44 @@ def test_psd_sqrt_squares_back():
     assert np.allclose(s @ s, h, atol=1e-10)
 
 
+def graded_operator(labels, target):
+    """Random blocks from each sector ``s`` into sector ``target[s]`` (skipped if None)."""
+    op = np.zeros((len(labels), len(labels)), dtype=complex)
+    for s, t in target.items():
+        if t is not None:
+            rows, cols = np.flatnonzero(labels == t), np.flatnonzero(labels == s)
+            op[np.ix_(rows, cols)] = random_matrix(max(len(rows), len(cols)))[: len(rows), : len(cols)]
+    return op
+
+
+def test_sector_operator_norm_matches_dense_norm():
+    labels = rng.integers(-2, 3, size=24)
+    for target in (
+        {s: s - 1 if s > -2 else None for s in range(-2, 3)},  # number shift
+        {s: -s for s in range(-2, 3)},                        # charge flip
+        {s: s for s in range(-2, 3)},                         # block diagonal
+    ):
+        for _ in range(5):
+            op = graded_operator(labels, target)
+            assert opalg.sector_operator_norm(op, labels) == pytest.approx(
+                opalg.operator_norm(op), rel=0, abs=1e-13
+            )
+    assert opalg.sector_operator_norm(np.zeros((24, 24)), labels) == 0.0
+
+
+def test_sector_operator_norm_rejects_broken_grading():
+    labels = np.repeat([0, 1, 2], 4)
+    op = graded_operator(labels, {0: None, 1: 0, 2: 1})
+    op[9, 4] = 1e-300                   # sector 1 now reaches sectors 0 and 2
+    with pytest.raises(ValueError, match="sector"):
+        opalg.sector_operator_norm(op, labels)
+    merged = graded_operator(labels, {0: 0, 1: 0, 2: None})
+    with pytest.raises(ValueError, match="sector"):
+        opalg.sector_operator_norm(merged, labels)
+    with pytest.raises(ValueError):
+        opalg.sector_operator_norm(np.zeros((5, 5)), labels)
+
+
 class TestAntilinearOperator:
     def test_action_is_antilinear(self):
         t = opalg.AntilinearOperator(random_matrix(5))
@@ -84,10 +122,11 @@ def test_polar_antilinear_recovers_factors():
     # S = J Delta^{1/2} with antiunitary J and positive Delta
     for _ in range(10):
         t = opalg.AntilinearOperator(random_matrix(6))
-        j, delta = opalg.polar_antilinear(t)
+        j, delta, eigenvalues = opalg.polar_antilinear(t)
         assert j.is_antiunitary(tol=1e-8)
         sqrt_delta = opalg.psd_sqrt(delta)
         v = random_matrix(6)[0]
         assert np.allclose(t(v), j(sqrt_delta @ v), atol=1e-8)
         # Delta = S* S
         assert np.allclose(delta, t.adjoint().compose(t), atol=1e-10)
+        assert np.allclose(eigenvalues, np.linalg.eigvalsh(delta), atol=1e-10)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carshift import fock, quasifree
 from carshift.opalg import adjoint, anticommutator, inner, operator_norm
@@ -38,8 +40,8 @@ def test_doubled_fields_satisfy_car():
         g = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         h1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         h2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        af = rep.field(f, g)
-        ah = rep.field(h1, h2)
+        af = rep.field(f, g).toarray()
+        ah = rep.field(h1, h2).toarray()
         assert operator_norm(anticommutator(af, ah)) <= 1e-12
         pairing = np.vdot(f, h1) + np.vdot(g, h2)  # (F, H), antilinear first slot
         resid = anticommutator(adjoint(ah), af) - pairing * np.eye(af.shape[0])
@@ -67,6 +69,42 @@ def test_determinant_formula_against_gns():
         want = quasifree.quasifree_expectation(state, fs, gs)
         ops = [rep.field_star(f) for f in reversed(fs)] + [rep.field(g) for g in gs]
         assert rep.vacuum_expectation(ops) == pytest.approx(want, abs=1e-10)
+
+
+COMPLEX_VECTORS = st.lists(
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    min_size=3,
+    max_size=3,
+).map(np.array)
+
+
+@pytest.mark.parametrize("half", [1, 2, 3])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_determinant_formula_complex_vectors(half, data):
+    # degree 2 * half, general complex vectors, non-isotropic R
+    a = np.random.default_rng(9).standard_normal((3, 3))
+    w, v = np.linalg.eigh(a + a.T)
+    state = quasifree.CovarianceState((v * (0.1 + 0.8 * (w - w.min()) / np.ptp(w))) @ v.T)
+    rep = quasifree.doubled_representation(state)
+    fs = data.draw(st.lists(COMPLEX_VECTORS, min_size=half, max_size=half))
+    gs = data.draw(st.lists(COMPLEX_VECTORS, min_size=half, max_size=half))
+    want = quasifree.quasifree_expectation(state, fs, gs)
+    ops = [rep.field_star(f) for f in reversed(fs)] + [rep.field(g) for g in gs]
+    scale = np.prod([np.linalg.norm(f) * np.linalg.norm(g) for f, g in zip(fs, gs)])
+    assert abs(rep.vacuum_expectation(ops) - want) <= 1e-12 * max(1.0, scale)
+
+
+def test_charge_grades_the_fields():
+    # pi(a(f (+) g)) lowers Q = N_1 - N_2 by one
+    state = random_covariance(2)
+    rep = quasifree.doubled_representation(state)
+    f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    g = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    rows, cols = rep.field(f, g).nonzero()
+    assert len(rows) > 0
+    assert np.all(rep.charge[rows] == rep.charge[cols] - 1)
+    assert rep.charge[0] == 0 and sorted(set(rep.charge)) == [-2, -1, 0, 1, 2]
 
 
 def test_mismatched_degrees_vanish():
