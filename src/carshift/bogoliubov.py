@@ -44,16 +44,6 @@ class CriterionReport:
     value_exponent: float | None = None
     extra: dict = field(default_factory=dict)
 
-    def as_dict(self):
-        return {
-            "sizes": list(self.sizes),
-            "values": [float(v) for v in self.values],
-            "verdict": self.verdict,
-            "increment_exponent": self.increment_exponent,
-            "value_exponent": self.value_exponent,
-            **self.extra,
-        }
-
 
 def fit_verdict(sizes, values):
     """Apply the convergence verdict policy to values along truncation sizes.
@@ -88,13 +78,6 @@ def fit_verdict(sizes, values):
     return "inconclusive", inc_slope, val_slope
 
 
-def _covariance_matrix(r, size):
-    """Accept a float (isotropic nu) or a callable size -> matrix."""
-    if callable(r):
-        return np.asarray(r(size), dtype=float)
-    return float(r) * np.eye(size)
-
-
 def _covariance(r, size):
     """The isotropic ``nu`` as a float, or the matrix of a callable rule."""
     return np.asarray(r(size), dtype=float) if callable(r) else float(r)
@@ -103,13 +86,15 @@ def _covariance(r, size):
 def weighted_hs_norm(r, x):
     """``||R^{1/2}(1-R)^{1/2} X||_2``.
 
-    ``r`` is an isotropic ``nu`` (a float; the weight is then the scalar
-    ``sqrt(nu(1-nu))``) or a covariance matrix.  ``x`` is a dense matrix or a
-    pair of factors ``(a, b)`` with ``X = a b*``; the factored norm is
-    ``sqrt(tr((a* W^2 a)(b* b)))``.
+    ``r`` is an isotropic ``nu`` (a float in ``(0, 1)``, else ``ValueError``;
+    the weight is then the scalar ``sqrt(nu(1-nu))``) or a covariance matrix.
+    ``x`` is a dense matrix or a pair of factors ``(a, b)`` with ``X = a b*``;
+    the factored norm is ``sqrt(tr((a* W^2 a)(b* b)))``.
     """
     if np.ndim(r) == 0:
         nu = float(r)
+        if not 0.0 < nu < 1.0:
+            raise ValueError(f"nu must lie in (0, 1), got {nu}")
         weigh = lambda m: np.sqrt(nu * (1.0 - nu)) * m
     else:
         r = np.asarray(r, dtype=float)
@@ -185,7 +170,8 @@ def araki_criterion(r_prime, v_prime, w_prime, sizes):
 
     values = []
     for n in sizes:
-        state = CovarianceState(_covariance_matrix(r_prime, n))
+        r = _covariance(r_prime, n)
+        state = CovarianceState.isotropic(r, n) if np.ndim(r) == 0 else CovarianceState(r)
         p = purification_projection(state)
         values.append(araki_commutator(p, v_prime(n), w_prime(n)))
     verdict, inc_e, val_e = fit_verdict(sizes, values)

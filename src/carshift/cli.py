@@ -66,33 +66,61 @@ def load_lambda_file(path, base_dir):
     return lambdas
 
 
-def _get(params, key, cast, default=None):
-    if key not in params:
-        if default is None:
-            raise ConfigError("missing parameter %r" % key)
-        return default
-    try:
-        return cast(params[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("parameter %r: %s" % (key, exc))
+def _tokens(cast):
+    return lambda text, base_dir: [cast(tok) for tok in text.replace(",", " ").split()]
 
 
-def _int_list(text):
-    return [int(tok) for tok in text.replace(",", " ").split()]
+def _family(text, base_dir):
+    """An exponent family file, checked against condition (1) as it is loaded."""
+    return hardyshift.ExponentialFamily(load_lambda_file(text, base_dir))
 
 
-def _float_list(text):
-    return [float(tok) for tok in text.replace(",", " ").split()]
+# A parameter type is (label printed by `carshift list`, cast(text, base_dir)).
+INT = ("int", lambda text, base_dir: int(text))
+FLOAT = ("float", lambda text, base_dir: float(text))
+INTS = ("ints", _tokens(int))
+FLOATS = ("floats", _tokens(float))
+FAMILY = ("path", _family)
+REQUIRED = object()  # default of a parameter that has none
+
+
+def _choice(table):
+    """Type of a parameter that names one key of ``table``."""
+
+    def cast(text, base_dir):
+        if text not in table:
+            raise ValueError("must be one of %s" % ", ".join(table))
+        return text
+
+    return "|".join(table), cast
+
+
+def parse_params(spec, params, base_dir):
+    """Typed keyword arguments from the raw ``[params]`` strings.
+
+    ``spec`` lists ``(name, type, default)``; keys outside it are ignored.
+    """
+    values = {}
+    for name, (_, cast), default in spec:
+        if name not in params:
+            if default is REQUIRED:
+                raise ConfigError("missing parameter %r" % name)
+            values[name] = default
+            continue
+        try:
+            values[name] = cast(params[name], base_dir)
+        except ValueError as exc:
+            raise ConfigError("parameter %r: %s" % (name, exc))
+    return values
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies.  Each returns (columns, rows, verdicts, extra) where rows
-# is a list of tuples matching columns and verdicts maps name -> (ok, value).
+# experiment bodies.  Each takes the seed and its parameters as keywords and
+# returns (columns, rows, verdicts, extra) where rows is a list of tuples
+# matching columns and verdicts maps name -> (ok, value).
 
 
-def _run_car_check(params, seed, base_dir):
-    modes = _get(params, "modes", int, 4)
-    trials = _get(params, "trials", int, 100)
+def _run_car_check(seed, modes, trials):
     rng = np.random.default_rng(seed)
     space = fock.FockSpace(modes)
     numbers = fock.particle_numbers(space)
@@ -120,10 +148,7 @@ def _run_car_check(params, seed, base_dir):
     return ["trial", "anticomm_ff", "anticomm_star", "norm_residual"], rows, verdicts, {}
 
 
-def _run_quasifree_verify(params, seed, base_dir):
-    modes = _get(params, "modes", int, 3)
-    degree = _get(params, "degree", int, 4)
-    trials = _get(params, "trials", int, 50)
+def _run_quasifree_verify(seed, modes, degree, trials):
     rng = np.random.default_rng(seed)
     rows = []
     worst = 0.0
@@ -148,9 +173,7 @@ def _run_quasifree_verify(params, seed, base_dir):
     return ["trial", "determinant", "gns_value", "residual"], rows, verdicts, {}
 
 
-def _run_modular_verify(params, seed, base_dir):
-    modes = _get(params, "modes", int, 2)
-    nu = _get(params, "nu", float, 0.25)
+def _run_modular_verify(seed, modes, nu):
     rng = np.random.default_rng(seed)
     state = quasifree.CovarianceState.isotropic(nu, modes)
     rep = quasifree.doubled_representation(state)
@@ -176,44 +199,36 @@ def _run_modular_verify(params, seed, base_dir):
     return cols, rows, verdicts, {"identity": "J pi(a(f+0)) J = -b*(f)"}
 
 
-def _run_innerness(params, seed, base_dir):
-    nu = _get(params, "nu", float, 0.3)
-    sizes = _get(params, "sizes", _int_list, [4, 8, 16, 32, 64])
-    case = _get(params, "case", str, "minus-identity")
-    if case == "minus-identity":
-        w_of = lambda n: -np.eye(n)
-    elif case == "finite-rank":
-        def w_of(n):
-            w = np.eye(n)
-            w[0, 0] = -1.0
-            return w
-    else:
-        raise ConfigError("case must be 'minus-identity' or 'finite-rank'")
-    report = bogoliubov.innerness_norm(nu, w_of, sizes)
+def _minus_identity(n):
+    return -np.eye(n)
+
+
+def _finite_rank(n):
+    """The identity with its first diagonal entry negated: a rank-one change."""
+    w = np.eye(n)
+    w[0, 0] = -1.0
+    return w
+
+
+# case -> W for innerness, case -> (V', W') for extension
+_INNERNESS_CASES = {"minus-identity": _minus_identity, "finite-rank": _finite_rank}
+_EXTENSION_CASES = {
+    "equal": (np.eye, np.eye),
+    "opposite": (_minus_identity, np.eye),
+    "finite-rank": (np.eye, _finite_rank),
+}
+
+
+def _run_innerness(seed, nu, sizes, case):
+    report = bogoliubov.innerness_norm(nu, _INNERNESS_CASES[case], sizes)
     rows = list(zip(report.sizes, report.values))
     verdicts = {"innerness": (report.verdict in ("converges", "diverges"), report.values[-1])}
     extra = {"verdict": report.verdict, "case": case, "nu": nu}
     return ["size", "hs_norm"], rows, verdicts, extra
 
 
-def _run_extension(params, seed, base_dir):
-    nu = _get(params, "nu", float, 0.25)
-    sizes = _get(params, "sizes", _int_list, [4, 8, 16, 32])
-    case = _get(params, "case", str, "opposite")
-    if case == "equal":
-        v_of = lambda n: np.eye(n)
-        w_of = lambda n: np.eye(n)
-    elif case == "opposite":
-        v_of = lambda n: -np.eye(n)
-        w_of = lambda n: np.eye(n)
-    elif case == "finite-rank":
-        v_of = lambda n: np.eye(n)
-        def w_of(n):
-            w = np.eye(n)
-            w[0, 0] = -1.0
-            return w
-    else:
-        raise ConfigError("case must be one of equal, opposite, finite-rank")
+def _run_extension(seed, nu, sizes, case):
+    v_of, w_of = _EXTENSION_CASES[case]
     ext = bogoliubov.extension_criterion(nu, v_of, w_of, sizes)
     araki = bogoliubov.araki_criterion(nu, v_of, w_of, sizes)
     rows = list(zip(ext.sizes, ext.values, araki.values))
@@ -223,36 +238,41 @@ def _run_extension(params, seed, base_dir):
     return ["size", "extension_hs", "araki_hs"], rows, verdicts, extra
 
 
-def _dilation_models(basis, horizons, step):
-    """One grid model per horizon, keyed by the doubled-space dimension."""
+_DILATION_T_GRID = [0.25, 0.5]  # times at which shift and flow dilations are compared
+_DEFECT_T_GRID = [2.0 ** -k for k in range(4, 13)]
+
+
+def _conjugacy(nu, basis, horizons, step, t_grid):
+    """Grid models per horizon, keyed by the doubled-space dimension, and the
+    conjugacy criterion between their factored shift and flow dilations.
+
+    Returns ``(models, verdict, per_t)``.
+    """
     models = {}
     for horizon in horizons:
         model = hardyshift.GridModel(basis, horizon, step)
         models[2 * model.n] = model
-    return models
-
-
-def _conjugacy(nu, models, t_grid):
-    """Conjugacy criterion between the factored shift and flow dilations."""
-    return bogoliubov.conjugacy_criterion(
+    verdict, per_t = bogoliubov.conjugacy_criterion(
         nu,
         lambda t, n: models[n].shift_dilation(t),
         lambda t, n: models[n].flow_dilation(t),
         t_grid,
         sorted(models),
     )
+    return models, verdict, per_t
 
 
-def _run_conjugacy(params, seed, base_dir):
-    nu = _get(params, "nu", float, 0.25)
-    lambdas = load_lambda_file(_get(params, "family", str, "-"), base_dir)
-    horizons = _get(params, "horizons", _float_list, [12.0, 16.0, 20.0])
-    step = _get(params, "step", float, 1.0 / 16)
-    t_grid = _get(params, "t_grid", _float_list, [0.25, 0.5])
-    family = hardyshift.ExponentialFamily(lambdas)
+def _defect_slope(basis, t_grid):
+    """Defect norms of ``V_t`` against the shift along ``t_grid`` and the
+    verdict ``(ok, slope)`` that they scale like ``t^(1/2)``."""
+    values = [hardyshift.defect_hs_norm(basis, t) for t in t_grid]
+    slope = hardyshift.fit_power(t_grid, values)
+    return values, (abs(slope - 0.5) <= 0.1, slope)
+
+
+def _run_conjugacy(seed, nu, family, horizons, step, t_grid):
     basis = hardyshift.orthogonalize(family)
-    models = _dilation_models(basis, horizons, step)
-    verdict, per_t = _conjugacy(nu, models, t_grid)
+    _, verdict, per_t = _conjugacy(nu, basis, horizons, step, t_grid)
     rows = []
     for t in t_grid:
         rep = per_t[t]
@@ -262,10 +282,7 @@ def _run_conjugacy(params, seed, base_dir):
     return ["t", "size", "weighted_hs"], rows, verdicts, {"verdict": verdict}
 
 
-def _run_blaschke(params, seed, base_dir):
-    lambdas = load_lambda_file(_get(params, "family", str, "-"), base_dir)
-    samples = _get(params, "samples", int, 1000)
-    family = hardyshift.ExponentialFamily(lambdas)
+def _run_blaschke(seed, family, samples):
     ys = np.linspace(-50.0, 50.0, samples)
     vals = np.abs(hardyshift.blaschke_eval(family, 1j * ys))
     boundary = float(np.max(np.abs(vals - 1.0)))
@@ -279,43 +296,26 @@ def _run_blaschke(params, seed, base_dir):
     return ["y", "abs_b"], rows, verdicts, {"two_s": asym["two_s"], "c3": asym["c3"]}
 
 
-def _run_approx(params, seed, base_dir):
-    lambdas = load_lambda_file(_get(params, "family", str, "-"), base_dir)
-    t_grid = _get(params, "t_grid", _float_list, [2.0 ** -k for k in range(4, 13)])
-    family = hardyshift.ExponentialFamily(lambdas)
-    basis = hardyshift.orthogonalize(family)
-    values = [hardyshift.defect_hs_norm(basis, t) for t in t_grid]
-    slope = hardyshift.fit_power(t_grid, values)
+def _run_approx(seed, family, t_grid):
+    values, verdict = _defect_slope(hardyshift.orthogonalize(family), t_grid)
     rows = list(zip(t_grid, values))
-    verdicts = {"defect_slope": (abs(slope - 0.5) <= 0.1, slope)}
-    return ["t", "defect_hs"], rows, verdicts, {"slope": slope}
+    return ["t", "defect_hs"], rows, {"defect_slope": verdict}, {"slope": verdict[1]}
 
 
-def _run_prop2(params, seed, base_dir):
-    lambdas = load_lambda_file(_get(params, "family", str, "-"), base_dir)
-    t = _get(params, "t", float, 1.0)
-    deltas = _get(params, "delta_grid", _float_list, [2.0 ** -k for k in range(3, 11)])
-    k_max = _get(params, "k_max", int, 64)
-    family = hardyshift.ExponentialFamily(lambdas)
+def _run_prop2(seed, family, t, delta_grid, k_max):
     rows = []
     values = []
-    for delta in deltas:
+    for delta in delta_grid:
         rep = hardyshift.prop2_defect(family, t, delta, k_max)
         values.append(rep["value"])
         rows.append((delta, rep["value"], rep["tail_estimate_sq"]))
-    slope = hardyshift.fit_power(deltas, values)
+    slope = hardyshift.fit_power(delta_grid, values)
     verdicts = {"defect_slope": (abs(slope - 0.5) <= 0.15, slope)}
     return ["delta", "hs_estimate", "tail_sq"], rows, verdicts, {"slope": slope}
 
 
-def _run_dilation_check(params, seed, base_dir):
-    lambdas = load_lambda_file(_get(params, "family", str, "-"), base_dir)
-    step = _get(params, "step", float, 1.0 / 256)
-    horizon = _get(params, "horizon", float, 8.0)
-    t = _get(params, "t", float, 0.25)
-    family = hardyshift.ExponentialFamily(lambdas)
-    basis = hardyshift.orthogonalize(family)
-    model = hardyshift.GridModel(basis, horizon, step)
+def _run_dilation_check(seed, family, step, horizon, t):
+    model = hardyshift.GridModel(hardyshift.orthogonalize(family), horizon, step)
     shift = model.shift_dilation(t)
     flow = model.flow_dilation(t)
     rows = [
@@ -333,22 +333,14 @@ def _run_dilation_check(params, seed, base_dir):
     return cols, rows, verdicts, {"step": step, "horizon": horizon, "t": t}
 
 
-def _run_pipeline(params, seed, base_dir):
-    lambdas = load_lambda_file(_get(params, "family", str, "-"), base_dir)
-    nu = _get(params, "nu", float, 0.25)
+def _run_pipeline(seed, family, nu, step, horizons):
     if not 0.0 < nu <= 0.5:
         raise ConfigError("nu must lie in (0, 1/2]")
-    rows = []
-    verdicts = {}
     extra = {"regime": "trace (nu = 1/2)" if nu == 0.5 else "type III"}
 
-    # stage 1: condition (1) on the family
-    try:
-        family = hardyshift.ExponentialFamily(lambdas)
-    except ValueError as exc:
-        raise ConfigError("stage condition-1: %s" % exc)
-    rows.append(("condition-1", 1.0))
-    verdicts["condition-1"] = (True, float(len(lambdas)))
+    # stage 1: condition (1) on the family, checked when it was loaded
+    rows = [("condition-1", 1.0)]
+    verdicts = {"condition-1": (True, float(family.size))}
 
     # stage 2: norm continuity of the perturbed semigroup on a dyadic grid
     basis = hardyshift.orthogonalize(family)
@@ -361,60 +353,65 @@ def _run_pipeline(params, seed, base_dir):
     verdicts["condition-n"] = (cont["pass"], float(max(cont["moduli"])))
 
     # stage 3: defect slope of V_t against the shift
-    t_grid = [2.0 ** -k for k in range(4, 13)]
-    values = [hardyshift.defect_hs_norm(basis, t) for t in t_grid]
-    slope = hardyshift.fit_power(t_grid, values)
+    _, (ok, slope) = _defect_slope(basis, _DEFECT_T_GRID)
     rows.append(("defect-slope", slope))
-    verdicts["defect-slope"] = (abs(slope - 0.5) <= 0.1, slope)
+    verdicts["defect-slope"] = (ok, slope)
 
-    # stage 4: unitary dilations and the approximation check
-    step = _get(params, "step", float, 1.0 / 16)
-    horizons = _get(params, "horizons", _float_list, [12.0, 16.0, 20.0])
-    models = _dilation_models(basis, horizons, step)
+    # stages 4 and 5: unitary dilations, the approximation check on the
+    # largest grid, and conjugacy-criterion weighted norms on the dilated pair
+    models, verdict, per_t = _conjugacy(nu, basis, horizons, step, _DILATION_T_GRID)
     largest = models[max(models)]
-    t_check = [0.25, 0.5]
     approx = bogoliubov.approximation_check(
-        largest.shift_dilation, largest.flow_dilation, largest.n, t_check, tol=1e-6
+        largest.shift_dilation, largest.flow_dilation, largest.n, _DILATION_T_GRID, tol=1e-6
     )
     worst_dev = max(row["offspace_deviation"] for row in approx["rows"])
     rows.append(("approximation", float(worst_dev)))
     verdicts["approximation"] = (approx["pass"], float(worst_dev))
-
-    # stage 5: conjugacy-criterion weighted norms on the dilated pair
-    verdict, per_t = _conjugacy(nu, models, t_check)
-    last = per_t[t_check[-1]].values[-1]
+    last = per_t[_DILATION_T_GRID[-1]].values[-1]
     rows.append(("conjugacy", float(last)))
     verdicts["conjugacy"] = (verdict != "diverges", float(last))
 
     return ["stage", "value"], rows, verdicts, extra
 
 
-EXPERIMENTS = {
-    "car-check": _run_car_check,
-    "quasifree-verify": _run_quasifree_verify,
-    "modular-verify": _run_modular_verify,
-    "innerness": _run_innerness,
-    "conjugacy": _run_conjugacy,
-    "extension": _run_extension,
-    "approx": _run_approx,
-    "blaschke": _run_blaschke,
-    "prop2": _run_prop2,
-    "dilation-check": _run_dilation_check,
-    "pipeline": _run_pipeline,
-}
+_FAMILY = ("family", FAMILY, REQUIRED)
+_HORIZONS = ("horizons", FLOATS, [12.0, 16.0, 20.0])
+_GRID_STEP = ("step", FLOAT, 1.0 / 16)
 
-SCHEMAS = {
-    "car-check": "modes (int), trials (int)",
-    "quasifree-verify": "modes (int), degree (int), trials (int)",
-    "modular-verify": "modes (int), nu (float)",
-    "innerness": "nu (float), sizes (ints), case (minus-identity|finite-rank)",
-    "conjugacy": "nu (float), family (path), horizons (floats), step (float), t_grid (floats)",
-    "extension": "nu (float), sizes (ints), case (equal|opposite|finite-rank)",
-    "approx": "family (path), t_grid (floats)",
-    "blaschke": "family (path), samples (int)",
-    "prop2": "family (path), t (float), delta_grid (floats), k_max (int)",
-    "dilation-check": "family (path), step (float), horizon (float), t (float)",
-    "pipeline": "family (path), nu (float), step (float), horizons (floats)",
+# kind -> (body, [(name, type, default)]).  `carshift list` prints the same
+# declarations, in this order.
+EXPERIMENTS = {
+    "car-check": (_run_car_check, [("modes", INT, 4), ("trials", INT, 100)]),
+    "quasifree-verify": (
+        _run_quasifree_verify, [("modes", INT, 3), ("degree", INT, 4), ("trials", INT, 50)]
+    ),
+    "modular-verify": (_run_modular_verify, [("modes", INT, 2), ("nu", FLOAT, 0.25)]),
+    "innerness": (_run_innerness, [
+        ("nu", FLOAT, 0.3),
+        ("sizes", INTS, [4, 8, 16, 32, 64]),
+        ("case", _choice(_INNERNESS_CASES), "minus-identity"),
+    ]),
+    "conjugacy": (_run_conjugacy, [
+        ("nu", FLOAT, 0.25), _FAMILY, _HORIZONS, _GRID_STEP,
+        ("t_grid", FLOATS, _DILATION_T_GRID),
+    ]),
+    "extension": (_run_extension, [
+        ("nu", FLOAT, 0.25),
+        ("sizes", INTS, [4, 8, 16, 32]),
+        ("case", _choice(_EXTENSION_CASES), "opposite"),
+    ]),
+    "approx": (_run_approx, [_FAMILY, ("t_grid", FLOATS, _DEFECT_T_GRID)]),
+    "blaschke": (_run_blaschke, [_FAMILY, ("samples", INT, 1000)]),
+    "prop2": (_run_prop2, [
+        _FAMILY,
+        ("t", FLOAT, 1.0),
+        ("delta_grid", FLOATS, [2.0 ** -k for k in range(3, 11)]),
+        ("k_max", INT, 64),
+    ]),
+    "dilation-check": (_run_dilation_check, [
+        _FAMILY, ("step", FLOAT, 1.0 / 256), ("horizon", FLOAT, 8.0), ("t", FLOAT, 0.25)
+    ]),
+    "pipeline": (_run_pipeline, [_FAMILY, ("nu", FLOAT, 0.25), _GRID_STEP, _HORIZONS]),
 }
 
 
@@ -455,11 +452,10 @@ def write_reports(out_dir, config, columns, rows, verdicts, extra, elapsed):
 
 
 def run(config, out_dir):
-    body = EXPERIMENTS[config["kind"]]
+    body, spec = EXPERIMENTS[config["kind"]]
     start = time.time()
-    columns, rows, verdicts, extra = body(
-        config["params"], config["seed"], os.path.dirname(config["path"])
-    )
+    params = parse_params(spec, config["params"], os.path.dirname(config["path"]))
+    columns, rows, verdicts, extra = body(config["seed"], **params)
     report = write_reports(out_dir, config, columns, rows, verdicts, extra, time.time() - start)
     return report
 
@@ -475,8 +471,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.command == "list":
-        for kind in sorted(EXPERIMENTS):
-            print("%-18s %s" % (kind, SCHEMAS[kind]))
+        for kind, (_, spec) in sorted(EXPERIMENTS.items()):
+            params = ", ".join("%s (%s)" % (name, label) for name, (label, _), _ in spec)
+            print("%-18s %s" % (kind, params))
         return 0
     if args.command != "run":
         parser.print_help()

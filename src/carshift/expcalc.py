@@ -90,18 +90,6 @@ class ExpCombo:
                 out.append((c * cmath.exp(mu * (s2 - s)), mu, s2, e2))
         return ExpCombo(out)
 
-    def reversed_about(self, t):
-        """``x -> u(t - x)`` restricted to x > 0 (used for bounded windows)."""
-        out = []
-        for c, mu, s, e in self.terms:
-            if e == np.inf:
-                raise ValueError("reversal needs bounded support")
-            s2 = max(t - e, 0.0)
-            e2 = t - s
-            if e2 > s2:
-                out.append((c * cmath.exp(mu * (t - s2 - s)), -mu, s2, e2))
-        return ExpCombo(out)
-
     def inner(self, other):
         """L2 inner product, antilinear in ``self``."""
         total = 0.0 + 0.0j

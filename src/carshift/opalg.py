@@ -9,11 +9,6 @@ Inner products are antilinear in the first argument throughout the package
 import numpy as np
 from scipy import sparse
 
-# Default tolerances used across the package.
-ALG_TOL = 1e-10    # algebraic identities (products, adjoints, projections)
-CAR_TOL = 1e-12    # canonical anticommutation relations
-SPEC_TOL = 1e-8    # spectral quantities (eigenvalues, polar factors)
-
 
 def as_operator(a):
     """Validate and return a square complex matrix."""
@@ -143,15 +138,11 @@ class AntilinearOperator:
             return self.matrix @ np.conj(other.matrix)
         return AntilinearOperator(self.matrix @ np.conj(as_operator(other)))
 
-    def precompose_linear(self, lin):
-        """Composition ``lin o self`` (linear after antilinear)."""
-        return AntilinearOperator(as_operator(lin) @ self.matrix)
-
     def squared(self):
         """The linear map ``self o self``."""
         return self.compose(self)
 
-    def is_antiunitary(self, tol=ALG_TOL):
+    def is_antiunitary(self, tol=1e-10):
         m = self.matrix
         return np.linalg.norm(adjoint(m) @ m - np.eye(self.dim)) <= tol * self.dim
 

@@ -54,6 +54,13 @@ def test_weighted_hs_norm_isotropic_oracle():
     assert got == pytest.approx(np.sqrt(nu * (1 - nu)) * hs_norm(x))
 
 
+@pytest.mark.parametrize("nu", [0.0, 1.0, 1.5, -0.2, float("nan")])
+def test_weighted_hs_norm_rejects_scalar_nu_outside_unit_interval(nu):
+    # sqrt(nu(1-nu)) would be NaN or 0, and a NaN norm passes every verdict
+    with pytest.raises(ValueError, match="nu must lie in"):
+        bogoliubov.weighted_hs_norm(nu, np.eye(3))
+
+
 def test_innerness_closed_form():
     # W = -1: ||R^{1/2}(1-R)^{1/2}(W-1)||_2 = 2 sqrt(nu(1-nu) n)
     nu = 0.3

@@ -23,11 +23,24 @@ def write_family(tmp_path, lambdas):
     return path.name
 
 
+LIST_OUTPUT = """\
+approx             family (path), t_grid (floats)
+blaschke           family (path), samples (int)
+car-check          modes (int), trials (int)
+conjugacy          nu (float), family (path), horizons (floats), step (float), t_grid (floats)
+dilation-check     family (path), step (float), horizon (float), t (float)
+extension          nu (float), sizes (ints), case (equal|opposite|finite-rank)
+innerness          nu (float), sizes (ints), case (minus-identity|finite-rank)
+modular-verify     modes (int), nu (float)
+pipeline           family (path), nu (float), step (float), horizons (floats)
+prop2              family (path), t (float), delta_grid (floats), k_max (int)
+quasifree-verify   modes (int), degree (int), trials (int)
+"""
+
+
 def test_list_prints_all_kinds(capsys):
     assert cli.main(["list"]) == 0
-    out = capsys.readouterr().out
-    for kind in cli.EXPERIMENTS:
-        assert kind in out
+    assert capsys.readouterr().out == LIST_OUTPUT
 
 
 def test_missing_config_is_a_config_error(tmp_path):
@@ -43,6 +56,35 @@ def test_unknown_kind_is_a_config_error(tmp_path):
 def test_bad_parameter_is_a_config_error(tmp_path):
     config = write_config(tmp_path, "car-check", {"modes": "many"})
     assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("kind", ["blaschke", "pipeline"])
+def test_missing_family_is_a_config_error(tmp_path, capsys, kind):
+    config = write_config(tmp_path, kind)
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 2
+    assert "missing parameter 'family'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["innerness", "extension"])
+def test_unknown_case_is_a_config_error(tmp_path, capsys, kind):
+    config = write_config(tmp_path, kind, {"case": "nope"})
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 2
+    assert "parameter 'case'" in capsys.readouterr().err
+
+
+def test_family_failing_condition_1_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "family.txt").write_text("1.0 0.0\n")
+    config = write_config(tmp_path, "approx", {"family": "family.txt"})
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 2
+    assert "config error: parameter 'family': condition (1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["innerness", "conjugacy"])
+def test_scalar_nu_outside_unit_interval_is_an_error(tmp_path, kind):
+    params = {"family": write_family(tmp_path, [-1.0 + 0.0j]), "nu": 1.5}
+    config = write_config(tmp_path, kind, params)
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / f"{kind}.csv").exists()
 
 
 def test_malformed_family_file(tmp_path):
@@ -62,16 +104,19 @@ def test_car_check_passes_and_writes_reports(tmp_path):
 
 def test_csv_bytes_deterministic(tmp_path):
     fam = write_family(tmp_path, [-1.0 + 0.0j])
-    for kind, params in [
+    runs = [
         ("blaschke", {"family": fam, "samples": 100}),
         ("conjugacy", {"family": fam}),
         ("pipeline", {"family": fam}),
         ("car-check", {"modes": 4, "trials": 5}),
         ("quasifree-verify", {"modes": 3, "degree": 4, "trials": 5}),
         ("modular-verify", {"modes": 3, "nu": 0.3}),
-    ]:
+    ]
+    runs += [("innerness", {"case": case}) for case in ("minus-identity", "finite-rank")]
+    runs += [("extension", {"case": case}) for case in ("equal", "opposite", "finite-rank")]
+    for idx, (kind, params) in enumerate(runs):
         config = write_config(tmp_path, kind, params)
-        out1, out2 = tmp_path / kind / "a", tmp_path / kind / "b"
+        out1, out2 = tmp_path / str(idx) / "a", tmp_path / str(idx) / "b"
         assert cli.main(["run", "--config", config, "--out", str(out1)]) == 0
         assert cli.main(["run", "--config", config, "--out", str(out2)]) == 0
         assert (out1 / f"{kind}.csv").read_bytes() == (out2 / f"{kind}.csv").read_bytes()
