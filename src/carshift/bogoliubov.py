@@ -16,7 +16,7 @@ verdict policy:
 * ``inconclusive`` -- anything else.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class CriterionReport:
     verdict: str
     increment_exponent: float | None = None
     value_exponent: float | None = None
-    extra: dict = field(default_factory=dict)
 
 
 def fit_verdict(sizes, values):
@@ -76,6 +75,13 @@ def fit_verdict(sizes, values):
     if val_slope >= -1e-9:
         return "diverges", inc_slope, val_slope
     return "inconclusive", inc_slope, val_slope
+
+
+def _trend(sizes, value_at):
+    """``value_at(n)`` along ``sizes`` and its verdict, as a :class:`CriterionReport`."""
+    values = [value_at(n) for n in sizes]
+    verdict, inc_e, val_e = fit_verdict(sizes, values)
+    return CriterionReport(list(sizes), values, verdict, inc_e, val_e)
 
 
 def _covariance(r, size):
@@ -133,24 +139,24 @@ def innerness_norm(r, w, sizes):
     callables ``size -> matrix``.  Returns a :class:`CriterionReport` whose
     verdict states whether the lifting is asymptotically inner (converges).
     """
-    values = []
-    for n in sizes:
+
+    def value_at(n):
         wn = np.asarray(w(n) if callable(w) else w, dtype=complex)
-        values.append(weighted_hs_norm(_covariance(r, n), wn - np.eye(n)))
-    verdict, inc_e, val_e = fit_verdict(sizes, values)
-    return CriterionReport(list(sizes), values, verdict, inc_e, val_e)
+        return weighted_hs_norm(_covariance(r, n), wn - np.eye(n))
+
+    return _trend(sizes, value_at)
 
 
 def extension_criterion(r_prime, v_prime, w_prime, sizes):
     """Extension criterion on the enlarged space:
     ``||R'^{1/2}(1-R')^{1/2}(V' - W')||_2`` trend over truncations."""
-    values = []
-    for n in sizes:
+
+    def value_at(n):
         vn = np.asarray(v_prime(n), dtype=complex)
         wn = np.asarray(w_prime(n), dtype=complex)
-        values.append(weighted_hs_norm(_covariance(r_prime, n), vn - wn))
-    verdict, inc_e, val_e = fit_verdict(sizes, values)
-    return CriterionReport(list(sizes), values, verdict, inc_e, val_e)
+        return weighted_hs_norm(_covariance(r_prime, n), vn - wn)
+
+    return _trend(sizes, value_at)
 
 
 def araki_commutator(p_matrix, v_prime, w_prime):
@@ -168,14 +174,12 @@ def araki_criterion(r_prime, v_prime, w_prime, sizes):
     :func:`extension_criterion`)."""
     from .quasifree import purification_projection
 
-    values = []
-    for n in sizes:
+    def value_at(n):
         r = _covariance(r_prime, n)
         state = CovarianceState.isotropic(r, n) if np.ndim(r) == 0 else CovarianceState(r)
-        p = purification_projection(state)
-        values.append(araki_commutator(p, v_prime(n), w_prime(n)))
-    verdict, inc_e, val_e = fit_verdict(sizes, values)
-    return CriterionReport(list(sizes), values, verdict, inc_e, val_e)
+        return araki_commutator(purification_projection(state), v_prime(n), w_prime(n))
+
+    return _trend(sizes, value_at)
 
 
 def conjugacy_criterion(r, u_path, v_path, t_grid, sizes):
@@ -190,17 +194,17 @@ def conjugacy_criterion(r, u_path, v_path, t_grid, sizes):
     per_t = {}
     order = {"converges": 0, "inconclusive": 1, "diverges": 2}
     worst = "converges"
+
+    def value_at(t, n):
+        ut = _check_unitary(u_path(t, n), label=f"U_{t}")
+        vt = _check_unitary(v_path(t, n), label=f"V_{t}")
+        diff = ut.difference_factors(vt) if _factored_pair(ut, vt) else ut - vt
+        return weighted_hs_norm(_covariance(r, n), diff)
+
     for t in t_grid:
-        values = []
-        for n in sizes:
-            ut = _check_unitary(u_path(t, n), label=f"U_{t}")
-            vt = _check_unitary(v_path(t, n), label=f"V_{t}")
-            diff = ut.difference_factors(vt) if _factored_pair(ut, vt) else ut - vt
-            values.append(weighted_hs_norm(_covariance(r, n), diff))
-        verdict, inc_e, val_e = fit_verdict(sizes, values)
-        per_t[float(t)] = CriterionReport(list(sizes), values, verdict, inc_e, val_e)
-        if order[verdict] > order[worst]:
-            worst = verdict
+        report = per_t[float(t)] = _trend(sizes, lambda n: value_at(t, n))
+        if order[report.verdict] > order[worst]:
+            worst = report.verdict
     return worst, per_t
 
 
@@ -229,8 +233,10 @@ class Lifting:
         return tensor(first, second)
 
 
-def lift(rep, v, tol=1e-10):
-    """Validate ``V`` (isometry commuting with the covariance) and lift it."""
+def lift(rep, v):
+    """Validate ``V`` (isometry commuting with the covariance, both to
+    ``1e-10``) and lift it."""
+    tol = 1e-10
     v = np.asarray(v, dtype=complex)
     if v.shape != (rep.n, rep.n):
         raise ValueError(f"V must be {rep.n}x{rep.n}")
@@ -241,7 +247,7 @@ def lift(rep, v, tol=1e-10):
     return Lifting(rep, v)
 
 
-def approximation_check(u_dil, v_dil, k_dim, t_grid, tol=1e-10, hs_bound=None):
+def approximation_check(u_dil, v_dil, k_dim, t_grid, tol=1e-10):
     """Check the two approximation conditions for unitary dilations.
 
     ``u_dil``/``v_dil``: callables ``t -> unitary`` on the doubled grid space,
@@ -251,8 +257,7 @@ def approximation_check(u_dil, v_dil, k_dim, t_grid, tol=1e-10, hs_bound=None):
     ``U'_t - V'_t`` and the operator-norm deviation of ``U'_t V'_t*`` from the
     identity on ``K' (-) K``: the larger of the norms of its diagonal block
     minus 1 and of the mixed block ``K' -> K``.  Passes when all deviations
-    are below ``tol`` and the HS values stay bounded (below ``hs_bound`` when
-    given).
+    are below ``tol``; the HS norms are reported, not bounded.
     """
     rows = []
     ok = True
@@ -273,7 +278,5 @@ def approximation_check(u_dil, v_dil, k_dim, t_grid, tol=1e-10, hs_bound=None):
         dev = max(block, mixed)
         rows.append({"t": float(t), "hs_norm": hs, "offspace_deviation": dev})
         if dev > tol:
-            ok = False
-        if hs_bound is not None and hs > hs_bound:
             ok = False
     return {"pass": ok, "rows": rows, "tol": tol}

@@ -120,16 +120,14 @@ class ExpCombo:
             out[mask] += c * np.exp(mu * (x[mask] - s))
         return out
 
-    def compress(self, tol=0.0):
-        """Merge terms sharing (rate, support); drop coefficients below tol."""
+    def compress(self):
+        """Merge terms sharing (rate, support); merged coefficients that
+        cancel are dropped by the constructor."""
         acc = {}
         for c, mu, s, e in self.terms:
             key = (mu, s, e)
             acc[key] = acc.get(key, 0.0) + c
-        scale = max((abs(c) for c in acc.values()), default=0.0)
-        return ExpCombo(
-            [(c, mu, s, e) for (mu, s, e), c in acc.items() if abs(c) > tol * scale]
-        )
+        return ExpCombo([(c, mu, s, e) for (mu, s, e), c in acc.items()])
 
 
 def blaschke_residues(lambdas):

@@ -37,10 +37,6 @@ class FockSpace:
         return f"FockSpace(modes={self.modes})"
 
 
-def build_space(modes):
-    return FockSpace(modes)
-
-
 def particle_numbers(space):
     """The particle number of every basis state (an int array of length ``dim``)."""
     return np.array([b.bit_count() for b in range(space.dim)])

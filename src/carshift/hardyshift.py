@@ -14,14 +14,14 @@ permutation and the flow dilation an exact unitary built from a rotation on a
 small subspace, so unitarity holds to rounding error at any resolution.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import expcalc
 from .expcalc import ExpCombo, theta_apply as _theta_terms
-from .opalg import lowrank_hs_norm, lowrank_operator_norm, operator_norm
+from .opalg import RANK_TOL, lowrank_hs_norm, lowrank_operator_norm, operator_norm
 
 
 # ---------------------------------------------------------------------------
@@ -30,19 +30,21 @@ from .opalg import lowrank_hs_norm, lowrank_operator_norm, operator_norm
 
 @dataclass
 class ExponentialFamily:
-    """Exponents ``l_k`` subject to: ``Re l_k < 0``, ``|Im l_k| < radius``,
-    ``sum |Re l_k| < inf`` (finite family), pairwise distinct."""
+    """Exponents ``l_k`` subject to condition (1): ``Re l_k < 0`` and pairwise
+    distinct.  A finite family has bounded ``|Im l_k|`` and summable
+    ``|Re l_k|`` by construction."""
 
     lambdas: list
-    radius: float = 0.0
 
     def __post_init__(self):
-        self.lambdas = [complex(l) for l in self.lambdas]
-        if self.radius <= 0.0:
-            self.radius = 2.0 * max((abs(l.imag) for l in self.lambdas), default=0.0) + 1.0
-        report = validate_condition1(self.lambdas, self.radius)
-        if not report["ok"]:
-            raise ValueError(f"condition (1) violated: {report['failures']}")
+        self.lambdas = lambdas = [complex(l) for l in self.lambdas]
+        failures = [f"Re lambda_{k} >= 0" for k, l in enumerate(lambdas) if l.real >= 0]
+        for i in range(len(lambdas)):
+            for j in range(i + 1, len(lambdas)):
+                if abs(lambdas[i] - lambdas[j]) < 1e-12:
+                    failures.append(f"lambda_{i} == lambda_{j}")
+        if failures:
+            raise ValueError(f"condition (1) violated: {failures}")
 
     @property
     def size(self):
@@ -52,26 +54,6 @@ class ExponentialFamily:
     def s_value(self):
         """``s = sum |Re l_k|`` -- the total decay rate."""
         return float(-sum(l.real for l in self.lambdas))
-
-
-def validate_condition1(lambdas, radius):
-    """Checks of the admissibility condition for an exponent family."""
-    lambdas = [complex(l) for l in lambdas]
-    failures = []
-    for k, l in enumerate(lambdas):
-        if l.real >= 0:
-            failures.append(f"Re lambda_{k} >= 0")
-        if abs(l.imag) >= radius:
-            failures.append(f"|Im lambda_{k}| >= radius")
-    for i in range(len(lambdas)):
-        for j in range(i + 1, len(lambdas)):
-            if abs(lambdas[i] - lambdas[j]) < 1e-12:
-                failures.append(f"lambda_{i} == lambda_{j}")
-    return {
-        "ok": not failures,
-        "failures": failures,
-        "abs_re_sum": float(-sum(l.real for l in lambdas)),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -90,20 +72,19 @@ def blaschke_eval(family, z):
     return out if out.shape else complex(out)
 
 
-def blaschke_asymptotics(family, radii=None, samples=360):
+def blaschke_asymptotics(family):
     """Bound constants and the ``1/z`` coefficient of ``B``.
 
-    Returns ``c1`` (bound for ``|B|`` outside radius ``c2``) and ``c3`` with
-    ``B(z) = 1 - c3/z + o(1/z)``; ``c3`` is fit from samples on the real axis
-    and should equal ``2 * s_value``.
+    Returns ``c1`` (bound for ``|B|`` on 360 points of the circle of radius
+    ``c2``) and ``c3`` with ``B(z) = 1 - c3/z + o(1/z)``; ``c3`` is fit from
+    samples on the real axis at ``c2 * 2^j``, ``j = 4..9``, and should equal
+    ``2 * s_value``.
     """
     max_abs = max((abs(l) for l in family.lambdas), default=0.0)
     c2 = 2.0 * max_abs + 1.0
-    angles = np.exp(2j * np.pi * np.arange(samples) / samples)
+    angles = np.exp(2j * np.pi * np.arange(360) / 360)
     c1 = float(np.max(np.abs(blaschke_eval(family, c2 * angles)))) if family.size else 1.0
-    if radii is None:
-        radii = [c2 * (2.0 ** j) for j in range(4, 10)]
-    radii = np.asarray(sorted(radii), dtype=float)
+    radii = np.array([c2 * (2.0 ** j) for j in range(4, 10)])
     vals = radii * (1.0 - blaschke_eval(family, radii.astype(complex)))
     # c3 + a/r fit: intercept at 1/r -> 0
     coeffs = np.polyfit(1.0 / radii, np.asarray(vals).real, 1)
@@ -138,21 +119,22 @@ class ExponentialBasis:
     family: ExponentialFamily
     gram: np.ndarray
     coeff: np.ndarray            # upper triangular: g_n = sum_m coeff[m, n] f_m
-    g_combos: list = field(default_factory=list)
+    g_combos: list
 
     @property
     def size(self):
         return self.family.size
 
 
-def orthogonalize(family, cond_limit=1e12):
+def orthogonalize(family):
     """Successive orthogonalization of the normalized exponentials.
 
     The coefficient matrix is upper triangular with positive diagonal
-    (Cholesky of the Gram matrix); degenerate families are rejected.
+    (Cholesky of the Gram matrix); families whose Gram matrix has condition
+    number above ``1e12`` are rejected.
     """
     g = gram_exponentials(family)
-    if family.size and np.linalg.cond(g) > cond_limit:
+    if family.size and np.linalg.cond(g) > 1e12:
         raise ValueError("exponential family too ill-conditioned to orthogonalize")
     low = np.linalg.cholesky(g)
     coeff = solve_triangular(low, np.eye(family.size), lower=True).conj().T
@@ -305,22 +287,24 @@ def laplace_pairing(family, mu, start=0.0, end=np.inf):
 # Wold decomposition and norm continuity
 
 
-def wold_decompose(v, tol=1e-10, max_iter=None):
+def wold_decompose(v):
     """Iterated-range Wold decomposition of a (partial) isometry.
 
     Returns the projection onto the unitary part ``K0 = cap_n V^n K``, the
     completely non-unitary complement and the deficiency ``dim ker V*``.
     Accepts partial isometries (``V* V`` a projection), e.g. truncated shifts.
+    Ranks and convergence are decided at ``1e-10``; the iteration stops after
+    ``4 dim + 8`` steps.
     """
+    tol = 1e-10
     v = np.asarray(v, dtype=complex)
     n = v.shape[0]
     vv = v.conj().T @ v
     if operator_norm(vv @ vv - vv) > tol * n:
         raise ValueError("input is not a partial isometry at the given tolerance")
     basis = np.eye(n, dtype=complex)
-    max_iter = max_iter or 4 * n + 8
     prev_proj = basis @ basis.conj().T
-    for _ in range(max_iter):
+    for _ in range(4 * n + 8):
         a = v @ basis
         if a.size == 0:
             prev_proj = np.zeros((n, n), dtype=complex)
@@ -348,13 +332,15 @@ def wold_decompose(v, tol=1e-10, max_iter=None):
     }
 
 
-def condition_n_check(u_path, t_grid, atol=1e-10):
+def condition_n_check(u_path, t_grid):
     """Operator-norm continuity of a unitary path on a grid.
 
     Compares the modulus of continuity at the grid spacing with the modulus
     at doubled spacing; a genuinely norm-continuous path contracts by about
     one half, while a discontinuous (unbounded-generator) path saturates.
+    Moduli up to ``1e-10`` count as zero.
     """
+    atol = 1e-10
     t_grid = list(t_grid)
     mats = [np.asarray(u_path(t), dtype=complex) for t in t_grid]
     fine = [operator_norm(mats[i + 1] - mats[i]) for i in range(len(mats) - 1)]
@@ -399,10 +385,10 @@ class DilationOperator:
         out[self.perm] = w
         return out
 
-    def to_dense(self, max_dim=6000):
-        """The dense matrix, kept as a test oracle; refused above ``max_dim``."""
-        if self.dim > max_dim:
-            raise ValueError(f"dense form refused above dimension {max_dim}")
+    def to_dense(self):
+        """The dense matrix, kept as a test oracle; refused above dimension 6000."""
+        if self.dim > 6000:
+            raise ValueError("dense form refused above dimension 6000")
         m = np.eye(self.dim, dtype=complex) + self.x @ self.y.conj().T
         return self._permute_vec_block(m)
 
@@ -538,13 +524,14 @@ class GridModel:
         empty = np.zeros((2 * self.n, 0), dtype=complex)
         return DilationOperator(self._circle_perm(m), empty, empty, self.n)
 
-    def flow_dilation(self, t, rank_tol=1e-10):
+    def flow_dilation(self, t):
         """An exact unitary dilation of the grid ``V_t``.
 
         ``V' = S' R`` where ``R`` rotates each ``ghat_n`` onto
         ``phase_n * S'* ghat_n`` and acts as the minimal unitary completion on
-        the remaining directions of their joint span.  The compression of
-        ``V'`` to the first summand is exactly the grid ``V_t``.
+        the remaining directions of their joint span (singular values below
+        ``RANK_TOL`` of the largest count as zero).  The compression of ``V'``
+        to the first summand is exactly the grid ``V_t``.
         """
         m = self.steps_of(t)
         perm = self._circle_perm(m)
@@ -560,9 +547,9 @@ class GridModel:
             return self.shift_dilation(t)
         joint = np.hstack([b, c])
         uq, sq, _ = np.linalg.svd(joint, full_matrices=False)
-        q = uq[:, sq > rank_tol * sq[0]]
-        d1 = _complement_basis(q, b, rank_tol)
-        d2 = _complement_basis(q, c, rank_tol)
+        q = uq[:, sq > RANK_TOL * sq[0]]
+        d1 = _complement_basis(q, b)
+        d2 = _complement_basis(q, c)
         r = min(d1.shape[1], d2.shape[1])
         d1, d2 = d1[:, :r], d2[:, :r]
         if r:
@@ -584,13 +571,13 @@ class GridModel:
         return lowrank_hs_norm(np.hstack([sx, -xd]), np.hstack([yk, yd]))
 
 
-def _complement_basis(q, cols, rank_tol):
+def _complement_basis(q, cols):
     """Orthonormal basis of ``span(q) (-) span(cols)``."""
     z = q - cols @ (cols.conj().T @ q)
     uz, sz, _ = np.linalg.svd(z, full_matrices=False)
     if len(sz) == 0 or sz[0] == 0:
         return uz[:, :0]
-    return uz[:, sz > max(rank_tol * sz[0], 1e-13)]
+    return uz[:, sz > max(RANK_TOL * sz[0], 1e-13)]
 
 
 def unitary_dilation(model, which, t):

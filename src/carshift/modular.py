@@ -17,7 +17,8 @@ import itertools
 
 import numpy as np
 
-from .opalg import AntilinearOperator, adjoint, hs_norm, polar_antilinear
+from . import fock
+from .opalg import RANK_TOL, AntilinearOperator, adjoint, hs_norm, polar_antilinear
 
 
 def monomial_indices(n):
@@ -86,16 +87,16 @@ class ModularData:
         return (vecs * np.power(w, p)) @ adjoint(vecs)
 
 
-def tomita_operator(rep, rank_tol=1e-10):
+def tomita_operator(rep):
     """Build ``S``, ``J`` and ``Delta`` for the vacuum of a doubled representation.
 
     The monomial system is solved, and ``S`` polar-decomposed, per charge
     sector.  The condition number is the largest singular value of the
     monomial blocks over the smallest, the same as for the full monomial
-    matrix; the ``rank_tol`` cutoff of the polar decomposition is relative to
-    each sector's largest eigenvalue of ``Delta``.  Raises if the monomial
-    columns fail to span (vacuum not cyclic at the working precision) or
-    leave their charge sectors.
+    matrix, and must stay below ``1 / RANK_TOL``; the ``RANK_TOL`` cutoff of
+    the polar decomposition is relative to each sector's largest eigenvalue
+    of ``Delta``.  Raises if the monomial columns fail to span (vacuum not
+    cyclic at the working precision) or leave their charge sectors.
     """
     x_cols, xstar_cols = _monomial_columns(rep)
     charge = rep.charge
@@ -114,9 +115,9 @@ def tomita_operator(rep, rank_tol=1e-10):
         blocks.append((rows, image, xc, xstar_cols[np.ix_(image, cols)]))
     sv = np.concatenate([np.linalg.svd(xc, compute_uv=False) for _, _, xc, _ in blocks])
     cond = sv.max() / sv.min() if sv.min() > 0 else np.inf
-    if not np.isfinite(cond) or cond > 1.0 / rank_tol:
+    if not np.isfinite(cond) or cond > 1.0 / RANK_TOL:
         raise ValueError(
-            f"vacuum not cyclic/separating at tolerance {rank_tol:g} "
+            f"vacuum not cyclic/separating at tolerance {RANK_TOL:g} "
             f"(monomial matrix condition {cond:.3e})"
         )
     m = np.zeros((rep.dim, rep.dim), dtype=complex)
@@ -127,7 +128,7 @@ def tomita_operator(rep, rank_tol=1e-10):
     for rows, image, xc, y in blocks:
         mq = np.linalg.solve(xc.T, y.T).T
         misfit += hs_norm(mq @ xc - y) ** 2
-        jq, dq, wq = polar_antilinear(AntilinearOperator(mq), rank_tol=rank_tol)
+        jq, dq, wq = polar_antilinear(AntilinearOperator(mq))
         m[np.ix_(image, rows)] = mq
         j[np.ix_(image, rows)] = jq.matrix
         delta[np.ix_(rows, rows)] = dq
@@ -147,18 +148,16 @@ def modular_involution_formula(rep):
 
     ``J (f_1^..^f_k (x) g_1^..^g_m) = conj(g_m)^..^conj(g_1) (x)
     conj(f_k)^..^conj(f_1)``: swap the factors, reverse each wedge (sign
-    ``(-1)^{k(k-1)/2}``), conjugate entries.
+    ``(-1)^{k(k-1)/2}``), conjugate entries.  In the index convention of
+    :func:`carshift.quasifree.tensor` row ``b1 d + b2`` has its one entry in
+    column ``b2 d + b1``.
     """
     d = rep.factor.dim
+    k = fock.particle_numbers(rep.factor)
+    sign = 1.0 - 2.0 * ((k * (k - 1) // 2) & 1)
+    rows = np.arange(d * d)
     m = np.zeros((d * d, d * d), dtype=complex)
-    for b1 in range(d):
-        k1 = b1.bit_count()
-        s1 = -1.0 if (k1 * (k1 - 1) // 2) & 1 else 1.0
-        for b2 in range(d):
-            k2 = b2.bit_count()
-            s2 = -1.0 if (k2 * (k2 - 1) // 2) & 1 else 1.0
-            # index convention of quasifree.tensor: first factor on low bits
-            m[b1 * d + b2, b2 * d + b1] = s1 * s2
+    m[rows, (rows % d) * d + rows // d] = np.outer(sign, sign).ravel()
     return AntilinearOperator(m)
 
 
@@ -182,14 +181,16 @@ def _algebra_span(rep, create, annihilate):
     return cols
 
 
-def commutant_check(rep, tol=1e-8):
+def commutant_check(rep):
     """Brute-force commutant dimension and span comparison with ``J M J``.
 
     Solves ``[X, G] = 0`` for all algebra generators ``G`` via the vectorized
     Sylvester system and compares the solution space with the span of
-    monomials in the ``b(f)`` generators.  Feasible for ``modes <= 3``;
-    intended for small sanity checks.
+    monomials in the ``b(f)`` generators; both rank decisions cut singular
+    values at ``1e-8``, relative.  Feasible for ``modes <= 3``; intended for
+    small sanity checks.
     """
+    tol = 1e-8
     n, d = rep.n, rep.dim
     gens = []
     for i in range(n):

@@ -9,6 +9,9 @@ Inner products are antilinear in the first argument throughout the package
 import numpy as np
 from scipy import sparse
 
+# Relative cutoff below which a singular value or an eigenvalue counts as zero.
+RANK_TOL = 1e-10
+
 
 def as_operator(a):
     """Validate and return a square complex matrix."""
@@ -41,9 +44,9 @@ def sector_operator_norm(op, labels):
     different one for each source sector (a shift of the particle number, or
     the charge flip ``q -> -q``), the matrix is a permuted block diagonal and
     its norm is the largest block norm.  Raises ``ValueError`` when an entry
-    outside those blocks is nonzero.
+    outside those blocks is nonzero.  ``op`` may be dense or ``scipy.sparse``.
     """
-    op = np.asarray(op)
+    op = op.toarray() if sparse.issparse(op) else np.asarray(op)
     labels = np.asarray(labels)
     if op.shape != (len(labels), len(labels)):
         raise ValueError(f"expected a {len(labels)}x{len(labels)} matrix, got {op.shape}")
@@ -62,7 +65,14 @@ def sector_operator_norm(op, labels):
 
 
 def lowrank_hs_norm(a, b):
-    """``||a b*||_2`` from the factors: ``sqrt(tr((a* a)(b* b)))``."""
+    """``||a b*||_2`` from the factors: ``sqrt(tr((a* a)(b* b)))``.
+
+    The trace carries a rounding error of about ``eps ||a||_2^2 ||b||_2^2``
+    (Frobenius norms), so the result is accurate to about
+    ``sqrt(eps) ||a||_2 ||b||_2`` in absolute terms, not to ``eps``: a product
+    that nearly cancels, ``||a b*||_2`` of ``1e-8 ||a||_2 ||b||_2`` or below,
+    reads as rounding noise.
+    """
     if a.shape[1] == 0:
         return 0.0
     gram = (adjoint(a) @ a) @ (adjoint(b) @ b)
@@ -147,13 +157,13 @@ class AntilinearOperator:
         return np.linalg.norm(adjoint(m) @ m - np.eye(self.dim)) <= tol * self.dim
 
 
-def polar_antilinear(t, rank_tol=1e-10):
+def polar_antilinear(t):
     """Polar decomposition ``t = j o delta^{1/2}`` of an antilinear map.
 
     Returns ``(j, delta, eigenvalues)`` where ``j`` is an antiunitary
     :class:`AntilinearOperator`, ``delta`` is positive semidefinite with
     ``t(v) = j(delta^{1/2} @ v)`` and ``eigenvalues`` are those of ``delta``,
-    ascending.  Eigenvalues of ``delta`` below ``rank_tol * max(eig)`` are
+    ascending.  Eigenvalues of ``delta`` below ``RANK_TOL * max(eig)`` are
     treated as zero (pseudo-inverted away).
     """
     if not isinstance(t, AntilinearOperator):
@@ -164,7 +174,7 @@ def polar_antilinear(t, rank_tol=1e-10):
     delta = 0.5 * (delta + adjoint(delta))
     w, vecs = np.linalg.eigh(delta)
     w = np.clip(w, 0.0, None)
-    cutoff = rank_tol * max(w.max(), 1e-300)
+    cutoff = RANK_TOL * max(w.max(), 1e-300)
     inv_sqrt = np.where(w > cutoff, 1.0 / np.sqrt(np.where(w > cutoff, w, 1.0)), 0.0)
     delta_inv_sqrt = (vecs * inv_sqrt) @ adjoint(vecs)
     # j = t o delta^{-1/2}: matrix is m @ conj(delta^{-1/2}).
@@ -172,12 +182,12 @@ def polar_antilinear(t, rank_tol=1e-10):
     return j, delta, w
 
 
-def psd_sqrt(a, clip=True):
-    """Square root of a Hermitian positive semidefinite matrix via eigh."""
+def psd_sqrt(a):
+    """Square root of a Hermitian positive semidefinite matrix via eigh.
+
+    Negative eigenvalues (rounding noise) are clipped to zero.
+    """
     a = as_operator(a)
     w, vecs = np.linalg.eigh(0.5 * (a + adjoint(a)))
-    if clip:
-        w = np.clip(w, 0.0, None)
-    elif w.min() < 0:
-        raise ValueError(f"matrix not positive semidefinite (min eig {w.min():.3e})")
+    w = np.clip(w, 0.0, None)
     return (vecs * np.sqrt(w)) @ adjoint(vecs)

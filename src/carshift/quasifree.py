@@ -114,7 +114,7 @@ class DoubledRepresentation:
             )
         self.state = state
         self.n = state.dim
-        self.factor = fock.build_space(self.n)
+        self.factor = fock.FockSpace(self.n)
         self.dim = self.factor.dim ** 2
         self._a = state.sqrt_one_minus_r
         self._b = state.sqrt_r

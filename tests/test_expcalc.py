@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from carshift.expcalc import ExpCombo, blaschke_residues, theta_apply
@@ -91,3 +93,65 @@ def test_compress_merges_duplicate_terms():
     g = f.compress()
     assert len(g.terms) == 1
     assert (g - ExpCombo.exponential(-1.0)).norm() <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# properties on random combinations with complex rates and coefficients
+
+COEFFS = st.complex_numbers(
+    min_magnitude=0.1, max_magnitude=2.0, allow_nan=False, allow_infinity=False
+)
+DECAY_RATES = st.builds(complex, st.floats(-3.0, -0.2), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def terms(draw):
+    """One term; a finite window also admits growing rates."""
+    start = draw(st.floats(0.0, 2.0))
+    if draw(st.booleans()):
+        return draw(COEFFS), draw(DECAY_RATES), start, np.inf
+    rate = complex(draw(st.floats(-3.0, 1.0)), draw(st.floats(-3.0, 3.0)))
+    return draw(COEFFS), rate, start, start + draw(st.floats(0.1, 3.0))
+
+
+COMBOS = st.lists(terms(), min_size=1, max_size=3).map(ExpCombo)
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+def piecewise_quad_inner(f, g, upper=100.0):
+    """Quadrature of ``(f, g)`` split at every support end point."""
+    ends = {x for _, _, s, e in f.terms + g.terms for x in (s, e) if x < upper}
+    cuts = sorted({0.0, upper} | ends)
+    integrand = lambda x: np.conj(f.evaluate(x)) * g.evaluate(x)
+    total = 0.0j
+    for lo, hi in zip(cuts, cuts[1:]):
+        total += integrate.quad(lambda x: integrand(x).real, lo, hi, limit=200)[0]
+        total += 1j * integrate.quad(lambda x: integrand(x).imag, lo, hi, limit=200)[0]
+    return total
+
+
+def term_scale(combo):
+    return sum(ExpCombo([term]).norm() for term in combo.terms)
+
+
+@PROPERTY
+@given(f=COMBOS, g=COMBOS)
+def test_inner_matches_quadrature_on_random_combinations(f, g):
+    scale = max(1.0, term_scale(f) * term_scale(g))
+    assert abs(f.inner(g) - piecewise_quad_inner(f, g)) <= 1e-9 * scale
+
+
+@PROPERTY
+@given(lambdas=st.lists(DECAY_RATES, min_size=1, max_size=3), f=COMBOS)
+def test_theta_preserves_norms_on_random_combinations(lambdas, f):
+    # Theta is an isometry; keep exponents apart so the Volterra poles are simple
+    gaps = [abs(a - b) for i, a in enumerate(lambdas) for b in lambdas[i + 1:]]
+    gaps += [abs(mu - lam) for _, mu, _, _ in f.terms for lam in lambdas]
+    assume(min(gaps) > 0.25)
+    out = theta_apply(lambdas, f)
+    assert abs(out.norm() - f.norm()) <= 1e-10 * max(1.0, term_scale(f))
+
+
+def test_compress_drops_cancelled_terms():
+    f = ExpCombo.exponential(-1.0 + 0.5j, start=0.5, coeff=0.3 - 0.1j)
+    assert (f - f).compress().terms == []

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from carshift import fock
 from carshift.opalg import adjoint, anticommutator, operator_norm
@@ -64,6 +67,25 @@ def test_car_anticommutators():
         assert operator_norm(anticommutator(af, ag)) <= 1e-12
         ident = anticommutator(adjoint(af), ag) - np.vdot(g, f) * np.eye(space.dim)
         assert operator_norm(ident) <= 1e-12
+
+
+COMPLEX = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), modes=st.integers(1, 6))
+def test_sparse_annihilator_car_relations(data, modes):
+    # complex vectors, zero entries included
+    vectors = st.lists(COMPLEX, min_size=modes, max_size=modes).map(np.array)
+    f, g = data.draw(vectors), data.draw(vectors)
+    space = fock.FockSpace(modes)
+    af, ag = fock.sparse_annihilator(space, f), fock.sparse_annihilator(space, g)
+    scale = max(1.0, np.linalg.norm(f) * np.linalg.norm(g))
+    assert operator_norm(anticommutator(af, ag).toarray()) <= 1e-12 * scale
+    ident = anticommutator(adjoint(af), ag) - np.vdot(g, f) * sparse.eye_array(space.dim)
+    assert operator_norm(ident.toarray()) <= 1e-12 * scale
+    norm_f = np.linalg.norm(f)
+    assert abs(operator_norm(af.toarray()) - norm_f) <= 1e-12 * max(1.0, norm_f)
 
 
 def test_annihilator_is_antilinear_in_argument():

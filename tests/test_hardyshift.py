@@ -33,6 +33,17 @@ def test_condition1_rejects_right_half_plane():
         hs.ExponentialFamily([1.0 + 0.0j])
 
 
+def test_condition1_rejects_repeated_exponents():
+    with pytest.raises(ValueError, match="lambda_0 == lambda_2"):
+        hs.ExponentialFamily([-1.0 + 0.5j, -2.0, -1.0 + 0.5j])
+
+
+def test_condition1_sets_no_bound_on_imaginary_parts():
+    # a finite family has bounded imaginary parts whatever their size
+    family = hs.ExponentialFamily([-1.0 + 1e6j, -0.5 - 3e3j])
+    assert family.s_value == 1.5
+
+
 def test_blaschke_single_factor_closed_form():
     family = hs.ExponentialFamily(FAMILY_ONE)
     for z in (0.5 + 0.3j, 2.0 - 1.0j, 5.0j):

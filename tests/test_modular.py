@@ -107,11 +107,12 @@ def test_delta_power(data2):
 
 def test_non_cyclic_vacuum_rejected():
     # R with an eigenvalue at the edge is rejected before we ever get here;
-    # force the degenerate path with a nearly singular covariance instead.
-    state = quasifree.CovarianceState(np.diag([1e-14, 0.5]) + (1e-14) * np.eye(2))
+    # force the degenerate path with a nearly singular covariance instead
+    # (monomial condition about 1.9e10, above 1 / RANK_TOL).
+    state = quasifree.CovarianceState(np.diag([1e-20, 0.5]) + (1e-20) * np.eye(2))
     rep = quasifree.doubled_representation(state)
     with pytest.raises(ValueError, match="cyclic"):
-        modular.tomita_operator(rep, rank_tol=1e-6)
+        modular.tomita_operator(rep)
 
 
 @pytest.mark.parametrize("modes", [2, 3])
@@ -150,6 +151,27 @@ def test_strongly_mixed_state_keeps_j_antiunitary():
     assert data.j.is_antiunitary(tol=1e-9)
     formula = modular.modular_involution_formula(rep)
     assert operator_norm(data.j.matrix - formula.matrix) <= 1e-9
+
+
+def _loop_involution_formula(rep):
+    # the closed form entry by entry: J swaps the factors, reversing each wedge
+    d = rep.factor.dim
+    m = np.zeros((d * d, d * d), dtype=complex)
+    for b1 in range(d):
+        k1 = b1.bit_count()
+        s1 = -1.0 if (k1 * (k1 - 1) // 2) & 1 else 1.0
+        for b2 in range(d):
+            k2 = b2.bit_count()
+            s2 = -1.0 if (k2 * (k2 - 1) // 2) & 1 else 1.0
+            m[b1 * d + b2, b2 * d + b1] = s1 * s2
+    return m
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3, 4])
+def test_involution_formula_matches_the_loop_definition(modes):
+    rep = quasifree.doubled_representation(quasifree.CovarianceState.isotropic(0.25, modes))
+    got = modular.modular_involution_formula(rep).matrix
+    assert np.array_equal(got, _loop_involution_formula(rep))
 
 
 def test_columns_outside_their_charge_sector_rejected():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from carshift import opalg
 
@@ -130,3 +131,28 @@ def test_polar_antilinear_recovers_factors():
         # Delta = S* S
         assert np.allclose(delta, t.adjoint().compose(t), atol=1e-10)
         assert np.allclose(eigenvalues, np.linalg.eigvalsh(delta), atol=1e-10)
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e-8, 1e-10])
+def test_lowrank_hs_norm_accuracy_on_a_cancelling_product(delta):
+    # a b* = x y* - x (y + delta z)* = -delta x z*: the Gram trace cancels
+    # from about 4 down to delta^2
+    unit = [v / np.linalg.norm(v) for v in (random_matrix(400)[:, :1] for _ in range(3))]
+    x, y, z = unit
+    a = np.hstack([x, -x])
+    b = np.hstack([y, y + delta * z])
+    want = opalg.hs_norm(a @ opalg.adjoint(b))  # dense oracle
+    assert want == pytest.approx(delta, rel=1e-6)
+    bound = np.sqrt(np.finfo(float).eps) * opalg.hs_norm(a) * opalg.hs_norm(b)
+    assert abs(opalg.lowrank_hs_norm(a, b) - want) <= bound
+    # the QR route keeps relative accuracy (rank one: operator norm = HS norm)
+    assert opalg.lowrank_operator_norm(a, b) == pytest.approx(want, rel=1e-6)
+
+
+def test_sector_operator_norm_takes_sparse_input():
+    labels = np.array([0, 1, 1, 2])
+    op = np.zeros((4, 4), dtype=complex)
+    op[1:3, 0] = [1.0, 2.0j]
+    op[3, 1:3] = [3.0, -1.0]
+    want = opalg.sector_operator_norm(op, labels)
+    assert opalg.sector_operator_norm(sparse.csr_array(op), labels) == want
