@@ -339,7 +339,17 @@ def _run_dilation_check(seed, family, step, horizon, t):
 def _run_pipeline(seed, family, nu, step, horizons):
     if not 0.0 < nu <= 0.5:
         raise ConfigError("nu must lie in (0, 1/2]")
-    extra = {"regime": "trace (nu = 1/2)" if nu == 0.5 else "type III"}
+    # The grid truncates K at the horizon T, which leaves an edge tail
+    # exp(-a T) of the slowest decay a = min |Re l|.  The default horizons
+    # (12, 16, 20)/a, each rounded up to a multiple of the step, give every
+    # family the tail that a = 1 has at 12, 16 and 20.
+    rate = min(-lam.real for lam in family.lambdas)
+    if horizons is None:
+        horizons = [np.ceil(h / rate / step - 1e-9) * step for h in (12.0, 16.0, 20.0)]
+    extra = {
+        "regime": "trace (nu = 1/2)" if nu == 0.5 else "type III",
+        "edge_tail": float(np.exp(-rate * max(horizons))),
+    }
 
     # stage 1: condition (1) on the family, checked when it was loaded
     rows = [("condition-1", 1.0)]
@@ -413,7 +423,10 @@ EXPERIMENTS = {
     "dilation-check": (_run_dilation_check, [
         _FAMILY, ("step", FLOAT, 1.0 / 256), ("horizon", FLOAT, 8.0), ("t", FLOAT, 0.25)
     ]),
-    "pipeline": (_run_pipeline, [_FAMILY, ("nu", FLOAT, 0.25), _GRID_STEP, _HORIZONS]),
+    "pipeline": (_run_pipeline, [
+        # horizons default to (12, 16, 20)/min|Re l| (see _run_pipeline)
+        _FAMILY, ("nu", FLOAT, 0.25), _GRID_STEP, ("horizons", FLOATS, None)
+    ]),
 }
 
 
@@ -455,10 +468,10 @@ def write_reports(out_dir, config, columns, rows, verdicts, extra, elapsed):
 
 def run(config, out_dir):
     body, spec = EXPERIMENTS[config["kind"]]
-    start = time.time()
+    start = time.perf_counter()
     params = parse_params(spec, config["params"], os.path.dirname(config["path"]))
     columns, rows, verdicts, extra = body(config["seed"], **params)
-    report = write_reports(out_dir, config, columns, rows, verdicts, extra, time.time() - start)
+    report = write_reports(out_dir, config, columns, rows, verdicts, extra, time.perf_counter() - start)
     return report
 
 

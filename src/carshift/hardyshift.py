@@ -232,10 +232,10 @@ def fit_power(xs, ys):
 
 
 def window_exponent(k, delta):
-    """``mu_{k,delta} = -1/(2|k|) + 2 pi i k / delta`` (``mu_0 = -1/2``)."""
-    if k == 0:
-        return complex(-0.5)
-    return complex(-0.5 / abs(k), 2.0 * np.pi * k / delta)
+    """``mu_{k,delta} = -1/(2|k|) + 2 pi i k / delta`` (``mu_0 = -1/2``),
+    elementwise over an array ``k``."""
+    k = np.asarray(k)
+    return (-0.5 / np.maximum(np.abs(k), 1) + 1j * (2.0 * np.pi * k / delta))[()]
 
 
 def prop2_defect(family, t, delta, k_max):
@@ -244,29 +244,28 @@ def prop2_defect(family, t, delta, k_max):
     Bounds ``P_w Theta P_w - P_w`` on ``w = [t, t+delta]`` by
     ``(Theta - 1)P_w``, evaluated on the normalized window exponentials
     ``f_{k,delta}``, ``|k| <= k_max`` (the projected defect is dominated by
-    this and decays at least as fast).  Returns the partial sum, a ``1/k^2``
-    tail estimate and the per-``k`` contributions.
+    this and decays at least as fast):
+    ``sum_sq = sum_k ||(Theta - 1) f_{k,delta}||^2``, each term in closed form
+    by :func:`expcalc.window_defects`.  ``Theta`` commutes with translation,
+    so no term depends on ``t``.  Returns the partial sum, its square root,
+    a ``1/k^2`` tail estimate from the median of ``k^2 ||(Theta - 1) f_k||^2``
+    over ``|k| >= max(2, k_max // 2)``, and the per-``k`` contributions as a
+    pair of arrays ``(k, value)``.
     """
-    contributions = {}
-    total = 0.0
-    for k in range(-k_max, k_max + 1):
-        mu = window_exponent(k, delta)
-        f = ExpCombo.normalized_exponential(mu, start=t, end=t + delta)
-        defect = theta_apply(family, f) - f
-        val = defect.norm_sq()
-        contributions[k] = val
-        total += val
-    ks = np.array([k for k in contributions if abs(k) >= max(2, k_max // 2)])
-    if len(ks):
-        amp = np.median([contributions[k] * k * k for k in ks])
+    ks = np.arange(-k_max, k_max + 1)
+    values = expcalc.window_defects(family.lambdas, window_exponent(ks, delta), delta)
+    total = float(np.sum(values))
+    far = np.abs(ks) >= max(2, k_max // 2)
+    if np.any(far):
+        amp = np.median(values[far] * ks[far] ** 2)
         tail = 2.0 * amp / max(k_max, 1)
     else:
         tail = 0.0
     return {
         "value": float(np.sqrt(total)),
-        "sum_sq": float(total),
+        "sum_sq": total,
         "tail_estimate_sq": float(tail),
-        "per_k": contributions,
+        "per_k": (ks, values),
     }
 
 

@@ -1,6 +1,7 @@
 import json
 import textwrap
 
+import numpy as np
 import pytest
 
 from carshift import cli
@@ -194,6 +195,36 @@ def test_prop2_run(tmp_path):
     assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "prop2.json").read_text())
     assert abs(report["extra"]["slope"] - 0.5) <= 0.15
+
+
+def _pipeline(tmp_path, name, lambdas, **params):
+    fam = write_family(tmp_path, lambdas)
+    config = write_config(tmp_path, "pipeline", {"family": fam, **params})
+    out = tmp_path / name
+    status = cli.main(["run", "--config", config, "--out", str(out)])
+    return status, json.loads((out / "pipeline.json").read_text()), (out / "pipeline.csv").read_bytes()
+
+
+def test_pipeline_default_horizons_follow_the_family(tmp_path):
+    # slowest decay 1/2: default horizons 24/32/40; 12/16/20 fail the
+    # approximation verdict (off-space deviation 1.07e-4 > 1e-6)
+    fam3 = [-1.0 + 0.0j, -2.0 + 0.5j, -0.5 + 1.0j]
+    status, report, _ = _pipeline(tmp_path, "default", fam3)
+    assert status == 0
+    assert report["verdicts"]["approximation"]["value"] <= 1e-6
+    assert report["extra"]["edge_tail"] == pytest.approx(np.exp(-20.0), rel=1e-12)
+    status, report, _ = _pipeline(tmp_path, "fixed", fam3, horizons="12 16 20")
+    assert status == 1
+    assert report["extra"]["edge_tail"] == pytest.approx(np.exp(-10.0), rel=1e-12)
+
+
+def test_pipeline_default_horizons_unchanged_for_unit_decay(tmp_path):
+    status, report, default = _pipeline(tmp_path, "default", [-1.0 + 0.0j])
+    assert status == 0
+    assert report["extra"]["edge_tail"] == pytest.approx(np.exp(-20.0), rel=1e-12)
+    status, _, explicit = _pipeline(tmp_path, "fixed", [-1.0 + 0.0j], horizons="12 16 20")
+    assert status == 0
+    assert default == explicit
 
 
 def test_comment_and_blank_lines_in_family(tmp_path):

@@ -1,10 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from carshift.expcalc import ExpCombo, blaschke_residues, theta_apply
+from carshift.expcalc import ExpCombo, _eint, blaschke_residues, theta_apply, window_defects
 
 
 def quad_inner(f, g, upper=80.0):
@@ -12,6 +13,36 @@ def quad_inner(f, g, upper=80.0):
     re = integrate.quad(lambda x: (np.conj(f.evaluate(x)) * g.evaluate(x)).real, 0, upper, limit=400)[0]
     im = integrate.quad(lambda x: (np.conj(f.evaluate(x)) * g.evaluate(x)).imag, 0, upper, limit=400)[0]
     return re + 1j * im
+
+
+@pytest.mark.parametrize("length", [0.5, 3.0])
+def test_eint_matches_mpmath_at_every_scale(length):
+    # z = rho * length from 1e-12 to 10 in modulus, all around the circle;
+    # the reference integrates at 50 digits from the same float rho.  Rounding
+    # rho * length costs up to |z| ulps (the condition number of exp) unless
+    # the length is a power of two.
+    eps = np.finfo(float).eps
+    for size in np.logspace(-12, 1, 40):
+        for angle in np.linspace(0.0, 2.0 * np.pi, 13):
+            rho = size * np.exp(1j * angle) / length
+            with mpmath.workdps(50):
+                exact = mpmath.expm1(mpmath.mpc(rho) * length) / mpmath.mpc(rho)
+                err = abs(mpmath.mpc(_eint(rho, length)) - exact) / abs(exact)
+            assert err <= 4 * eps * max(1.0, size), (rho, float(err))
+
+
+def test_eint_special_cases_and_arrays():
+    assert _eint(0.0, 0.75) == 0.75
+    assert _eint(-2.0 + 1.0j, np.inf) == pytest.approx(-1.0 / (-2.0 + 1.0j), rel=1e-15)
+    with pytest.raises(ValueError, match="divergent"):
+        _eint(np.array([-1.0, 0.0]), np.inf)
+    rho = np.array([[0.0, 1e-9j], [-3.0 + 2.0j, 4.0]])
+    vals = _eint(rho, 0.5)
+    assert vals.shape == rho.shape
+    for r, v in zip(rho.ravel(), vals.ravel()):
+        assert v == _eint(r, 0.5)
+    rho, lengths = np.array([1e-9j, -1.0 + 2.0j, 3.0]), np.array([0.5, np.inf, 2.0])
+    assert list(_eint(rho, lengths)) == [_eint(r, n) for r, n in zip(rho, lengths)]
 
 
 def test_normalized_exponential_has_unit_norm():

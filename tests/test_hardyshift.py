@@ -1,5 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from carshift import hardyshift as hs
@@ -8,6 +11,7 @@ from carshift.opalg import adjoint, operator_norm
 
 FAMILY_ONE = [-1.0 + 0.0j]
 FAMILY_TWO = [-1.0 + 0.0j, -2.0 + 0.5j]
+FAMILY_THREE = [-1.0 + 0.0j, -2.0 + 0.5j, -0.5 + 1.0j]
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +181,106 @@ def test_prop2_estimate_rate():
     deltas = [2.0 ** -k for k in range(3, 9)]
     vals = [hs.prop2_defect(family, 1.0, d, 32)["value"] for d in deltas]
     assert hs.fit_power(deltas, vals) == pytest.approx(0.5, abs=0.15)
+
+
+def mp_window_defect(lambdas, mu, delta):
+    """``||(Theta - 1) f||^2`` at 50 digits for the unit-norm exponential of
+    rate ``mu`` on ``(0, delta)``: the Volterra terms of every pole, paired
+    term by term as ``ExpCombo.inner`` pairs them."""
+    with mpmath.workdps(50):
+        lam = [mpmath.mpc(complex(l)) for l in lambdas]
+        mu, delta = mpmath.mpc(complex(mu)), mpmath.mpf(delta)
+
+        def eint(rho, length):
+            return -1 / rho if length == mpmath.inf else mpmath.expm1(rho * length) / rho
+
+        c = 1 / mpmath.sqrt(eint(2 * mu.real, delta).real)
+        terms = []
+        for k, lk in enumerate(lam):
+            r = lk + mpmath.conj(lk)
+            for j, lj in enumerate(lam):
+                if j != k:
+                    r *= (lk + mpmath.conj(lj)) / (lk - lj)
+            d = c * r / (mu - lk)
+            q = (mpmath.exp(mu * delta) - mpmath.exp(lk * delta)) / (mu - lk)
+            terms += [(d, mu, 0, delta), (-d, lk, 0, delta), (c * r * q, lk, delta, mpmath.inf)]
+        total = mpmath.mpc(0)
+        for c1, m1, s1, e1 in terms:
+            for c2, m2, s2, e2 in terms:
+                lo, hi = max(s1, s2), min(e1, e2)
+                if hi > lo:
+                    pre = mpmath.conj(c1) * c2 * mpmath.exp(mpmath.conj(m1) * (lo - s1) + m2 * (lo - s2))
+                    total += pre * eint(mpmath.conj(m1) + m2, hi - lo)
+        return total.real
+
+
+def test_prop2_per_k_matches_mpmath():
+    delta = 2.0 ** -10
+    rep = hs.prop2_defect(hs.ExponentialFamily(FAMILY_THREE), 1.0, delta, 2048)
+    ks, values = rep["per_k"]
+    assert list(ks) == list(range(-2048, 2049))
+    assert rep["sum_sq"] == pytest.approx(np.sum(values), rel=1e-15)
+    for k in (0, 1, -1, 2, 64, 1024, 2047, 2048, -2048):
+        exact = mp_window_defect(FAMILY_THREE, hs.window_exponent(k, delta), delta)
+        assert abs(values[k + 2048] - exact) <= 1e-12 * exact, k
+
+
+def combo_window_defect(family, mu, start, delta):
+    f = ExpCombo.normalized_exponential(mu, start=start, end=start + delta)
+    return hs.theta_apply(family, f) - f
+
+
+def term_scale(combo):
+    return sum(ExpCombo([term]).norm() for term in combo.terms)
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_prop2_matches_the_term_by_term_loop(t):
+    # the ExpCombo loop that prop2_defect ran before its closed form; Theta
+    # commutes with translation, so the window start t changes no value
+    family, delta, k_max = hs.ExponentialFamily(FAMILY_ONE), 0.125, 9
+    per_k = {
+        k: combo_window_defect(family, hs.window_exponent(k, delta), t, delta).norm_sq()
+        for k in range(-k_max, k_max + 1)
+    }
+    amp = np.median([per_k[k] * k * k for k in per_k if abs(k) >= max(2, k_max // 2)])
+    rep = hs.prop2_defect(family, t, delta, k_max)
+    assert rep["sum_sq"] == pytest.approx(sum(per_k.values()), rel=1e-12)
+    assert rep["value"] == pytest.approx(np.sqrt(sum(per_k.values())), rel=1e-12)
+    assert rep["tail_estimate_sq"] == pytest.approx(2.0 * amp / k_max, rel=1e-12)
+    assert rep["per_k"][1] == pytest.approx([per_k[k] for k in rep["per_k"][0]], rel=1e-12)
+    assert np.array_equal(rep["per_k"][1], hs.prop2_defect(family, 7.5, delta, k_max)["per_k"][1])
+
+
+DECAY_RATES = st.builds(complex, st.floats(-3.0, -0.2), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    lambdas=st.lists(DECAY_RATES, min_size=1, max_size=3),
+    delta=st.floats(2.0 ** -4, 1.0),
+    start=st.floats(0.0, 2.0),
+)
+def test_prop2_per_k_matches_the_combo_calculus(lambdas, delta, start):
+    gaps = [abs(a - b) for i, a in enumerate(lambdas) for b in lambdas[i + 1:]]
+    ks = np.arange(-16, 17)
+    mus = hs.window_exponent(ks, delta)
+    gaps += [abs(mu - lam) for mu in mus for lam in lambdas]
+    assume(min(gaps) > 0.25)
+    family = hs.ExponentialFamily(lambdas)
+    got_ks, values = hs.prop2_defect(family, start, delta, 16)["per_k"]
+    assert np.array_equal(got_ks, ks)
+    for mu, value in zip(mus, values):
+        defect = combo_window_defect(family, mu, start, delta)
+        assert abs(defect.norm_sq() - value) <= 1e-9 * max(1.0, term_scale(defect) ** 2)
+
+
+def test_window_exponent_on_arrays():
+    ks = np.array([-3, 0, 1, 2048])
+    mus = hs.window_exponent(ks, 2.0 ** -10)
+    assert [hs.window_exponent(int(k), 2.0 ** -10) for k in ks] == list(mus)
+    assert hs.window_exponent(0, 0.5) == -0.5
+    assert hs.window_exponent(-2, 0.5) == complex(-0.25, -8.0 * np.pi)
 
 
 def test_laplace_pairing_identity():
