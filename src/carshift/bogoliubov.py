@@ -159,25 +159,30 @@ def extension_criterion(r_prime, v_prime, w_prime, sizes):
     return _trend(sizes, value_at)
 
 
-def araki_commutator(p_matrix, v_prime, w_prime):
-    """``||diag(V', W') P' - P' diag(V', W')||_2`` for the purification projection."""
-    p = np.asarray(p_matrix, dtype=complex)
-    n = p.shape[0] // 2
-    d = np.zeros_like(p)
-    d[:n, :n] = np.asarray(v_prime, dtype=complex)
-    d[n:, n:] = np.asarray(w_prime, dtype=complex)
-    return hs_norm(d @ p - p @ d)
+def araki_commutator(r, v_prime, w_prime):
+    """``||diag(V', W') P - P diag(V', W')||_2`` for the purification projection
+    ``P = [[R, S], [S, 1-R]]``, ``S = (R(1-R))^{1/2}``, of the covariance ``r``.
+
+    The commutator is taken block by block, without forming ``P`` or
+    ``diag(V', W')``: its four ``n x n`` blocks are ``[V', R]``,
+    ``V'S - SW'``, ``W'S - SV'`` and ``[W', 1-R]``.
+    """
+    one_minus_r = np.eye(r.shape[0]) - r
+    s = psd_sqrt(r @ one_minus_r)
+    v = np.asarray(v_prime, dtype=complex)
+    w = np.asarray(w_prime, dtype=complex)
+    blocks = [v @ r - r @ v, v @ s - s @ w, w @ s - s @ v, w @ one_minus_r - one_minus_r @ w]
+    return hs_norm([hs_norm(b) for b in blocks])
 
 
 def araki_criterion(r_prime, v_prime, w_prime, sizes):
     """Truncation trend of the purification commutator norm (cross-check of
     :func:`extension_criterion`)."""
-    from .quasifree import purification_projection
 
     def value_at(n):
         r = _covariance(r_prime, n)
         state = CovarianceState.isotropic(r, n) if np.ndim(r) == 0 else CovarianceState(r)
-        return araki_commutator(purification_projection(state), v_prime(n), w_prime(n))
+        return araki_commutator(state.r, v_prime(n), w_prime(n))
 
     return _trend(sizes, value_at)
 

@@ -326,14 +326,21 @@ def _run_dilation_check(seed, family, step, horizon, t):
         (
             "flow",
             flow.unitarity_residual(),
-            model.compression_residual(t),
+            model.compression_residual(t, flow),
             flow.offspace_deviation(),
         ),
     ]
     worst = max(rows[0][1], rows[1][1])
     verdicts = {"unitarity": (worst <= 1e-8, worst)}
     cols = ["operator", "unitarity_residual", "compression_residual", "offspace_deviation"]
-    return cols, rows, verdicts, {"step": step, "horizon": horizon, "t": t}
+    extra = {
+        "step": step,
+        "horizon": horizon,
+        "t": t,
+        "dim": flow.dim,
+        "factor_columns": flow.x.shape[1],
+    }
+    return cols, rows, verdicts, extra
 
 
 def _run_pipeline(seed, family, nu, step, horizons):

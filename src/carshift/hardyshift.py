@@ -21,7 +21,7 @@ from scipy.linalg import solve_triangular
 
 from . import expcalc
 from .expcalc import ExpCombo, theta_apply as _theta_terms
-from .opalg import RANK_TOL, lowrank_hs_norm, lowrank_operator_norm, operator_norm
+from .opalg import RANK_TOL, adjoint, lowrank_hs_norm, operator_norm
 
 
 # ---------------------------------------------------------------------------
@@ -392,21 +392,36 @@ class DilationOperator:
         return self._permute_vec_block(m)
 
     def unitarity_residual(self):
-        """Operator norm of ``U*U - 1`` (exact, via the low-rank factors)."""
-        gram = self.x.conj().T @ self.x
-        a = np.hstack([self.y, self.x, self.y @ gram])
-        b = np.hstack([self.x, self.y, self.y])
-        return lowrank_operator_norm(a, b)
+        """Operator norm of ``U*U - 1``, exact for any factors ``X``, ``Y``.
+
+        ``U*U - 1 = Y X* + X Y* + Y (X*X) Y*`` has range and co-range in
+        ``span[X, Y]``.  With the triangular factor ``[Rx, Ry]`` of one
+        reduced QR of ``[X, Y]`` (``X = Q Rx``, ``Y = Q Ry``) it is
+        ``Q (M*M - 1) Q*`` with ``M = 1 + Rx Ry*``, so the norm is that of
+        the small matrix ``M*M - 1``.
+        """
+        k = self.x.shape[1]
+        if k == 0:
+            return 0.0
+        r = np.linalg.qr(np.hstack([self.x, self.y]), mode="r")
+        m = np.eye(r.shape[0]) + r[:, :k] @ adjoint(r[:, k:])
+        return operator_norm(adjoint(m) @ m - np.eye(r.shape[0]))
 
     def offspace_deviation(self):
         """Operator norm of ``(S' U* - 1)`` restricted to the second summand."""
         if self.x.shape[1] == 0:
             return 0.0
-        f1 = self._permute_vec_block(self.y)
-        f2 = self._permute_vec_block(self.x)
-        _, r1 = np.linalg.qr(f1)
-        small = r1 @ f2[self.k_dim:, :].conj().T
+        r1 = np.linalg.qr(self._permute_vec_block(self.y), mode="r")
+        # rows k_dim.. of P X, gathered through the inverse permutation
+        small = r1 @ adjoint(self.x[self.inverse_perm[self.k_dim:]])
         return float(operator_norm(small))
+
+    @property
+    def inverse_perm(self):
+        """``inv`` with ``inv[perm[i]] = i``: row ``i`` of ``P B`` is row ``inv[i]`` of ``B``."""
+        inv = np.empty_like(self.perm)
+        inv[self.perm] = np.arange(self.dim)
+        return inv
 
     def _permute_vec_block(self, block):
         out = np.empty_like(block)
@@ -467,21 +482,37 @@ class GridModel:
         return m
 
     def cell_coefficients(self, combo):
-        """Exact L2 cell averages of an exponential combination (times 1/sqrt(h))."""
+        """Exact L2 cell averages of an exponential combination (times 1/sqrt(h)).
+
+        Each term adds ``c * (exp(mu (hi - s)) - exp(mu (lo - s))) / mu`` (or
+        ``c * (hi - lo)`` at ``mu = 0``) on the cells ``[lo, hi]`` its support
+        meets, one array expression per term.
+        """
         h = self.step
         vec = np.zeros(self.n, dtype=complex)
         for c, mu, s, e in combo.terms:
             lo_cell = max(int(np.floor(max(s, 0.0) / h)), 0)
             hi_cell = min(int(np.ceil(min(e, self.horizon) / h)), self.n)
-            for j in range(lo_cell, hi_cell):
-                lo = max(j * h, s)
-                hi = min((j + 1) * h, e)
-                if hi <= lo:
-                    continue
-                if abs(mu) < 1e-14:
-                    vec[j] += c * (hi - lo)
-                else:
-                    vec[j] += c * (np.exp(mu * (hi - s)) - np.exp(mu * (lo - s))) / mu
+            j = np.arange(lo_cell, hi_cell)
+            lo = np.maximum(j * h, s)
+            hi = np.minimum((j + 1) * h, e)
+            met = hi > lo
+            j, lo, hi = j[met], lo[met], hi[met]
+            small = abs(mu) < 1e-14
+            if small:
+                d = (hi - lo).astype(complex)
+            else:
+                d = np.exp(mu * (hi - s)) - np.exp(mu * (lo - s))
+            # c * d in explicit real arithmetic: numpy's complex array multiply
+            # may fuse it into FMAs and round differently from the scalar
+            # product, and the recorded compression_residual holds only by bit
+            # reproducibility.  Once that value is re-recorded from an
+            # accurate route, the geometric closed form of the cell averages
+            # can replace this expression.
+            term = np.empty_like(d)
+            term.real = c.real * d.real - c.imag * d.imag
+            term.imag = c.real * d.imag + c.imag * d.real
+            vec[j] += term if small else term / mu
         return vec / np.sqrt(h)
 
     # -- operators on the single grid space K ------------------------------
@@ -534,7 +565,6 @@ class GridModel:
         """
         m = self.steps_of(t)
         perm = self._circle_perm(m)
-        inv = np.argsort(perm)
         n2 = 2 * self.n
         nlam = self.ghat.shape[1]
         b = np.zeros((n2, nlam), dtype=complex)
@@ -561,11 +591,19 @@ class GridModel:
             y = np.hstack([b, q])
         return DilationOperator(perm, x, y, self.n)
 
-    def compression_residual(self, t):
-        """Frobenius distance between the dilation compression and the grid V_t."""
-        dil = self.flow_dilation(t)
-        sx = dil._permute_vec_block(dil.x)[: self.n, :]
-        yk = dil.y[: self.n, :]
+    def compression_residual(self, t, dilation):
+        """Frobenius distance between the compression of ``dilation`` (the
+        flow dilation at ``t``, built by the caller) and the grid ``V_t``.
+
+        Evaluated from the factors by :func:`opalg.lowrank_hs_norm`, which is
+        accurate to about ``sqrt(eps) ||a||_2 ||b||_2`` only.  On the
+        dilation-check benchmark config (fam3, step 2^-11, horizon 32,
+        t = 0.25) the value, 1.15e-7, sits below that floor (about 1.65e-7),
+        so its recorded value holds only by bit reproducibility until it is
+        re-recorded from an accurate route.
+        """
+        sx = dilation.x[dilation.inverse_perm[: self.n]]
+        yk = dilation.y[: self.n, :]
         xd, yd = self.flow_lowrank(t)
         return lowrank_hs_norm(np.hstack([sx, -xd]), np.hstack([yk, yd]))
 

@@ -80,11 +80,13 @@ def lowrank_hs_norm(a, b):
 
 
 def lowrank_operator_norm(a, b):
-    """``||a b*||`` from the triangular factors of reduced QRs of ``a`` and ``b``."""
+    """``||a b*||`` from the triangular factors ``ra``, ``rb`` of reduced QRs of
+    ``a`` and ``b``: ``a b* = Qa (ra rb*) Qb*``.  The QRs run with
+    ``mode="r"``, which computes the same ``R`` and never forms ``Q``."""
     if a.shape[1] == 0:
         return 0.0
-    _, ra = np.linalg.qr(a)
-    _, rb = np.linalg.qr(b)
+    ra = np.linalg.qr(a, mode="r")
+    rb = np.linalg.qr(b, mode="r")
     return operator_norm(ra @ adjoint(rb))
 
 

@@ -285,3 +285,36 @@ def test_factored_criteria_need_a_shared_permutation():
             model.n,
             [0.25],
         )
+
+
+def test_araki_blocks_match_the_dense_commutator():
+    # non-isotropic R and non-unitary complex V', W': every block counts
+    def dense_commutator(r, v, w):
+        n = r.shape[0]
+        p = quasifree.purification_projection(quasifree.CovarianceState(r))
+        d = np.zeros((2 * n, 2 * n), dtype=complex)
+        d[:n, :n], d[n:, n:] = v, w
+        return hs_norm(d @ p - p @ d)
+
+    def complex_gaussian(n, seed):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    sizes = [3, 6, 12]
+    def v_of(n):
+        return complex_gaussian(n, n)
+
+    def w_of(n):
+        return complex_gaussian(n, n + 1)
+
+    report = bogoliubov.araki_criterion(_random_covariance, v_of, w_of, sizes)
+    for n, value in zip(sizes, report.values):
+        want = dense_commutator(_random_covariance(n), v_of(n), w_of(n))
+        assert value == pytest.approx(want, rel=1e-12)
+    # V' = 0 leaves the blocks -S W', W' S and -[W', R]
+    r = _random_covariance(5)
+    w = complex_gaussian(5, 9)
+    zero = np.zeros((5, 5))
+    s = quasifree.purification_projection(quasifree.CovarianceState(r))[:5, 5:]
+    want = np.sqrt(hs_norm(s @ w) ** 2 + hs_norm(w @ s) ** 2 + hs_norm(w @ r - r @ w) ** 2)
+    assert bogoliubov.araki_commutator(r, zero, w) == pytest.approx(want, rel=1e-12)

@@ -197,6 +197,20 @@ def test_prop2_run(tmp_path):
     assert abs(report["extra"]["slope"] - 0.5) <= 0.15
 
 
+def test_dilation_check_records_its_size(tmp_path):
+    from carshift import hardyshift
+
+    lambdas = [-1.0 + 0.0j, -2.0 + 0.5j, -0.5 + 1.0j]
+    fam = write_family(tmp_path, lambdas)
+    config = write_config(tmp_path, "dilation-check", {"family": fam, "step": 0.0625})
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 0
+    extra = json.loads((tmp_path / "dilation-check.json").read_text())["extra"]
+    basis = hardyshift.orthogonalize(hardyshift.ExponentialFamily(lambdas))
+    flow = hardyshift.GridModel(basis, 8.0, 0.0625).flow_dilation(0.25)
+    assert extra["dim"] == 256
+    assert extra["factor_columns"] == flow.x.shape[1] > 3
+
+
 def _pipeline(tmp_path, name, lambdas, **params):
     fam = write_family(tmp_path, lambdas)
     config = write_config(tmp_path, "pipeline", {"family": fam, **params})

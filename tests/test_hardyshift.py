@@ -379,7 +379,7 @@ def test_dilation_compresses_to_the_grid_flow(model_one):
     n = model_one.n
     # edge tail of order exp(lambda (T - t)) bounds the compression mismatch
     assert operator_norm(dense[:n, :n] - model_one.flow_matrix(t)) <= 1e-3
-    assert model_one.compression_residual(t) <= 1e-3
+    assert model_one.compression_residual(t, model_one.flow_dilation(t)) <= 1e-3
 
 
 def test_shift_dilation_compresses_to_truncated_shift(model_one):
@@ -415,3 +415,113 @@ def test_unitary_dilation_dispatch(model_one):
     assert hs.unitary_dilation(model_one, "flow", 0.25).unitarity_residual() <= 1e-12
     with pytest.raises(ValueError):
         hs.unitary_dilation(model_one, "nope", 0.25)
+
+
+# ---------------------------------------------------------------------------
+# the grid columns and the factored residuals against their oracles
+
+
+def loop_cell_coefficients(model, combo):
+    """The per-cell loop that ``GridModel.cell_coefficients`` replaced: the
+    bit-for-bit reference of the array form."""
+    h = model.step
+    vec = np.zeros(model.n, dtype=complex)
+    for c, mu, s, e in combo.terms:
+        lo_cell = max(int(np.floor(max(s, 0.0) / h)), 0)
+        hi_cell = min(int(np.ceil(min(e, model.horizon) / h)), model.n)
+        for j in range(lo_cell, hi_cell):
+            lo = max(j * h, s)
+            hi = min((j + 1) * h, e)
+            if hi <= lo:
+                continue
+            if abs(mu) < 1e-14:
+                vec[j] += c * (hi - lo)
+            else:
+                vec[j] += c * (np.exp(mu * (hi - s)) - np.exp(mu * (lo - s))) / mu
+    return vec / np.sqrt(h)
+
+
+@pytest.mark.parametrize("lambdas", [FAMILY_ONE, FAMILY_THREE, [-0.3 + 2j, -1.7 - 0.4j, -0.9]])
+@pytest.mark.parametrize("horizon, step", [(8.0, 1.0 / 64), (5.0, 0.1), (3.0, 0.375)])
+def test_cell_coefficients_equal_the_loop(lambdas, horizon, step):
+    basis = hs.orthogonalize(hs.ExponentialFamily(lambdas))
+    model = hs.GridModel(basis, horizon, step)
+    combos = list(basis.g_combos)
+    combos += [g.shift(0.3).window(0.1, 2.7) for g in basis.g_combos]
+    # supports that run past the horizon, and one that starts inside a cell
+    combos += [g.window(0.55, 40.0).scaled(1.3 - 0.2j) for g in basis.g_combos]
+    combos.append(
+        ExpCombo([
+            (0.7 + 0.1j, 0.0, 0.2, 1.9),              # mu = 0
+            (1.0, -0.5 + 3j, 0.0, np.inf),
+            (2.0 - 1.0j, 0.4, 1.0, 2.3),
+            (0.5j, -1.0, horizon - 0.01, horizon + 1.0),
+        ])
+    )
+    for combo in combos:
+        assert np.array_equal(model.cell_coefficients(combo), loop_cell_coefficients(model, combo))
+
+
+def test_ghat_equals_the_loop_columns():
+    basis = hs.orthogonalize(hs.ExponentialFamily(FAMILY_THREE))
+    model = hs.GridModel(basis, horizon=32.0, step=2.0 ** -8)
+    mat = np.stack([loop_cell_coefficients(model, g) for g in basis.g_combos], axis=1)
+    q, r = np.linalg.qr(mat)
+    signs = np.sign(np.diag(r).real)
+    assert np.array_equal(model.ghat, q * signs)
+
+
+def random_factored(rng, dim, k, k_dim, rank_deficient=False):
+    """A non-unitary ``DilationOperator`` with random permutation and factors."""
+    def gaussian(cols):
+        return rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))
+
+    x = gaussian(k) / np.sqrt(dim)
+    if rank_deficient:
+        # [X, Y] has rank k + 1 < 2k: Y mixes the columns of X and one new one
+        y = np.hstack([x[:, :-1], gaussian(1) / np.sqrt(dim)]) @ gaussian(k)[:k, :]
+    else:
+        y = gaussian(k) / np.sqrt(dim)
+    return hs.DilationOperator(rng.permutation(dim), x, y, k_dim)
+
+
+def dense_permutation(perm):
+    p = np.zeros((len(perm), len(perm)))
+    p[perm, np.arange(len(perm))] = 1.0
+    return p
+
+
+@pytest.mark.parametrize(
+    "dim, k, rank_deficient",
+    [(40, 3, False), (40, 5, True), (5, 4, False), (30, 0, False)],
+    ids=["full-rank", "rank-deficient", "dim-below-2k", "k0"],
+)
+def test_factored_residuals_match_dense(dim, k, rank_deficient):
+    rng = np.random.default_rng(dim + k)
+    k_dim = dim // 2
+    dil = random_factored(rng, dim, k, k_dim, rank_deficient)
+    if rank_deficient:
+        assert np.linalg.matrix_rank(np.hstack([dil.x, dil.y])) == k + 1
+    u = dil.to_dense()
+    want_unitarity = operator_norm(adjoint(u) @ u - np.eye(dim))
+    s_u_star = dense_permutation(dil.perm) @ adjoint(u)
+    want_offspace = operator_norm((s_u_star - np.eye(dim))[:, k_dim:])
+    if k == 0:
+        assert dil.unitarity_residual() == want_unitarity == 0.0
+        assert dil.offspace_deviation() == want_offspace == 0.0
+        return
+    assert want_unitarity > 0.1 and want_offspace > 0.1
+    assert dil.unitarity_residual() == pytest.approx(want_unitarity, rel=1e-12)
+    assert dil.offspace_deviation() == pytest.approx(want_offspace, rel=1e-12)
+
+
+def test_compression_residual_reads_the_given_dilation(model_one):
+    t = 0.25
+    flow = model_one.flow_dilation(t)
+    got = model_one.compression_residual(t, flow)
+    assert got == model_one.compression_residual(t, model_one.flow_dilation(t))
+    # another operator with the same permutation gives its own distance
+    doubled = hs.DilationOperator(flow.perm, 2.0 * flow.x, flow.y, flow.k_dim)
+    n = model_one.n
+    want = np.linalg.norm(doubled.to_dense()[:n, :n] - model_one.flow_matrix(t))
+    assert model_one.compression_residual(t, doubled) == pytest.approx(want, rel=1e-9)
