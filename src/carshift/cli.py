@@ -9,10 +9,9 @@ Exit codes: 0 all verdicts pass, 1 verdict failure, 2 config error.
 
 import argparse
 import configparser
-import csv
-import io
 import json
 import os
+import re
 import sys
 import time
 
@@ -76,12 +75,20 @@ def _family(text, base_dir):
     return hardyshift.ExponentialFamily(load_lambda_file(text, base_dir))
 
 
+def _count(text, base_dir):
+    value = int(text)
+    if value <= 0:
+        raise ValueError("must be a positive integer, got %d" % value)
+    return value
+
+
 # A parameter type is (label printed by `carshift list`, cast(text, base_dir)).
 INT = ("int", lambda text, base_dir: int(text))
 FLOAT = ("float", lambda text, base_dir: float(text))
 INTS = ("ints", _tokens(int))
 FLOATS = ("floats", _tokens(float))
 FAMILY = ("path", _family)
+COUNT = ("int", _count)  # a number of modes, trials or samples
 REQUIRED = object()  # default of a parameter that has none
 
 
@@ -291,7 +298,7 @@ def _run_blaschke(seed, family, samples):
     boundary = float(np.max(np.abs(vals - 1.0)))
     asym = hardyshift.blaschke_asymptotics(family)
     c3_err = abs(asym["c3"] - asym["two_s"]) / abs(asym["two_s"])
-    rows = [(y, v) for y, v in zip(ys, vals)]
+    rows = list(zip(ys.tolist(), vals.tolist()))
     verdicts = {
         "boundary_modulus": (boundary <= 1e-12, boundary),
         "c3_matches_2s": (c3_err <= 0.01, asym["c3"]),
@@ -400,11 +407,11 @@ _GRID_STEP = ("step", FLOAT, 1.0 / 16)
 # kind -> (body, [(name, type, default)]).  `carshift list` prints the same
 # declarations, in this order.
 EXPERIMENTS = {
-    "car-check": (_run_car_check, [("modes", INT, 4), ("trials", INT, 100)]),
+    "car-check": (_run_car_check, [("modes", COUNT, 4), ("trials", COUNT, 100)]),
     "quasifree-verify": (
-        _run_quasifree_verify, [("modes", INT, 3), ("degree", INT, 4), ("trials", INT, 50)]
+        _run_quasifree_verify, [("modes", COUNT, 3), ("degree", INT, 4), ("trials", COUNT, 50)]
     ),
-    "modular-verify": (_run_modular_verify, [("modes", INT, 2), ("nu", FLOAT, 0.25)]),
+    "modular-verify": (_run_modular_verify, [("modes", COUNT, 2), ("nu", FLOAT, 0.25)]),
     "innerness": (_run_innerness, [
         ("nu", FLOAT, 0.3),
         ("sizes", INTS, [4, 8, 16, 32, 64]),
@@ -420,7 +427,7 @@ EXPERIMENTS = {
         ("case", _choice(_EXTENSION_CASES), "opposite"),
     ]),
     "approx": (_run_approx, [_FAMILY, ("t_grid", FLOATS, _DEFECT_T_GRID)]),
-    "blaschke": (_run_blaschke, [_FAMILY, ("samples", INT, 1000)]),
+    "blaschke": (_run_blaschke, [_FAMILY, ("samples", COUNT, 1000)]),
     "prop2": (_run_prop2, [
         _FAMILY,
         ("t", FLOAT, 1.0),
@@ -441,23 +448,51 @@ EXPERIMENTS = {
 # report assembly
 
 
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
 def _fmt(value):
-    # repr of a numpy scalar is "np.float64(x)" under numpy 2
+    """Text of one CSV cell, as :func:`write_reports` describes it."""
     if isinstance(value, (float, np.floating)):
+        # repr of a numpy scalar is "np.float64(x)" under numpy 2
         return repr(float(value))
-    return str(value)
+    text = str(value)
+    if _NEEDS_QUOTES.search(text):
+        return '"%s"' % text.replace('"', '""')
+    return text
+
+
+def _column_text(cells):
+    """``_fmt`` of every cell of one column."""
+    if all(isinstance(x, float) for x in cells):
+        # float.__repr__ reads a numpy float64 as the double it holds
+        return list(map(float.__repr__, cells))
+    return list(map(_fmt, cells))
 
 
 def write_reports(out_dir, config, columns, rows, verdicts, extra, elapsed):
+    """Write ``<kind>.csv`` and ``<kind>.json`` into ``out_dir``; return the report.
+
+    The CSV holds the header ``columns`` and one comma-separated line per row.
+    A float cell (Python or numpy) is written as ``repr(float(x))``, anything
+    else as ``str(x)``; a cell holding a comma, a quote or a line break is
+    put in quotes, with its quotes doubled.  Rows are sorted by the text of
+    their cells, compared column by column, so the same rows give the same
+    bytes in any order.  Each cell is formatted once, a column at a time.
+
+    For every cell type the bodies emit (Python and numpy ints and float64s,
+    strings) the text equals ``str(x)``, so the order is that of sorting rows
+    by ``tuple(str(x) for x in row)``.  A ``np.float32`` cell would break that
+    equality: ``str`` gives its shortest float32 digits, ``repr(float(x))``
+    those of the double.
+    """
     os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(out_dir, config["kind"])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in sorted(rows, key=lambda r: tuple(str(x) for x in r)):
-        writer.writerow([_fmt(x) for x in row])
+    text_rows = sorted(zip(*[_column_text(cells) for cells in zip(*rows)]))
+    line = ",".join(["%s"] * len(columns)) + "\n"
     with open(base + ".csv", "w") as fh:
-        fh.write(buf.getvalue())
+        fh.write(line % tuple(map(_fmt, columns)))
+        fh.writelines(map(line.__mod__, text_rows))
     report = {
         "kind": config["kind"],
         "seed": config["seed"],

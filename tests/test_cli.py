@@ -1,8 +1,12 @@
+import csv
+import io
 import json
 import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carshift import cli
 
@@ -115,6 +119,11 @@ def test_csv_bytes_deterministic(tmp_path):
     ]
     runs += [("innerness", {"case": case}) for case in ("minus-identity", "finite-rank")]
     runs += [("extension", {"case": case}) for case in ("equal", "opposite", "finite-rank")]
+    runs += [
+        (kind, {"family": fam, **SMALL_PARAMS[kind]})
+        for kind in ("approx", "prop2", "dilation-check")
+    ]
+    assert {kind for kind, _ in runs} == set(cli.EXPERIMENTS)
     for idx, (kind, params) in enumerate(runs):
         config = write_config(tmp_path, kind, params)
         out1, out2 = tmp_path / str(idx) / "a", tmp_path / str(idx) / "b"
@@ -144,6 +153,101 @@ def test_csv_cells_are_plain_numbers(tmp_path, kind):
     config = write_config(tmp_path, kind, params)
     assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 0
     assert "np." not in (tmp_path / f"{kind}.csv").read_text()
+
+
+def reference_csv(columns, rows):
+    """Reference CSV bytes, written a row at a time: rows sorted by the str of
+    their cells, one _fmt per cell, csv.writer."""
+
+    def fmt(value):
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        return str(value)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in sorted(rows, key=lambda r: tuple(str(x) for x in r)):
+        writer.writerow([fmt(x) for x in row])
+    return buf.getvalue().encode()
+
+
+def written_csv(out_dir, columns, rows):
+    config = {"kind": "table", "seed": 0, "params": {}}
+    cli.write_reports(str(out_dir), config, columns, rows, {}, {}, 0.0)
+    return (out_dir / "table.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", sorted(cli.EXPERIMENTS))
+def test_csv_matches_the_row_at_a_time_writer(tmp_path, kind):
+    body, spec = cli.EXPERIMENTS[kind]
+    fam3 = [-1.0 + 0.0j, -2.0 + 0.5j, -0.5 + 1.0j]
+    raw = {"family": write_family(tmp_path, fam3), **SMALL_PARAMS[kind]}
+    params = cli.parse_params(spec, {key: str(val) for key, val in raw.items()}, str(tmp_path))
+    columns, rows, _, _ = body(11, **params)
+    assert written_csv(tmp_path, columns, rows) == reference_csv(columns, rows)
+
+
+def test_csv_matches_the_row_at_a_time_writer_on_edge_values(tmp_path):
+    floats = [-0.0, 0.0, 1e16, 1e-05, 5e-324, np.inf, -np.inf, np.nan, 0.1, -2.5, 1.0, 10.0]
+    rows = [
+        ("flow" if i % 2 else "shift", i, np.int64(-i), x, np.float64(x), 1 if i % 3 else 0.5)
+        for i, x in enumerate(floats)
+    ]
+    rows += rows[:4] + [("condition-1", np.int64(7), 7, np.nan, np.float64(1e16), 1)] * 2
+    columns = ["stage", "int", "np_int", "float", "np_float", "mixed"]
+    text = written_csv(tmp_path, columns, rows)
+    assert text == reference_csv(columns, rows)
+    assert {line.rsplit(b",", 1)[1] for line in text.splitlines()[1:]} == {b"1", b"0.5"}
+
+
+def test_csv_quotes_cells_that_need_it(tmp_path):
+    rows = [(2, 'say "hi"'), (1, "a,b"), (3, "two\nlines"), (4, "plain")]
+    columns = ["n", "note, quoted"]
+    text = written_csv(tmp_path, columns, rows)
+    assert text == reference_csv(columns, rows)
+    read = list(csv.reader(io.StringIO(text.decode())))
+    assert read == [columns] + [[str(n), note] for n, note in sorted(rows)]
+
+
+_PY_FLOATS = st.floats()
+_NP_FLOATS = st.floats().map(np.float64)
+_PY_INTS = st.integers(-(10 ** 20), 10 ** 20)
+_NP_INTS = st.integers(-(2 ** 63), 2 ** 63 - 1).map(np.int64)
+_ANY_CELLS = st.one_of(_PY_FLOATS, _NP_FLOATS, _PY_INTS, _NP_INTS)
+_COLUMN_CELLS = [_PY_FLOATS, _NP_FLOATS, _PY_INTS, _NP_INTS, _ANY_CELLS]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_csv_matches_the_row_at_a_time_writer_on_random_rows(tmp_path_factory, data):
+    cells = data.draw(st.lists(st.sampled_from(_COLUMN_CELLS), min_size=1, max_size=4))
+    rows = [tuple(data.draw(c) for c in cells) for _ in range(data.draw(st.integers(0, 12)))]
+    if rows:
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=4))
+    columns = ["c%d" % i for i in range(len(cells))]
+    out_dir = tmp_path_factory.mktemp("csv")
+    assert written_csv(out_dir, columns, rows) == reference_csv(columns, rows)
+
+
+@pytest.mark.parametrize(
+    "kind, name, value",
+    [
+        ("car-check", "trials", 0),
+        ("car-check", "modes", 0),
+        ("quasifree-verify", "trials", 0),
+        ("quasifree-verify", "modes", -1),
+        ("modular-verify", "modes", 0),
+        ("blaschke", "samples", 0),
+    ],
+)
+def test_count_below_one_is_a_config_error(tmp_path, capsys, kind, name, value):
+    params = {"family": write_family(tmp_path, [-1.0 + 0.0j]), name: value}
+    config = write_config(tmp_path, kind, params)
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: parameter %r: must be a positive integer" % name in err
+    assert not (tmp_path / "out").exists()
 
 
 def _conjugacy_values(tmp_path, step):
