@@ -1,7 +1,7 @@
 """Numerical workbench for quasifree CAR dynamics.
 
 Subpackages cover operator helpers (opalg: dense, low-rank and sector-graded
-norms, polar decompositions, antilinear maps), a Jordan-Wigner Fock
+norms, antilinear maps and their polar decomposition), a Jordan-Wigner Fock
 simulator (fock), quasifree states and their doubled GNS representation
 (quasifree), finite-dimensional Tomita-Takesaki data (modular),
 Hilbert-Schmidt criteria for Bogoliubov endomorphisms (bogoliubov), exact

@@ -93,7 +93,9 @@ def weighted_hs_norm(r, x):
     """``||R^{1/2}(1-R)^{1/2} X||_2``.
 
     ``r`` is an isotropic ``nu`` (a float in ``(0, 1)``, else ``ValueError``;
-    the weight is then the scalar ``sqrt(nu(1-nu))``) or a covariance matrix.
+    the weight is then the scalar ``sqrt(nu(1-nu))``) or a covariance matrix,
+    validated by :class:`CovarianceState` (spectrum in ``(0, 1)``, else
+    ``ValueError``).
     ``x`` is a dense matrix or a pair of factors ``(a, b)`` with ``X = a b*``;
     the factored norm is ``sqrt(tr((a* W^2 a)(b* b)))``.
     """
@@ -103,7 +105,7 @@ def weighted_hs_norm(r, x):
             raise ValueError(f"nu must lie in (0, 1), got {nu}")
         weigh = lambda m: np.sqrt(nu * (1.0 - nu)) * m
     else:
-        r = np.asarray(r, dtype=float)
+        r = CovarianceState(r).r
         weight = psd_sqrt(r @ (np.eye(r.shape[0]) - r))
         weigh = lambda m: weight @ m
     if isinstance(x, tuple):
@@ -124,39 +126,40 @@ def _check_unitary(v, tol=1e-8, label="V"):
     return v
 
 
-def _factored_pair(u, v):
-    """Whether ``u`` and ``v`` are both dilations; mixing forms is an error."""
+def _difference(u, v):
+    """``u - v``: the factors ``(a, b)`` with ``u - v = a b*`` when both are
+    dilations (sharing a permutation), the dense matrix when both are dense;
+    mixing forms is an error."""
     factored = [isinstance(op, DilationOperator) for op in (u, v)]
     if factored[0] != factored[1]:
         raise TypeError("operands must both be DilationOperators or both dense")
-    return factored[0]
+    if factored[0]:
+        return u.difference_factors(v)
+    return np.asarray(u, dtype=complex) - np.asarray(v, dtype=complex)
 
 
 def innerness_norm(r, w, sizes):
     """Innerness criterion: ``||R^{1/2}(1-R)^{1/2}(W - 1)||_2`` trend.
 
-    ``r`` and ``w`` are either constants (float nu / fixed matrix rule) or
-    callables ``size -> matrix``.  Returns a :class:`CriterionReport` whose
+    ``r`` is a float nu or a callable ``size -> covariance matrix``, ``w`` a
+    callable ``size -> matrix``.  Returns a :class:`CriterionReport` whose
     verdict states whether the lifting is asymptotically inner (converges).
     """
-
-    def value_at(n):
-        wn = np.asarray(w(n) if callable(w) else w, dtype=complex)
-        return weighted_hs_norm(_covariance(r, n), wn - np.eye(n))
-
-    return _trend(sizes, value_at)
+    return extension_criterion(r, w, np.eye, sizes)
 
 
 def extension_criterion(r_prime, v_prime, w_prime, sizes):
     """Extension criterion on the enlarged space:
-    ``||R'^{1/2}(1-R')^{1/2}(V' - W')||_2`` trend over truncations."""
+    ``||R'^{1/2}(1-R')^{1/2}(V' - W')||_2`` trend over truncations.
 
-    def value_at(n):
-        vn = np.asarray(v_prime(n), dtype=complex)
-        wn = np.asarray(w_prime(n), dtype=complex)
-        return weighted_hs_norm(_covariance(r_prime, n), vn - wn)
-
-    return _trend(sizes, value_at)
+    ``v_prime`` and ``w_prime`` are callables ``size -> operator``, both dense
+    matrices or both dilations (:class:`DilationOperator`) sharing a
+    permutation; dilations are never densified.
+    """
+    return _trend(
+        sizes,
+        lambda n: weighted_hs_norm(_covariance(r_prime, n), _difference(v_prime(n), w_prime(n))),
+    )
 
 
 def araki_commutator(r, v_prime, w_prime):
@@ -188,8 +191,8 @@ def araki_criterion(r_prime, v_prime, w_prime, sizes):
 
 
 def conjugacy_criterion(r, u_path, v_path, t_grid, sizes):
-    """Conjugacy criterion: for each ``t`` the truncation trend of
-    ``||R^{1/2}(1-R)^{1/2}(U_t - V_t)||_2``.
+    """Conjugacy criterion: for each ``t`` the :func:`extension_criterion`
+    trend of ``||R^{1/2}(1-R)^{1/2}(U_t - V_t)||_2``.
 
     ``u_path`` and ``v_path`` are callables ``(t, size) -> unitary``, where a
     unitary is a dense matrix or a :class:`DilationOperator`; two dilations
@@ -199,15 +202,13 @@ def conjugacy_criterion(r, u_path, v_path, t_grid, sizes):
     per_t = {}
     order = {"converges": 0, "inconclusive": 1, "diverges": 2}
     worst = "converges"
-
-    def value_at(t, n):
-        ut = _check_unitary(u_path(t, n), label=f"U_{t}")
-        vt = _check_unitary(v_path(t, n), label=f"V_{t}")
-        diff = ut.difference_factors(vt) if _factored_pair(ut, vt) else ut - vt
-        return weighted_hs_norm(_covariance(r, n), diff)
-
     for t in t_grid:
-        report = per_t[float(t)] = _trend(sizes, lambda n: value_at(t, n))
+        report = per_t[float(t)] = extension_criterion(
+            r,
+            lambda n: _check_unitary(u_path(t, n), label=f"U_{t}"),
+            lambda n: _check_unitary(v_path(t, n), label=f"V_{t}"),
+            sizes,
+        )
         if order[report.verdict] > order[worst]:
             worst = report.verdict
     return worst, per_t
@@ -219,20 +220,9 @@ class Lifting:
     def __init__(self, rep, v):
         self.rep = rep
         self.v = v
-        self.unitary = (
-            operator_norm(self.v @ adjoint(self.v) - np.eye(rep.n)) <= 1e-10
-        )
-
-    def image_field(self, f, g=None):
-        """``alpha(pi(a(f (+) g))) = pi(a(Vf (+) Vg))``."""
-        f = None if f is None else self.v @ np.asarray(f, dtype=complex)
-        g = None if g is None else self.v @ np.asarray(g, dtype=complex)
-        return self.rep.field(f, g)
 
     def implementer(self):
         """Second-quantized unitary implementing the lifting on the doubled space."""
-        if not self.unitary:
-            raise ValueError("implementer only available for unitary V")
         first = fock.second_quantized(self.rep.factor, self.v)
         second = fock.second_quantized(self.rep.factor, np.conj(self.v))
         return tensor(first, second)
@@ -240,7 +230,8 @@ class Lifting:
 
 def lift(rep, v):
     """Validate ``V`` (isometry commuting with the covariance, both to
-    ``1e-10``) and lift it."""
+    ``1e-10``) and lift it.  A square isometry is unitary, so the lifting
+    has an implementer."""
     tol = 1e-10
     v = np.asarray(v, dtype=complex)
     if v.shape != (rep.n, rep.n):
@@ -256,30 +247,23 @@ def approximation_check(u_dil, v_dil, k_dim, t_grid, tol=1e-10):
     """Check the two approximation conditions for unitary dilations.
 
     ``u_dil``/``v_dil``: callables ``t -> unitary`` on the doubled grid space,
-    both dilations (:class:`DilationOperator`) sharing a permutation or both dense
-    matrices; ``k_dim``: dimension of the embedded subspace ``K`` (first block
-    of coordinates).  For each ``t`` reports the Hilbert-Schmidt norm of
-    ``U'_t - V'_t`` and the operator-norm deviation of ``U'_t V'_t*`` from the
-    identity on ``K' (-) K``: the larger of the norms of its diagonal block
-    minus 1 and of the mixed block ``K' -> K``.  Passes when all deviations
-    are below ``tol``; the HS norms are reported, not bounded.
+    dilations (:class:`DilationOperator`) that share a permutation; ``k_dim``:
+    dimension of the embedded subspace ``K`` (first block of coordinates).
+    For each ``t`` reports the Hilbert-Schmidt norm of ``U'_t - V'_t`` and
+    the operator-norm deviation of ``U'_t V'_t*`` from the identity on
+    ``K' (-) K``: the larger of the norms of its diagonal block minus 1 and of
+    the mixed block ``K' -> K``.  Passes when all deviations are below
+    ``tol``; the HS norms are reported, not bounded.
     """
     rows = []
     ok = True
     for t in t_grid:
         ut, vt = u_dil(t), v_dil(t)
-        if _factored_pair(ut, vt):
-            hs = lowrank_hs_norm(*ut.difference_factors(vt))
-            # U V* - 1 = l r*, so each block is a product of row blocks
-            l, r = ut.product_defect_factors(vt)
-            block = lowrank_operator_norm(l[k_dim:], r[k_dim:])
-            mixed = lowrank_operator_norm(l[:k_dim], r[k_dim:])
-        else:
-            ut, vt = np.asarray(ut, dtype=complex), np.asarray(vt, dtype=complex)
-            hs = hs_norm(ut - vt)
-            prod = ut @ adjoint(vt)
-            block = operator_norm(prod[k_dim:, k_dim:] - np.eye(prod.shape[0] - k_dim))
-            mixed = operator_norm(prod[:k_dim, k_dim:])
+        hs = lowrank_hs_norm(*ut.difference_factors(vt))
+        # U V* - 1 = l r*, so each block is a product of row blocks
+        l, r = ut.product_defect_factors(vt)
+        block = lowrank_operator_norm(l[k_dim:], r[k_dim:])
+        mixed = lowrank_operator_norm(l[:k_dim], r[k_dim:])
         dev = max(block, mixed)
         rows.append({"t": float(t), "hs_norm": hs, "offspace_deviation": dev})
         if dev > tol:

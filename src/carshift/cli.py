@@ -75,7 +75,7 @@ def _family(text, base_dir):
     return hardyshift.ExponentialFamily(load_lambda_file(text, base_dir))
 
 
-def _count(text, base_dir):
+def _count(text):
     value = int(text)
     if value <= 0:
         raise ValueError("must be a positive integer, got %d" % value)
@@ -85,10 +85,10 @@ def _count(text, base_dir):
 # A parameter type is (label printed by `carshift list`, cast(text, base_dir)).
 INT = ("int", lambda text, base_dir: int(text))
 FLOAT = ("float", lambda text, base_dir: float(text))
-INTS = ("ints", _tokens(int))
 FLOATS = ("floats", _tokens(float))
 FAMILY = ("path", _family)
-COUNT = ("int", _count)  # a number of modes, trials or samples
+COUNT = ("int", lambda text, base_dir: _count(text))  # a positive integer
+COUNTS = ("ints", _tokens(_count))  # a list of positive integers
 REQUIRED = object()  # default of a parameter that has none
 
 
@@ -159,6 +159,8 @@ def _run_car_check(seed, modes, trials):
 
 
 def _run_quasifree_verify(seed, modes, degree, trials):
+    if degree <= 0 or degree % 2:
+        raise ConfigError("degree must be a positive even integer, got %d" % degree)
     rng = np.random.default_rng(seed)
     rows = []
     worst = 0.0
@@ -414,7 +416,7 @@ EXPERIMENTS = {
     "modular-verify": (_run_modular_verify, [("modes", COUNT, 2), ("nu", FLOAT, 0.25)]),
     "innerness": (_run_innerness, [
         ("nu", FLOAT, 0.3),
-        ("sizes", INTS, [4, 8, 16, 32, 64]),
+        ("sizes", COUNTS, [4, 8, 16, 32, 64]),
         ("case", _choice(_INNERNESS_CASES), "minus-identity"),
     ]),
     "conjugacy": (_run_conjugacy, [
@@ -423,7 +425,7 @@ EXPERIMENTS = {
     ]),
     "extension": (_run_extension, [
         ("nu", FLOAT, 0.25),
-        ("sizes", INTS, [4, 8, 16, 32]),
+        ("sizes", COUNTS, [4, 8, 16, 32]),
         ("case", _choice(_EXTENSION_CASES), "opposite"),
     ]),
     "approx": (_run_approx, [_FAMILY, ("t_grid", FLOATS, _DEFECT_T_GRID)]),
@@ -432,7 +434,7 @@ EXPERIMENTS = {
         _FAMILY,
         ("t", FLOAT, 1.0),
         ("delta_grid", FLOATS, [2.0 ** -k for k in range(3, 11)]),
-        ("k_max", INT, 64),
+        ("k_max", COUNT, 64),
     ]),
     "dilation-check": (_run_dilation_check, [
         _FAMILY, ("step", FLOAT, 1.0 / 256), ("horizon", FLOAT, 8.0), ("t", FLOAT, 0.25)

@@ -131,10 +131,3 @@ def second_quantized(space, v):
 def number_operator(space):
     return np.diag(particle_numbers(space).astype(float)).astype(complex)
 
-
-def norm_identity_residual(space, f):
-    """``| ||a(f)|| - ||f|| |`` -- the C*-norm identity for the CAR algebra."""
-    from .opalg import sector_operator_norm
-
-    val = sector_operator_norm(annihilator(space, f), particle_numbers(space))
-    return abs(val - float(np.linalg.norm(f)))

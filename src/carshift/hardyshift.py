@@ -30,14 +30,16 @@ from .opalg import RANK_TOL, adjoint, lowrank_hs_norm, operator_norm
 
 @dataclass
 class ExponentialFamily:
-    """Exponents ``l_k`` subject to condition (1): ``Re l_k < 0`` and pairwise
-    distinct.  A finite family has bounded ``|Im l_k|`` and summable
-    ``|Re l_k|`` by construction."""
+    """A nonempty family of exponents ``l_k`` subject to condition (1):
+    ``Re l_k < 0`` and pairwise distinct.  A finite family has bounded
+    ``|Im l_k|`` and summable ``|Re l_k|`` by construction."""
 
     lambdas: list
 
     def __post_init__(self):
         self.lambdas = lambdas = [complex(l) for l in self.lambdas]
+        if not lambdas:
+            raise ValueError("an exponent family needs at least one exponent")
         failures = [f"Re lambda_{k} >= 0" for k, l in enumerate(lambdas) if l.real >= 0]
         for i in range(len(lambdas)):
             for j in range(i + 1, len(lambdas)):
@@ -80,10 +82,10 @@ def blaschke_asymptotics(family):
     samples on the real axis at ``c2 * 2^j``, ``j = 4..9``, and should equal
     ``2 * s_value``.
     """
-    max_abs = max((abs(l) for l in family.lambdas), default=0.0)
+    max_abs = max(abs(l) for l in family.lambdas)
     c2 = 2.0 * max_abs + 1.0
     angles = np.exp(2j * np.pi * np.arange(360) / 360)
-    c1 = float(np.max(np.abs(blaschke_eval(family, c2 * angles)))) if family.size else 1.0
+    c1 = float(np.max(np.abs(blaschke_eval(family, c2 * angles))))
     radii = np.array([c2 * (2.0 ** j) for j in range(4, 10)])
     vals = radii * (1.0 - blaschke_eval(family, radii.astype(complex)))
     # c3 + a/r fit: intercept at 1/r -> 0
@@ -121,10 +123,6 @@ class ExponentialBasis:
     coeff: np.ndarray            # upper triangular: g_n = sum_m coeff[m, n] f_m
     g_combos: list
 
-    @property
-    def size(self):
-        return self.family.size
-
 
 def orthogonalize(family):
     """Successive orthogonalization of the normalized exponentials.
@@ -134,7 +132,7 @@ def orthogonalize(family):
     number above ``1e12`` are rejected.
     """
     g = gram_exponentials(family)
-    if family.size and np.linalg.cond(g) > 1e12:
+    if np.linalg.cond(g) > 1e12:
         raise ValueError("exponential family too ill-conditioned to orthogonalize")
     low = np.linalg.cholesky(g)
     coeff = solve_triangular(low, np.eye(family.size), lower=True).conj().T
@@ -378,12 +376,6 @@ class DilationOperator:
         self.y = np.asarray(y, dtype=complex).reshape(self.dim, -1)
         self.k_dim = k_dim
 
-    def matvec(self, v):
-        w = v + self.x @ (self.y.conj().T @ v)
-        out = np.empty_like(w)
-        out[self.perm] = w
-        return out
-
     def to_dense(self):
         """The dense matrix, kept as a test oracle; refused above dimension 6000."""
         if self.dim > 6000:
@@ -466,14 +458,11 @@ class GridModel:
         if abs(self.n * self.step - self.horizon) > 1e-9:
             raise ValueError("horizon must be an integer number of cells")
         cols = [self.cell_coefficients(g) for g in basis.g_combos]
-        if cols:
-            mat = np.stack(cols, axis=1)
-            q, r = np.linalg.qr(mat)
-            signs = np.sign(np.diag(r).real)
-            signs[signs == 0] = 1.0
-            self.ghat = q * signs
-        else:
-            self.ghat = np.zeros((self.n, 0), dtype=complex)
+        mat = np.stack(cols, axis=1)
+        q, r = np.linalg.qr(mat)
+        signs = np.sign(np.diag(r).real)
+        signs[signs == 0] = 1.0
+        self.ghat = q * signs
 
     def steps_of(self, t):
         m = round(t / self.step)
@@ -572,8 +561,6 @@ class GridModel:
         lam = np.asarray(self.basis.family.lambdas)
         phases = np.exp(1j * lam.imag * t)
         c = b[perm, :] * phases[None, :]        # S'^* then phase
-        if nlam == 0:
-            return self.shift_dilation(t)
         joint = np.hstack([b, c])
         uq, sq, _ = np.linalg.svd(joint, full_matrices=False)
         q = uq[:, sq > RANK_TOL * sq[0]]

@@ -80,12 +80,6 @@ class ModularData:
         self.delta_eigenvalues = delta_eigenvalues  # ascending
         self.solve_residual = solve_residual
 
-    def delta_power(self, p):
-        w, vecs = np.linalg.eigh(self.delta)
-        if w.min() <= 0:
-            raise ValueError("Delta not positive definite")
-        return (vecs * np.power(w, p)) @ adjoint(vecs)
-
 
 def tomita_operator(rep):
     """Build ``S``, ``J`` and ``Delta`` for the vacuum of a doubled representation.

@@ -1,6 +1,6 @@
 """Complex operator helpers: norms (dense, of low-rank products ``a b*`` from
-their factors, and of operators graded by a sector label), polar
-decompositions, antilinear maps.
+their factors, and of operators graded by a sector label), antilinear maps
+and their polar decomposition.
 
 Inner products are antilinear in the first argument throughout the package
 (``inner(u, v) == np.vdot(u, v)``).
@@ -97,25 +97,8 @@ def adjoint(a):
     return np.conj(np.asarray(a)).T
 
 
-def commutator(a, b):
-    return a @ b - b @ a
-
-
 def anticommutator(a, b):
     return a @ b + b @ a
-
-
-def polar_decompose(a):
-    """Polar decomposition ``a = u @ p`` with ``u`` unitary, ``p >= 0``.
-
-    Uses the SVD; for singular ``a`` the unitary factor is the canonical one
-    obtained from the singular vectors.
-    """
-    a = as_operator(a)
-    w, s, vh = np.linalg.svd(a)
-    u = w @ vh
-    p = adjoint(vh) @ np.diag(s).astype(complex) @ vh
-    return u, p
 
 
 class AntilinearOperator:
@@ -127,11 +110,6 @@ class AntilinearOperator:
     @property
     def dim(self):
         return self.matrix.shape[0]
-
-    @classmethod
-    def conjugation(cls, dim):
-        """Entrywise complex conjugation in the standard basis."""
-        return cls(np.eye(dim))
 
     def __call__(self, v):
         return self.matrix @ np.conj(v)
@@ -149,10 +127,6 @@ class AntilinearOperator:
         if isinstance(other, AntilinearOperator):
             return self.matrix @ np.conj(other.matrix)
         return AntilinearOperator(self.matrix @ np.conj(as_operator(other)))
-
-    def squared(self):
-        """The linear map ``self o self``."""
-        return self.compose(self)
 
     def is_antiunitary(self, tol=1e-10):
         m = self.matrix

@@ -61,6 +61,13 @@ def test_weighted_hs_norm_rejects_scalar_nu_outside_unit_interval(nu):
         bogoliubov.weighted_hs_norm(nu, np.eye(3))
 
 
+@pytest.mark.parametrize("spectrum", [[1.5, 0.5], [0.0, 0.5], [1.0, 0.5]])
+def test_weighted_hs_norm_rejects_covariance_outside_unit_interval(spectrum):
+    # R(1-R) clipped at zero would weigh the offending direction by 0, not fail
+    with pytest.raises(ValueError, match=r"spectrum of R must lie in \(0,1\)"):
+        bogoliubov.weighted_hs_norm(np.diag(spectrum), np.eye(2))
+
+
 def test_innerness_closed_form():
     # W = -1: ||R^{1/2}(1-R)^{1/2}(W-1)||_2 = 2 sqrt(nu(1-nu) n)
     nu = 0.3
@@ -157,20 +164,21 @@ def test_lift_implementer_intertwines():
     assert operator_norm(adjoint(u) @ u - np.eye(u.shape[0])) <= 1e-12
     f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     lhs = u @ rep.field(f) @ adjoint(u)
-    rhs = lifting.image_field(f)
+    rhs = rep.field(v @ f)
     assert operator_norm(lhs - rhs) <= 1e-10
     # the vacuum state is preserved (V commutes with R)
     assert np.linalg.norm(u @ rep.vacuum - rep.vacuum) <= 1e-10
 
 
 def test_approximation_check_contract():
-    perm = np.eye(6)[list(range(1, 6)) + [0]]
+    model = _models(FAM3)[64]
     ok = bogoliubov.approximation_check(
-        lambda t: perm, lambda t: perm, 3, [0.5], tol=1e-12
+        model.shift_dilation, model.shift_dilation, model.n, [0.5], tol=1e-12
     )
     assert ok["pass"]
+    assert ok["rows"] == [{"t": 0.5, "hs_norm": 0.0, "offspace_deviation": 0.0}]
     bad = bogoliubov.approximation_check(
-        lambda t: perm, lambda t: np.eye(6), 3, [0.5], tol=1e-12
+        model.shift_dilation, model.flow_dilation, model.n, [0.5], tol=1e-12
     )
     assert not bad["pass"]
 
@@ -233,6 +241,16 @@ def test_conjugacy_factored_matches_dense(r, first):
         assert min(per_t[t].values) > 0.1
 
 
+def _dense_approximation_row(u, v, k_dim):
+    """Oracle of one approximation_check row from the dense ``U``, ``V``:
+    ``||U - V||_2`` and the larger of ``||(U V*)_{K'K'} - 1||`` and
+    ``||(U V*)_{K K'}||``."""
+    prod = u @ adjoint(v)
+    block = operator_norm(prod[k_dim:, k_dim:] - np.eye(prod.shape[0] - k_dim))
+    mixed = operator_norm(prod[:k_dim, k_dim:])
+    return hs_norm(u - v), max(block, mixed)
+
+
 @pytest.mark.parametrize("first", ["shift", "fam1-flow", "non-unitary"])
 def test_approximation_factored_matches_dense(first):
     model = _models(FAM3)[96]
@@ -240,19 +258,16 @@ def test_approximation_factored_matches_dense(first):
     got = bogoliubov.approximation_check(
         lambda t: _first_dilation(first, t, 96), model.flow_dilation, model.n, t_grid, tol=1e-6
     )
-    want = bogoliubov.approximation_check(
-        lambda t: _first_dilation(first, t, 96).to_dense(),
-        lambda t: model.flow_dilation(t).to_dense(),
-        model.n,
-        t_grid,
-        tol=1e-6,
-    )
-    assert got["pass"] == want["pass"]
-    for row, ref in zip(got["rows"], want["rows"]):
-        assert row["hs_norm"] == pytest.approx(ref["hs_norm"], rel=0, abs=1e-12)
-        assert row["offspace_deviation"] == pytest.approx(
-            ref["offspace_deviation"], rel=0, abs=1e-12
+    want = [
+        _dense_approximation_row(
+            _first_dilation(first, t, 96).to_dense(), model.flow_dilation(t).to_dense(), model.n
         )
+        for t in t_grid
+    ]
+    assert not got["pass"]
+    for row, (hs, dev) in zip(got["rows"], want):
+        assert row["hs_norm"] == pytest.approx(hs, rel=0, abs=1e-12)
+        assert row["offspace_deviation"] == pytest.approx(dev, rel=0, abs=1e-12)
         assert row["offspace_deviation"] > 1e-6
 
 
@@ -284,6 +299,18 @@ def test_factored_criteria_need_a_shared_permutation():
             lambda t: model.flow_dilation(0.5),
             model.n,
             [0.25],
+        )
+
+
+def test_criteria_refuse_a_dilation_against_a_dense_matrix():
+    model = _models(FAM3)[64]
+    with pytest.raises(TypeError, match="both be DilationOperators or both dense"):
+        bogoliubov.conjugacy_criterion(
+            0.25,
+            lambda t, n: model.flow_dilation(t),
+            lambda t, n: model.flow_dilation(t).to_dense(),
+            [0.25],
+            [64],
         )
 
 

@@ -239,6 +239,9 @@ def test_csv_matches_the_row_at_a_time_writer_on_random_rows(tmp_path_factory, d
         ("quasifree-verify", "modes", -1),
         ("modular-verify", "modes", 0),
         ("blaschke", "samples", 0),
+        ("prop2", "k_max", -1),
+        ("innerness", "sizes", "0 4"),
+        ("extension", "sizes", "4 -8 16"),
     ],
 )
 def test_count_below_one_is_a_config_error(tmp_path, capsys, kind, name, value):
@@ -247,6 +250,16 @@ def test_count_below_one_is_a_config_error(tmp_path, capsys, kind, name, value):
     assert cli.main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config error: parameter %r: must be a positive integer" % name in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("degree", [0, -2, 3])
+def test_degree_not_positive_even_is_a_config_error(tmp_path, capsys, degree):
+    # half = degree // 2 would check the empty product (0, -2) or degree 2 (3)
+    config = write_config(tmp_path, "quasifree-verify", {"modes": 2, "degree": degree, "trials": 2})
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: degree must be a positive even integer, got %d" % degree in err
     assert not (tmp_path / "out").exists()
 
 

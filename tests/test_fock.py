@@ -97,13 +97,6 @@ def test_annihilator_is_antilinear_in_argument():
     assert np.allclose(lhs, rhs)
 
 
-def test_norm_identity():
-    space = fock.FockSpace(4)
-    for _ in range(10):
-        f = random_vec(4)
-        assert fock.norm_identity_residual(space, f) <= 1e-10
-
-
 def test_vacuum_is_annihilated():
     space = fock.FockSpace(3)
     vac = fock.vacuum(space)

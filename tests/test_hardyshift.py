@@ -37,6 +37,11 @@ def test_condition1_rejects_right_half_plane():
         hs.ExponentialFamily([1.0 + 0.0j])
 
 
+def test_empty_family_rejected():
+    with pytest.raises(ValueError, match="at least one exponent"):
+        hs.ExponentialFamily([])
+
+
 def test_condition1_rejects_repeated_exponents():
     with pytest.raises(ValueError, match="lambda_0 == lambda_2"):
         hs.ExponentialFamily([-1.0 + 0.5j, -2.0, -1.0 + 0.5j])
@@ -387,13 +392,6 @@ def test_shift_dilation_compresses_to_truncated_shift(model_one):
     dense = model_one.shift_dilation(t).to_dense()
     n = model_one.n
     assert np.allclose(dense[:n, :n], model_one.shift_matrix(t))
-
-
-def test_dilation_matvec_matches_dense(model_one):
-    dil = model_one.flow_dilation(0.25)
-    rng = np.random.default_rng(11)
-    v = rng.standard_normal(2 * model_one.n) + 1j * rng.standard_normal(2 * model_one.n)
-    assert np.allclose(dil.matvec(v), dil.to_dense() @ v)
 
 
 def test_offspace_deviation_decays_with_horizon(basis_one):

@@ -51,7 +51,7 @@ def test_vacuum_fixed(rep2, data2):
 
 def test_j_is_antiunitary_involution(data2):
     assert data2.j.is_antiunitary(tol=1e-9)
-    assert operator_norm(data2.j.squared() - np.eye(data2.j.dim)) <= 1e-9
+    assert operator_norm(data2.j.compose(data2.j) - np.eye(data2.j.dim)) <= 1e-9
 
 
 def test_polar_j_matches_wedge_formula(rep2, data2):
@@ -98,11 +98,6 @@ def test_commutant_dimension_single_mode():
     assert report["commutant_dim"] == report["expected_dim"] == 4
     assert report["b_span_dim"] == 4
     assert report["max_commutator_residual"] <= 1e-10
-
-
-def test_delta_power(data2):
-    half = data2.delta_power(0.5)
-    assert operator_norm(half @ half - data2.delta) <= 1e-9
 
 
 def test_non_cyclic_vacuum_rejected():
