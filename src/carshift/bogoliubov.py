@@ -89,29 +89,36 @@ def _covariance(r, size):
     return np.asarray(r(size), dtype=float) if callable(r) else float(r)
 
 
-def weighted_hs_norm(r, x):
-    """``||R^{1/2}(1-R)^{1/2} X||_2``.
-
-    ``r`` is an isotropic ``nu`` (a float in ``(0, 1)``, else ``ValueError``;
-    the weight is then the scalar ``sqrt(nu(1-nu))``) or a covariance matrix,
-    validated by :class:`CovarianceState` (spectrum in ``(0, 1)``, else
-    ``ValueError``).
-    ``x`` is a dense matrix or a pair of factors ``(a, b)`` with ``X = a b*``;
-    the factored norm is ``sqrt(tr((a* W^2 a)(b* b)))``.
+def _weight(r):
+    """``(R, S)``, ``S = (R(1-R))^{1/2}``, in the form the covariance came in:
+    the floats ``(nu, sqrt(nu(1-nu)))`` of an isotropic ``nu`` in ``(0, 1)``,
+    or a matrix ``R`` validated by :class:`CovarianceState` and the
+    :func:`psd_sqrt` of ``R(1-R)``; anything else is a ``ValueError``.
+    ``np.dot`` with either form is a scalar multiply or a matrix product.
     """
     if np.ndim(r) == 0:
         nu = float(r)
         if not 0.0 < nu < 1.0:
             raise ValueError(f"nu must lie in (0, 1), got {nu}")
-        weigh = lambda m: np.sqrt(nu * (1.0 - nu)) * m
-    else:
-        r = CovarianceState(r).r
-        weight = psd_sqrt(r @ (np.eye(r.shape[0]) - r))
-        weigh = lambda m: weight @ m
+        return nu, np.sqrt(nu * (1.0 - nu))
+    r = CovarianceState(r).r
+    return r, psd_sqrt(r @ (np.eye(r.shape[0]) - r))
+
+
+def weighted_hs_norm(r, x):
+    """``||R^{1/2}(1-R)^{1/2} X||_2``.
+
+    ``r`` is an isotropic ``nu`` (a float in ``(0, 1)``; the weight stays
+    the scalar ``sqrt(nu(1-nu))``) or a covariance matrix with spectrum in
+    ``(0, 1)``; anything else is a ``ValueError``.
+    ``x`` is a dense matrix or a pair of factors ``(a, b)`` with ``X = a b*``;
+    the factored norm is ``sqrt(tr((a* W^2 a)(b* b)))``.
+    """
+    _, weight = _weight(r)
     if isinstance(x, tuple):
         a, b = x
-        return lowrank_hs_norm(weigh(a), b)
-    return hs_norm(weigh(np.asarray(x, dtype=complex)))
+        return lowrank_hs_norm(np.dot(weight, a), b)
+    return hs_norm(np.dot(weight, np.asarray(x, dtype=complex)))
 
 
 def _check_unitary(v, tol=1e-8, label="V"):
@@ -164,30 +171,27 @@ def extension_criterion(r_prime, v_prime, w_prime, sizes):
 
 def araki_commutator(r, v_prime, w_prime):
     """``||diag(V', W') P - P diag(V', W')||_2`` for the purification projection
-    ``P = [[R, S], [S, 1-R]]``, ``S = (R(1-R))^{1/2}``, of the covariance ``r``.
+    ``P = [[R, S], [S, 1-R]]``, ``S = (R(1-R))^{1/2}``, of the covariance ``r``
+    (an isotropic ``nu`` or a matrix, see :func:`_weight`).
 
     The commutator is taken block by block, without forming ``P`` or
     ``diag(V', W')``: its four ``n x n`` blocks are ``[V', R]``,
-    ``V'S - SW'``, ``W'S - SV'`` and ``[W', 1-R]``.
+    ``V'S - SW'``, ``W'S - SV'`` and ``[W', 1-R] = -[W', R]``, each of the
+    form ``A M - M B``.
     """
-    one_minus_r = np.eye(r.shape[0]) - r
-    s = psd_sqrt(r @ one_minus_r)
+    r, s = _weight(r)
     v = np.asarray(v_prime, dtype=complex)
     w = np.asarray(w_prime, dtype=complex)
-    blocks = [v @ r - r @ v, v @ s - s @ w, w @ s - s @ v, w @ one_minus_r - one_minus_r @ w]
-    return hs_norm([hs_norm(b) for b in blocks])
+    blocks = ((v, r, v), (v, s, w), (w, s, v), (w, r, w))
+    return hs_norm([hs_norm(np.dot(a, m) - np.dot(m, b)) for a, m, b in blocks])
 
 
 def araki_criterion(r_prime, v_prime, w_prime, sizes):
     """Truncation trend of the purification commutator norm (cross-check of
     :func:`extension_criterion`)."""
-
-    def value_at(n):
-        r = _covariance(r_prime, n)
-        state = CovarianceState.isotropic(r, n) if np.ndim(r) == 0 else CovarianceState(r)
-        return araki_commutator(state.r, v_prime(n), w_prime(n))
-
-    return _trend(sizes, value_at)
+    return _trend(
+        sizes, lambda n: araki_commutator(_covariance(r_prime, n), v_prime(n), w_prime(n))
+    )
 
 
 def conjugacy_criterion(r, u_path, v_path, t_grid, sizes):
@@ -268,4 +272,4 @@ def approximation_check(u_dil, v_dil, k_dim, t_grid, tol=1e-10):
         rows.append({"t": float(t), "hs_norm": hs, "offspace_deviation": dev})
         if dev > tol:
             ok = False
-    return {"pass": ok, "rows": rows, "tol": tol}
+    return {"pass": ok, "rows": rows}

@@ -82,13 +82,21 @@ def _count(text):
     return value
 
 
+def _positive(text):
+    value = float(text)
+    if not 0.0 < value < np.inf:
+        raise ValueError("must be a positive number, got %s" % text.strip())
+    return value
+
+
 # A parameter type is (label printed by `carshift list`, cast(text, base_dir)).
 INT = ("int", lambda text, base_dir: int(text))
 FLOAT = ("float", lambda text, base_dir: float(text))
-FLOATS = ("floats", _tokens(float))
 FAMILY = ("path", _family)
 COUNT = ("int", lambda text, base_dir: _count(text))  # a positive integer
 COUNTS = ("ints", _tokens(_count))  # a list of positive integers
+POSITIVE = ("float", lambda text, base_dir: _positive(text))  # a finite float > 0
+POSITIVES = ("floats", _tokens(_positive))  # a list of finite floats > 0
 REQUIRED = object()  # default of a parameter that has none
 
 
@@ -403,8 +411,8 @@ def _run_pipeline(seed, family, nu, step, horizons):
 
 
 _FAMILY = ("family", FAMILY, REQUIRED)
-_HORIZONS = ("horizons", FLOATS, [12.0, 16.0, 20.0])
-_GRID_STEP = ("step", FLOAT, 1.0 / 16)
+_HORIZONS = ("horizons", POSITIVES, [12.0, 16.0, 20.0])
+_GRID_STEP = ("step", POSITIVE, 1.0 / 16)
 
 # kind -> (body, [(name, type, default)]).  `carshift list` prints the same
 # declarations, in this order.
@@ -421,27 +429,27 @@ EXPERIMENTS = {
     ]),
     "conjugacy": (_run_conjugacy, [
         ("nu", FLOAT, 0.25), _FAMILY, _HORIZONS, _GRID_STEP,
-        ("t_grid", FLOATS, _DILATION_T_GRID),
+        ("t_grid", POSITIVES, _DILATION_T_GRID),
     ]),
     "extension": (_run_extension, [
         ("nu", FLOAT, 0.25),
         ("sizes", COUNTS, [4, 8, 16, 32]),
         ("case", _choice(_EXTENSION_CASES), "opposite"),
     ]),
-    "approx": (_run_approx, [_FAMILY, ("t_grid", FLOATS, _DEFECT_T_GRID)]),
+    "approx": (_run_approx, [_FAMILY, ("t_grid", POSITIVES, _DEFECT_T_GRID)]),
     "blaschke": (_run_blaschke, [_FAMILY, ("samples", COUNT, 1000)]),
     "prop2": (_run_prop2, [
         _FAMILY,
         ("t", FLOAT, 1.0),
-        ("delta_grid", FLOATS, [2.0 ** -k for k in range(3, 11)]),
+        ("delta_grid", POSITIVES, [2.0 ** -k for k in range(3, 11)]),
         ("k_max", COUNT, 64),
     ]),
     "dilation-check": (_run_dilation_check, [
-        _FAMILY, ("step", FLOAT, 1.0 / 256), ("horizon", FLOAT, 8.0), ("t", FLOAT, 0.25)
+        _FAMILY, ("step", POSITIVE, 1.0 / 256), ("horizon", POSITIVE, 8.0), ("t", POSITIVE, 0.25)
     ]),
     "pipeline": (_run_pipeline, [
         # horizons default to (12, 16, 20)/min|Re l| (see _run_pipeline)
-        _FAMILY, ("nu", FLOAT, 0.25), _GRID_STEP, ("horizons", FLOATS, None)
+        _FAMILY, ("nu", FLOAT, 0.25), _GRID_STEP, ("horizons", POSITIVES, None)
     ]),
 }
 

@@ -124,9 +124,6 @@ class ExpCombo:
     def norm_sq(self):
         return max(self.inner(self).real, 0.0)
 
-    def norm(self):
-        return float(np.sqrt(self.norm_sq()))
-
     def evaluate(self, x):
         """Pointwise values (for quadrature oracles in tests)."""
         x = np.asarray(x, dtype=float)

@@ -75,23 +75,20 @@ def blaschke_eval(family, z):
 
 
 def blaschke_asymptotics(family):
-    """Bound constants and the ``1/z`` coefficient of ``B``.
+    """The ``1/z`` coefficient of ``B``.
 
-    Returns ``c1`` (bound for ``|B|`` on 360 points of the circle of radius
-    ``c2``) and ``c3`` with ``B(z) = 1 - c3/z + o(1/z)``; ``c3`` is fit from
-    samples on the real axis at ``c2 * 2^j``, ``j = 4..9``, and should equal
-    ``2 * s_value``.
+    Returns ``c3`` with ``B(z) = 1 - c3/z + o(1/z)``, fit from samples on
+    the real axis at ``c2 * 2^j``, ``j = 4..9``, ``c2 = 2 max |l_k| + 1``;
+    it should equal ``two_s = 2 * s_value``.
     """
     max_abs = max(abs(l) for l in family.lambdas)
     c2 = 2.0 * max_abs + 1.0
-    angles = np.exp(2j * np.pi * np.arange(360) / 360)
-    c1 = float(np.max(np.abs(blaschke_eval(family, c2 * angles))))
     radii = np.array([c2 * (2.0 ** j) for j in range(4, 10)])
     vals = radii * (1.0 - blaschke_eval(family, radii.astype(complex)))
     # c3 + a/r fit: intercept at 1/r -> 0
     coeffs = np.polyfit(1.0 / radii, np.asarray(vals).real, 1)
     c3 = float(coeffs[1])
-    return {"c1": c1, "c2": c2, "c3": c3, "two_s": 2.0 * family.s_value}
+    return {"c3": c3, "two_s": 2.0 * family.s_value}
 
 
 def theta_apply(family, combo):
@@ -119,7 +116,6 @@ def gram_exponentials(family):
 @dataclass
 class ExponentialBasis:
     family: ExponentialFamily
-    gram: np.ndarray
     coeff: np.ndarray            # upper triangular: g_n = sum_m coeff[m, n] f_m
     g_combos: list
 
@@ -143,7 +139,7 @@ def orthogonalize(family):
         for m in range(n + 1):
             combo = combo + fs[m].scaled(coeff[m, n])
         combos.append(combo)
-    return ExponentialBasis(family, g, coeff, combos)
+    return ExponentialBasis(family, coeff, combos)
 
 
 def backward_shift_matrix(basis, t):
@@ -211,15 +207,17 @@ def estimate_inequalities(basis, t):
         moved = g.scaled(phase).window(t) - g.shift(t)
         lhs_far.append(moved.norm_sq())
         lhs_near.append(g.window(0.0, t).norm_sq())
-    return {
-        "per_mode_far": lhs_far,
-        "per_mode_near": lhs_near,
-        "sum": float(np.sum(lhs_far) + np.sum(lhs_near)),
-    }
+    return {"sum": float(np.sum(lhs_far) + np.sum(lhs_near))}
 
 
 def fit_power(xs, ys):
-    """Least-squares exponent of ``y ~ C x^p`` on a log-log scale."""
+    """Least-squares exponent of ``y ~ C x^p`` on a log-log scale.
+
+    A slope needs two distinct ``x``; fewer is a ``ValueError``.
+    """
+    distinct = len(set(xs))
+    if distinct < 2:
+        raise ValueError(f"a power fit needs two distinct abscissae, got {distinct}")
     xs = np.log(np.asarray(xs, dtype=float))
     ys = np.log(np.asarray(ys, dtype=float))
     return float(np.polyfit(xs, ys, 1)[0])
@@ -338,23 +336,13 @@ def condition_n_check(u_path, t_grid):
     Moduli up to ``1e-10`` count as zero.
     """
     atol = 1e-10
-    t_grid = list(t_grid)
     mats = [np.asarray(u_path(t), dtype=complex) for t in t_grid]
     fine = [operator_norm(mats[i + 1] - mats[i]) for i in range(len(mats) - 1)]
     coarse = [operator_norm(mats[i + 2] - mats[i]) for i in range(len(mats) - 2)]
     max_fine = max(fine) if fine else 0.0
     max_coarse = max(coarse) if coarse else 0.0
-    steps = [t_grid[i + 1] - t_grid[i] for i in range(len(t_grid) - 1)]
-    lipschitz = max(
-        (d / s for d, s in zip(fine, steps) if s > 0), default=0.0
-    )
     ok = max_fine <= atol or (coarse and max_fine <= 0.75 * max_coarse + atol)
-    return {
-        "pass": bool(ok),
-        "moduli": fine,
-        "moduli_coarse": coarse,
-        "lipschitz_estimate": float(lipschitz),
-    }
+    return {"pass": bool(ok), "moduli": fine}
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,6 @@ class CovarianceState:
             )
         self.r = r
         self.dim = r.shape[0]
-        self.eigenvalues = w
 
     @classmethod
     def isotropic(cls, nu, dim):

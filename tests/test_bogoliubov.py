@@ -345,3 +345,26 @@ def test_araki_blocks_match_the_dense_commutator():
     s = quasifree.purification_projection(quasifree.CovarianceState(r))[:5, 5:]
     want = np.sqrt(hs_norm(s @ w) ** 2 + hs_norm(w @ s) ** 2 + hs_norm(w @ r - r @ w) ** 2)
     assert bogoliubov.araki_commutator(r, zero, w) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("nu", [0.01, 0.25, 0.5])
+@pytest.mark.parametrize("n", [3, 8, 27, 64])
+def test_scalar_nu_and_the_matrix_nu_one_agree(nu, n):
+    # the scalar keeps S = sqrt(nu(1-nu)) a float; nu * 1 goes through
+    # CovarianceState and psd_sqrt; complex, non-unitary V', W'
+    gen = np.random.default_rng(100 * n)
+    v, w = gen.standard_normal((2, n, n)) + 1j * gen.standard_normal((2, n, n))
+    matrix = nu * np.eye(n)
+    for x in (v - w, (v[:, :2], w[:, :2])):
+        want = bogoliubov.weighted_hs_norm(matrix, x)
+        assert bogoliubov.weighted_hs_norm(nu, x) == pytest.approx(want, rel=1e-12)
+    want = bogoliubov.araki_commutator(matrix, v, w)
+    assert bogoliubov.araki_commutator(nu, v, w) == pytest.approx(want, rel=1e-12)
+
+
+def test_araki_values_of_the_extension_benchmark_config():
+    # extension, case "opposite", nu = 0.25, sizes 64..512: the recorded digits
+    report = bogoliubov.araki_criterion(0.25, lambda n: -np.eye(n), np.eye, [64, 128, 256, 512])
+    assert report.values == [
+        9.797958971132712, 13.856406460551018, 19.595917942265423, 27.712812921102035
+    ]

@@ -263,6 +263,50 @@ def test_degree_not_positive_even_is_a_config_error(tmp_path, capsys, degree):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "kind, name, value",
+    [
+        ("dilation-check", "step", 0),
+        ("dilation-check", "horizon", 0),
+        ("dilation-check", "t", -0.25),
+        ("conjugacy", "horizons", "12 0"),
+        ("conjugacy", "t_grid", "-0.25 0.5"),
+        ("approx", "t_grid", "-0.0625 0.125"),
+        ("prop2", "delta_grid", "0.125 -0.0625"),
+        ("pipeline", "step", -0.0625),
+        ("pipeline", "horizons", "nan"),
+        ("dilation-check", "step", "inf"),
+    ],
+)
+def test_time_or_grid_parameter_not_positive_is_a_config_error(tmp_path, capsys, kind, name, value):
+    # unchecked, these reach numpy and LAPACK as a division by zero, empty or
+    # negative shapes, or a conjugacy verdict at a negative time
+    params = {"family": write_family(tmp_path, [-1.0 + 0.0j]), name: value}
+    config = write_config(tmp_path, kind, params)
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: parameter %r: must be a positive number" % name in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("approx", {"t_grid": "0.25"}),
+        ("prop2", {"delta_grid": "0.125", "k_max": 8}),
+        ("innerness", {"sizes": "4 4"}),
+    ],
+)
+def test_slope_of_fewer_than_two_distinct_points_is_an_error(tmp_path, capsys, kind, params):
+    # polyfit would warn and fit a slope to one point, which innerness would
+    # report and approx and prop2 would judge
+    params = {"family": write_family(tmp_path, [-1.0 + 0.0j]), **params}
+    config = write_config(tmp_path, kind, params)
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert "error: a power fit needs two distinct abscissae" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _conjugacy_values(tmp_path, step):
     fam = write_family(tmp_path, [-1.0 + 0.0j])
     config = write_config(tmp_path, "conjugacy", {"family": fam, "step": step})

@@ -47,9 +47,9 @@ def test_eint_special_cases_and_arrays():
 
 def test_normalized_exponential_has_unit_norm():
     f = ExpCombo.normalized_exponential(-0.7 + 2.0j)
-    assert f.norm() == pytest.approx(1.0)
+    assert np.sqrt(f.norm_sq()) == pytest.approx(1.0)
     g = ExpCombo.normalized_exponential(3.0j, start=1.0, end=1.5)
-    assert g.norm() == pytest.approx(1.0)
+    assert np.sqrt(g.norm_sq()) == pytest.approx(1.0)
 
 
 def test_inner_matches_quadrature():
@@ -62,7 +62,7 @@ def test_window_and_shift_consistency():
     f = ExpCombo.normalized_exponential(-1.0)
     assert f.window(0.0, 2.0).norm_sq() + f.window(2.0).norm_sq() == pytest.approx(1.0)
     shifted = f.shift(1.5)
-    assert shifted.norm() == pytest.approx(f.norm())
+    assert np.sqrt(shifted.norm_sq()) == pytest.approx(np.sqrt(f.norm_sq()))
     x = 2.25
     assert shifted.evaluate(x) == pytest.approx(f.evaluate(x - 1.5))
     assert shifted.evaluate(1.0) == 0.0
@@ -71,7 +71,7 @@ def test_window_and_shift_consistency():
 def test_backshift_inverts_shift():
     f = ExpCombo.normalized_exponential(-1.0 + 1.0j)
     back = f.shift(0.75).backshift(0.75)
-    assert (back - f).norm() <= 1e-12
+    assert np.sqrt((back - f).norm_sq()) <= 1e-12
 
 
 def test_evaluate_respects_support():
@@ -100,9 +100,9 @@ def test_theta_is_isometric_on_the_calculus():
         -1.5 - 1.0j, start=0.25, coeff=0.5j
     )
     out = theta_apply(lambdas, f)
-    assert out.norm() == pytest.approx(f.norm(), abs=1e-10)
+    assert np.sqrt(out.norm_sq()) == pytest.approx(np.sqrt(f.norm_sq()), abs=1e-10)
     # quadrature cross-check of the image norm
-    assert np.sqrt(quad_inner(out, out).real) == pytest.approx(f.norm(), abs=1e-8)
+    assert np.sqrt(quad_inner(out, out).real) == pytest.approx(np.sqrt(f.norm_sq()), abs=1e-8)
 
 
 def test_theta_range_annihilates_basis_exponentials():
@@ -123,7 +123,7 @@ def test_compress_merges_duplicate_terms():
     f = ExpCombo.exponential(-1.0, coeff=0.5) + ExpCombo.exponential(-1.0, coeff=0.5)
     g = f.compress()
     assert len(g.terms) == 1
-    assert (g - ExpCombo.exponential(-1.0)).norm() <= 1e-14
+    assert np.sqrt((g - ExpCombo.exponential(-1.0)).norm_sq()) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +162,7 @@ def piecewise_quad_inner(f, g, upper=100.0):
 
 
 def term_scale(combo):
-    return sum(ExpCombo([term]).norm() for term in combo.terms)
+    return sum(np.sqrt(ExpCombo([term]).norm_sq()) for term in combo.terms)
 
 
 @PROPERTY
@@ -180,7 +180,7 @@ def test_theta_preserves_norms_on_random_combinations(lambdas, f):
     gaps += [abs(mu - lam) for _, mu, _, _ in f.terms for lam in lambdas]
     assume(min(gaps) > 0.25)
     out = theta_apply(lambdas, f)
-    assert abs(out.norm() - f.norm()) <= 1e-10 * max(1.0, term_scale(f))
+    assert abs(np.sqrt(out.norm_sq()) - np.sqrt(f.norm_sq())) <= 1e-10 * max(1.0, term_scale(f))
 
 
 def test_compress_drops_cancelled_terms():

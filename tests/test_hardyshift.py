@@ -117,7 +117,7 @@ def test_backward_shift_matrix_matches_combo_action(basis_two):
         expanded = ExpCombo([])
         for k, gk in enumerate(basis_two.g_combos):
             expanded = expanded + gk.scaled(m[k, n])
-        assert (back - expanded).norm() <= 1e-7
+        assert np.sqrt((back - expanded).norm_sq()) <= 1e-7
 
 
 def test_ill_conditioned_family_rejected():
@@ -134,7 +134,8 @@ def test_flow_is_unitary_on_the_span(basis_two):
     t = 0.6
     vt = hs.build_vt(basis_two, t)
     for g in basis_two.g_combos:
-        assert vt.apply_combo(g).norm() == pytest.approx(g.norm(), abs=1e-10)
+        got = np.sqrt(vt.apply_combo(g).norm_sq())
+        assert got == pytest.approx(np.sqrt(g.norm_sq()), abs=1e-10)
 
 
 def test_defect_closed_form_against_combo_oracle(basis_two):
@@ -175,6 +176,13 @@ def test_estimates_sum_is_linear_in_t(basis_two):
     ts = [2.0 ** -k for k in range(3, 11)]
     sums = [hs.estimate_inequalities(basis_two, t)["sum"] for t in ts]
     assert hs.fit_power(ts, sums) == pytest.approx(1.0, abs=0.1)
+
+
+@pytest.mark.parametrize("xs", [[0.25], [4, 4], [0.5, 0.5, 0.5]])
+def test_fit_power_needs_two_distinct_abscissae(xs):
+    # polyfit would warn and return a slope fitted to one point
+    with pytest.raises(ValueError, match="two distinct abscissae"):
+        hs.fit_power(xs, [1.0 + k for k in range(len(xs))])
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +244,7 @@ def combo_window_defect(family, mu, start, delta):
 
 
 def term_scale(combo):
-    return sum(ExpCombo([term]).norm() for term in combo.terms)
+    return sum(np.sqrt(ExpCombo([term]).norm_sq()) for term in combo.terms)
 
 
 @pytest.mark.parametrize("t", [0.0, 1.0])
