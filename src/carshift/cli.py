@@ -198,10 +198,11 @@ def _run_modular_verify(seed, modes, nu):
     state = quasifree.CovarianceState.isotropic(nu, modes)
     rep = quasifree.doubled_representation(state)
     data = modular.tomita_operator(rep)
-    j_formula = modular.modular_involution_formula(rep)
-    j_resid = opalg.sector_operator_norm(data.j.matrix - j_formula.matrix, rep.charge)
+    formula = modular.involution_blocks(data, *modular.modular_involution_formula(rep))
+    diffs = [data.j[q] - formula[q] for q in data.j]
+    j_resid = max((opalg.operator_norm(d) for d in diffs if d.any()), default=0.0)
     f = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
-    lhs = modular.conjugate_by(data.j, rep.field(f, None))
+    lhs = modular.conjugate_by(data, rep.field(f, None))
     rhs = -opalg.adjoint(modular.commutant_generator(rep, f))
     b_resid = opalg.sector_operator_norm(lhs - rhs, rep.charge)
     eigs = data.delta_eigenvalues
@@ -209,13 +210,19 @@ def _run_modular_verify(seed, modes, nu):
     ratio = nu / (1.0 - nu)
     powers = np.round(np.log(eigs) / np.log(ratio))
     spec_resid = float(np.max(np.abs(eigs - ratio ** powers)))
-    rows = [(modes, nu, j_resid, b_resid, spec_resid, data.solve_residual)]
+    g = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
+    kms = modular.kms_residual(
+        rep, data, rep.field_star(f) @ rep.field(g), rep.field(f) @ rep.field_star(g)
+    )
+    rows = [(modes, nu, j_resid, b_resid, spec_resid, data.solve_residual, kms)]
     verdicts = {
         "involution_formula": (j_resid <= 1e-9, j_resid),
         "commutant_identity": (b_resid <= 1e-10, b_resid),
         "delta_spectrum": (spec_resid <= 1e-8, spec_resid),
+        "kms_condition": (kms <= 1e-10, kms),
     }
-    cols = ["modes", "nu", "j_residual", "b_residual", "spectrum_residual", "solve_residual"]
+    cols = ["modes", "nu", "j_residual", "b_residual", "spectrum_residual", "solve_residual",
+            "kms_residual"]
     return cols, rows, verdicts, {"identity": "J pi(a(f+0)) J = -b*(f)"}
 
 

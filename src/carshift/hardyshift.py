@@ -436,7 +436,14 @@ class DilationOperator:
 
 
 class GridModel:
-    """Cell discretization of ``L2(0, T)`` and its doubled circle space."""
+    """Cell discretization of ``L2(0, T)`` and its doubled circle space.
+
+    ``T`` is the horizon.  Every operator at a time ``t`` (the shift and flow
+    matrices and their dilations) refuses ``t >= T`` with ``ValueError``:
+    ``S_t`` then moves all of ``L2(0, T)`` past the horizon, and on the circle
+    of circumference ``2 T`` a longer translation wraps back into the first
+    summand, so the dilations no longer dilate the grid ``V_t``.
+    """
 
     def __init__(self, basis, horizon, step):
         self.basis = basis
@@ -453,6 +460,10 @@ class GridModel:
         self.ghat = q * signs
 
     def steps_of(self, t):
+        """``t`` in grid steps; ``ValueError`` at or past the horizon or off
+        the grid."""
+        if t >= self.horizon:
+            raise ValueError(f"t = {t:g} must lie below the horizon {self.horizon:g}")
         m = round(t / self.step)
         if abs(m * self.step - t) > 1e-9:
             raise ValueError("t must be a multiple of the grid step")

@@ -36,32 +36,57 @@ def operator_norm(a):
     return float(np.linalg.norm(np.asarray(a), ord=2))
 
 
-def sector_operator_norm(op, labels):
-    """Operator norm of a matrix that maps each label sector into one sector.
+def sector_blocks(op, labels):
+    """The blocks of a matrix that maps each label sector into one sector.
 
     ``labels[k]`` is the sector of basis vector ``k``.  When the columns of
     each sector have nonzero entries in the rows of a single sector, a
     different one for each source sector (a shift of the particle number, or
-    the charge flip ``q -> -q``), the matrix is a permuted block diagonal and
-    its norm is the largest block norm.  Raises ``ValueError`` when an entry
-    outside those blocks is nonzero.  ``op`` may be dense or ``scipy.sparse``.
+    the charge flip ``q -> -q``), the matrix is a permuted block diagonal.
+    Returns ``{source: (target, block)}`` with the dense ``block`` of rows
+    ``labels == target`` and columns ``labels == source``, for each source
+    sector with a nonzero entry.  Raises ``ValueError`` when an entry outside
+    those blocks is nonzero.  ``op`` may be dense or ``scipy.sparse``; only
+    its nonzero entries are read (a stored exact zero counts as zero), and
+    each block is one scatter of them.
     """
-    op = op.toarray() if sparse.issparse(op) else np.asarray(op)
     labels = np.asarray(labels)
+    op = op if sparse.issparse(op) else np.asarray(op)
     if op.shape != (len(labels), len(labels)):
         raise ValueError(f"expected a {len(labels)}x{len(labels)} matrix, got {op.shape}")
-    sectors = {label: np.flatnonzero(labels == label) for label in np.unique(labels)}
-    targets = set()
-    norm = 0.0
-    for cols in sectors.values():
-        hit = np.unique(labels[np.any(op[:, cols] != 0, axis=1)])
-        if len(hit) == 0:
-            continue
-        if len(hit) > 1 or hit[0] in targets:
-            raise ValueError("matrix does not map each sector into a sector of its own")
-        targets.add(hit[0])
-        norm = max(norm, operator_norm(op[np.ix_(sectors[hit[0]], cols)]))
-    return norm
+    entries = sparse.csr_array(op)
+    if not entries.has_canonical_format:
+        entries = entries.copy()
+        entries.sum_duplicates()
+    rows = np.repeat(np.arange(len(labels)), np.diff(entries.indptr))
+    nonzero = entries.data != 0
+    rows, cols, vals = rows[nonzero], entries.indices[nonzero], entries.data[nonzero]
+    names, sector = np.unique(labels, return_inverse=True)
+    sizes = np.bincount(sector, minlength=len(names))
+    # position[k]: the index of basis vector k within its sector
+    by_sector = np.argsort(sector, kind="stable")
+    position = np.empty(len(labels), dtype=np.intp)
+    position[by_sector] = np.arange(len(labels)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    pairs, inverse, counts = np.unique(
+        sector[cols] * len(names) + sector[rows], return_inverse=True, return_counts=True
+    )
+    sources, targets = np.divmod(pairs, len(names))
+    if len(np.unique(sources)) < len(pairs) or len(np.unique(targets)) < len(pairs):
+        raise ValueError("matrix does not map each sector into a sector of its own")
+    by_pair = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
+    blocks = {}
+    for source, target, run in zip(sources, targets, by_pair):
+        block = np.zeros((sizes[target], sizes[source]), dtype=vals.dtype)
+        block[position[rows[run]], position[cols[run]]] = vals[run]
+        blocks[names[source]] = (names[target], block)
+    return blocks
+
+
+def sector_operator_norm(op, labels):
+    """Operator norm of a matrix that maps each label sector into one sector:
+    the largest norm of its :func:`sector_blocks` (0 for a zero matrix)."""
+    blocks = sector_blocks(op, labels).values()
+    return max((operator_norm(block) for _, block in blocks), default=0.0)
 
 
 def lowrank_hs_norm(a, b):
@@ -119,14 +144,9 @@ class AntilinearOperator:
         return AntilinearOperator(self.matrix.T)
 
     def compose(self, other):
-        """Composition ``self o other``.
-
-        Antilinear after antilinear is linear (returns an ndarray); antilinear
-        after linear stays antilinear.
-        """
-        if isinstance(other, AntilinearOperator):
-            return self.matrix @ np.conj(other.matrix)
-        return AntilinearOperator(self.matrix @ np.conj(as_operator(other)))
+        """Composition ``self o other`` with another antilinear map: linear,
+        returned as an ndarray."""
+        return self.matrix @ np.conj(other.matrix)
 
     def is_antiunitary(self, tol=1e-10):
         m = self.matrix

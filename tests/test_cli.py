@@ -307,6 +307,36 @@ def test_slope_of_fewer_than_two_distinct_points_is_an_error(tmp_path, capsys, k
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        # t = 100 is 6.25 turns of the 16-long circle: the compression residual
+        # read 0.9998 and the unitarity verdict passed
+        ("dilation-check", {"step": 0.0625, "horizon": 8, "t": 100}),
+        # t = 16 is two turns of the circle at horizon 4: the criterion read 0.0
+        ("conjugacy", {"horizons": "4 8", "t_grid": "16"}),
+    ],
+)
+def test_time_at_or_past_the_smallest_horizon_is_an_error(tmp_path, capsys, kind, params):
+    params = {"family": write_family(tmp_path, [-1.0 + 0.0j]), **params}
+    config = write_config(tmp_path, kind, params)
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert "must lie below the horizon" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_modular_verify_at_six_modes(tmp_path):
+    config = write_config(tmp_path, "modular-verify", {"modes": 6})
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "modular-verify.json").read_text())
+    assert sorted(report["verdicts"]) == [
+        "commutant_identity", "delta_spectrum", "involution_formula", "kms_condition"
+    ]
+    assert all(v["pass"] for v in report["verdicts"].values())
+    header = (tmp_path / "modular-verify.csv").read_text().splitlines()[0]
+    assert header.endswith(",solve_residual,kms_residual")
+
+
 def _conjugacy_values(tmp_path, step):
     fam = write_family(tmp_path, [-1.0 + 0.0j])
     config = write_config(tmp_path, "conjugacy", {"family": fam, "step": step})

@@ -416,6 +416,15 @@ def test_grid_requires_commensurate_times(model_one):
         model_one.steps_of(1.0 / 3.0)
 
 
+@pytest.mark.parametrize("t", [8.0, 8.0 + 1.0 / 64, 16.0])
+def test_grid_refuses_times_at_or_past_the_horizon(model_one, t):
+    # the circle has circumference 16: at t = 16 the shift dilation is the identity
+    for build in (model_one.shift_dilation, model_one.flow_dilation, model_one.flow_matrix):
+        with pytest.raises(ValueError, match="horizon"):
+            build(t)
+    assert model_one.steps_of(8.0 - 1.0 / 64) == 511
+
+
 def test_unitary_dilation_dispatch(model_one):
     assert hs.unitary_dilation(model_one, "shift", 0.25).unitarity_residual() == 0.0
     assert hs.unitary_dilation(model_one, "flow", 0.25).unitarity_residual() <= 1e-12

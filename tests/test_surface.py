@@ -29,12 +29,15 @@ SRC = Path(carshift.__file__).parent
 KEEP = {
     "opalg.AntilinearOperator.adjoint": "oracle of polar_antilinear's Δ",
     "opalg.AntilinearOperator.is_antiunitary": "oracle of polar_antilinear's J",
+    "opalg.AntilinearOperator.compose": (
+        "oracle of polar_antilinear's Δ (test_polar_antilinear_recovers_factors) "
+        "and of J² = 1 (test_j_is_antiunitary_involution)"
+    ),
     "fock.creator": "perfbench",
     "fock.mode_annihilator": "perfbench",
     "fock.number_operator": "perfbench",
     "quasifree.purification_projection": "perfbench",
     "modular.commutant_check": "paper verdict-to-be (commutant = J M J)",
-    "modular.kms_residual": "paper verdict-to-be (KMS condition)",
     "bogoliubov.lift": "paper verdict-to-be (implemented liftings)",
     "bogoliubov.Lifting.implementer": "paper verdict-to-be (implemented liftings)",
     "expcalc.ExpCombo.backshift": "oracle of backward_shift_matrix",
