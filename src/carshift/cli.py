@@ -211,9 +211,7 @@ def _run_modular_verify(seed, modes, nu):
     powers = np.round(np.log(eigs) / np.log(ratio))
     spec_resid = float(np.max(np.abs(eigs - ratio ** powers)))
     g = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
-    kms = modular.kms_residual(
-        rep, data, rep.field_star(f) @ rep.field(g), rep.field(f) @ rep.field_star(g)
-    )
+    kms = modular.kms_residual(rep, data, rep.field_star(f), rep.field(g))
     rows = [(modes, nu, j_resid, b_resid, spec_resid, data.solve_residual, kms)]
     verdicts = {
         "involution_formula": (j_resid <= 1e-9, j_resid),

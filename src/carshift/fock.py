@@ -6,8 +6,10 @@ The sign string of mode ``i`` counts occupied modes with index below ``i``,
 so ``a_i |b> = (-1)^{popcount(b & (2^i - 1))} |b ^ (1 << i)>`` when occupied.
 
 Each ``a_i`` is therefore a signed partial permutation with ``2^(n-1)``
-nonzeros; the space caches it as a table and every operator here is built
-from those tables.
+nonzeros; the space caches it as a table.  The tables of different modes
+occupy disjoint entries, so a sum ``sum_i c_i a_i`` stores each entry once:
+the space merges its mode tables into one cached CSR pattern, and every
+annihilator is that pattern filled with its coefficients, one gather.
 
 Annihilators are antilinear in their vector argument:
 ``annihilator(space, f) = sum_i conj(f_i) a_i``.
@@ -28,6 +30,7 @@ class FockSpace:
         self.modes = modes
         self.dim = 1 << modes
         self._mode_tables = {}
+        self._pattern = None
 
     def occupation(self, index):
         """Tuple of occupied mode indices of a basis state."""
@@ -48,7 +51,7 @@ def vacuum(space):
     return v
 
 
-def _mode_table(space, i):
+def mode_table(space, i):
     """``a_i`` as ``(rows, cols, signs)``: ``a_i = sum_k signs[k] |rows[k]><cols[k]|``.
 
     ``cols`` are the basis states with mode ``i`` occupied.  Cached per space.
@@ -66,28 +69,52 @@ def _mode_table(space, i):
 
 def mode_annihilator(space, i):
     """The matrix of ``a_i = a(e_i)``."""
-    rows, cols, signs = _mode_table(space, i)
+    rows, cols, signs = mode_table(space, i)
     op = np.zeros((space.dim, space.dim), dtype=complex)
     op[rows, cols] = signs
     return op
 
 
-def sparse_annihilator(space, f):
-    """``a(f) = sum_i conj(f_i) a_i`` as a CSR array, antilinear in ``f``.
-
-    The modes' tables occupy disjoint entries, so no entry is a sum.
+def csr_pattern(tables, dim):
+    """Merge the disjoint ``(rows, cols, signs)`` tables of some terms into one
+    CSR pattern ``(term, signs, indices, indptr)`` of ``dim x dim`` matrices,
+    entries sorted by row, then column: ``sum_t c[t] T_t`` stores
+    ``c[term] * signs``.
     """
+    empty = [(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))]
+    rows, cols, signs = (np.concatenate(part) for part in zip(*(empty + list(tables))))
+    term = np.repeat(np.arange(len(tables)), [len(table[0]) for table in tables])
+    order = np.argsort(rows * dim + cols)
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+    return term[order], signs[order], cols[order], indptr
+
+
+def fill_pattern(pattern, coefficients, dim):
+    """``sum_t coefficients[t] T_t`` on a :func:`csr_pattern` as a CSR array.
+
+    The entries of a term whose coefficient is exactly zero are left out.
+    """
+    term, signs, indices, indptr = pattern
+    data = coefficients[term] * signs
+    zero = coefficients == 0
+    if zero.any():
+        keep = ~zero[term]
+        data, indices = data[keep], indices[keep]
+        indptr = np.concatenate([[0], np.cumsum(keep)])[indptr]
+    return sparse.csr_array((data, indices, indptr), shape=(dim, dim))
+
+
+def sparse_annihilator(space, f):
+    """``a(f) = sum_i conj(f_i) a_i`` as a CSR array, antilinear in ``f``,
+    filled into the space's cached pattern of its mode tables."""
     f = np.asarray(f, dtype=complex)
     if f.shape != (space.modes,):
         raise ValueError(f"expected vector of length {space.modes}, got {f.shape}")
-    rows, cols, vals = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0, complex)]
-    for i in np.flatnonzero(f):
-        r, c, signs = _mode_table(space, i)
-        rows.append(r)
-        cols.append(c)
-        vals.append(np.conj(f[i]) * signs)
-    entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-    return sparse.csr_array(entries, shape=(space.dim, space.dim))
+    if space._pattern is None:
+        tables = [mode_table(space, i) for i in range(space.modes)]
+        space._pattern = csr_pattern(tables, space.dim)
+    return fill_pattern(space._pattern, np.conj(f), space.dim)
 
 
 def annihilator(space, f):
@@ -101,8 +128,8 @@ def creator(space, f):
 
 
 def parity(space):
-    """The grading unitary: ``(-1)^N`` on the number basis."""
-    return np.diag(1.0 - 2.0 * (particle_numbers(space) & 1)).astype(complex)
+    """The diagonal of the grading unitary ``(-1)^N`` on the number basis."""
+    return 1.0 - 2.0 * (particle_numbers(space) & 1)
 
 
 def wedge_vector(space, vectors):

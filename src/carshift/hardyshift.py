@@ -388,10 +388,15 @@ class DilationOperator:
         return operator_norm(adjoint(m) @ m - np.eye(r.shape[0]))
 
     def offspace_deviation(self):
-        """Operator norm of ``(S' U* - 1)`` restricted to the second summand."""
+        """Operator norm of ``(S' U* - 1)`` restricted to the second summand.
+
+        That is ``(P Y) (P X)*`` on the columns ``k_dim..``; the triangular
+        factor of ``Y = Q R`` is one of ``P Y = (P Q) R`` too, so the norm
+        is that of ``R`` times those rows of ``P X``.
+        """
         if self.x.shape[1] == 0:
             return 0.0
-        r1 = np.linalg.qr(self._permute_vec_block(self.y), mode="r")
+        r1 = np.linalg.qr(self.y, mode="r")
         # rows k_dim.. of P X, gathered through the inverse permutation
         small = r1 @ adjoint(self.x[self.inverse_perm[self.k_dim:]])
         return float(operator_norm(small))

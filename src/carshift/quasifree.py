@@ -14,28 +14,29 @@ creation operator in the second summand and the sign of the second-component
 embedding are fixed so that the vacuum two-point function reproduces the
 purification projection ``P = [[R, S], [S, 1-R]]``, ``S = (R(1-R))^{1/2}``.
 
-The fields are ``scipy.sparse`` CSR arrays, built from the signed-permutation
-tables of :mod:`carshift.fock`.  A gauge-invariant state makes the charge
-``Q = N_1 - N_2`` a grading: ``pi(a(f (+) g))`` lowers it by one.
+The field is a sum of ``2n`` signed partial permutations, ``a_i (x) Gamma``
+and ``1 (x) a_i*``, whose entries do not overlap.  The representation merges
+their tables once into a cached CSR pattern (and a transposed one for the
+creation fields, see :func:`carshift.fock.csr_pattern`), so every field is
+one gather of its ``2n`` coefficients into a ``scipy.sparse`` CSR array.  A
+gauge-invariant state makes the charge ``Q = N_1 - N_2`` a grading:
+``pi(a(f (+) g))`` lowers it by one.
 """
 
 import numpy as np
 from scipy import sparse
 
 from . import fock
-from .opalg import adjoint, as_operator, inner, psd_sqrt
+from .opalg import as_operator, inner, psd_sqrt
 
 
 def tensor(first, second):
-    """Kronecker product with the *first* factor on the low bits.
+    """Kronecker product of dense arrays with the *first* factor on the low bits.
 
     With this ordering ``tensor(a_i, I)`` equals the Jordan-Wigner ``a_i`` of
     the combined ``2n``-mode space for ``i < n``: first-factor modes occupy
-    indices ``0..n-1`` and second-factor modes ``n..2n-1``.  A sparse factor
-    gives a CSR array.
+    indices ``0..n-1`` and second-factor modes ``n..2n-1``.
     """
-    if sparse.issparse(first) or sparse.issparse(second):
-        return sparse.kron(second, first, format="csr")
     return np.kron(np.asarray(second), np.asarray(first))
 
 
@@ -117,27 +118,55 @@ class DoubledRepresentation:
         self.dim = self.factor.dim ** 2
         self._a = state.sqrt_one_minus_r
         self._b = state.sqrt_r
-        self._gamma = sparse.csr_array(fock.parity(self.factor))
-        self._eye = sparse.csr_array(np.eye(self.factor.dim))
         self.vacuum = tensor(fock.vacuum(self.factor), fock.vacuum(self.factor))
-        self.gamma_gamma = tensor(self._gamma, self._gamma)
         numbers = fock.particle_numbers(self.factor)
         ones = np.ones_like(numbers)
         self.charge = tensor(numbers, ones) - tensor(ones, numbers)
+        gamma = fock.parity(self.factor)
+        self.gamma_gamma = sparse.csr_array(
+            (tensor(gamma, gamma).astype(complex), np.arange(self.dim), np.arange(self.dim + 1)),
+            shape=(self.dim, self.dim),
+        )
+        # (rows, cols, signs) of a_i (x) Gamma for i < n, then of 1 (x) a_i*;
+        # basis vector b1 (x) b2 has index b1 + d b2
+        d = self.factor.dim
+        other = np.arange(d)[:, None]
+        tables = [None] * (2 * self.n)
+        for i in range(self.n):
+            rows, cols, signs = fock.mode_table(self.factor, i)
+            tables[i] = ((rows + d * other).ravel(), (cols + d * other).ravel(),
+                         (gamma[:, None] * signs).ravel())
+            tables[self.n + i] = ((other + d * cols).ravel(), (other + d * rows).ravel(),
+                                  np.tile(signs, d))
+        self._pattern = fock.csr_pattern(tables, self.dim)
+        self._star_pattern = fock.csr_pattern([(c, r, s) for r, c, s in tables], self.dim)
 
-    def field(self, f, g=None):
-        """The annihilation image ``pi(a(f (+) g))`` as a CSR array (``g`` defaults to 0)."""
+    def _fill(self, pattern, f, g):
+        """``pattern`` filled with the ``2n`` coefficients of ``pi(a(f (+) g))``:
+        ``conj(u)`` on ``a_i (x) Gamma`` and ``w`` on ``1 (x) a_i*``.
+
+        A coefficient times a sign of -1 can have a ``-0.0`` part; adding
+        ``0.0`` stores every zero real or imaginary part as ``+0.0``, so the
+        stored bits are those of a sparse sum of the field's terms.
+        """
         f = np.zeros(self.n) if f is None else np.asarray(f, dtype=complex)
         g = np.zeros(self.n) if g is None else np.asarray(g, dtype=complex)
         u = self._a @ f - self._b @ g
         w = np.conj(self._b @ f + self._a @ g)
-        return tensor(fock.sparse_annihilator(self.factor, u), self._gamma) + tensor(
-            self._eye, fock.sparse_annihilator(self.factor, w).conj().T
-        )
+        op = fock.fill_pattern(pattern, np.concatenate([np.conj(u), w]), self.dim)
+        op.data += 0.0
+        return op
+
+    def field(self, f, g=None):
+        """The annihilation image ``pi(a(f (+) g))`` as a CSR array (``g`` defaults to 0)."""
+        return self._fill(self._pattern, f, g)
 
     def field_star(self, f, g=None):
-        """The creation image ``pi(a*(f (+) g))``."""
-        return adjoint(self.field(f, g)).tocsr()
+        """The creation image ``pi(a*(f (+) g))``: the conjugate entries of the
+        field on the transposed pattern."""
+        op = self._fill(self._star_pattern, f, g)
+        np.conj(op.data, out=op.data)
+        return op
 
     def vacuum_expectation(self, ops):
         """``<vac, ops[0] ... ops[-1] vac>`` applied right to left."""

@@ -47,6 +47,31 @@ def test_tables_match_the_loop_definition():
     assert fock.sparse_annihilator(space, np.zeros(5)).nnz == 0
 
 
+def _coo_annihilator(space, f):
+    # one COO entry list per mode with a nonzero coefficient, summed into CSR
+    rows, cols, vals = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0, complex)]
+    for i in np.flatnonzero(f):
+        r, c, signs = fock.mode_table(space, i)
+        rows.append(r)
+        cols.append(c)
+        vals.append(np.conj(f[i]) * signs)
+    entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    return sparse.csr_array(entries, shape=(space.dim, space.dim))
+
+
+@pytest.mark.parametrize("modes", [1, 2, 4, 6])
+def test_sparse_annihilator_equals_the_coo_route_bit_for_bit(modes):
+    space = fock.FockSpace(modes)
+    basis = np.eye(modes)
+    for f in (random_vec(modes), rng.standard_normal(modes) + 0j, -basis[modes - 1] + 0j,
+              basis[0] * (1 - 2j), np.zeros(modes, dtype=complex)):
+        got, want = fock.sparse_annihilator(space, f), _coo_annihilator(space, f)
+        assert got.nnz == want.nnz == np.count_nonzero(f) * space.dim // 2
+        assert got.data.tobytes() == want.data.tobytes()
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.indptr, want.indptr)
+
+
 def test_two_mode_sign_string():
     # annihilating mode 1 through an occupied mode 0 picks up a minus sign
     space = fock.FockSpace(2)
@@ -106,7 +131,7 @@ def test_vacuum_is_annihilated():
 
 def test_parity_grades_the_fields():
     space = fock.FockSpace(3)
-    gamma = fock.parity(space)
+    gamma = np.diag(fock.parity(space))
     assert np.allclose(gamma @ gamma, np.eye(space.dim))
     a0 = fock.mode_annihilator(space, 0)
     assert operator_norm(anticommutator(gamma, a0)) <= 1e-12

@@ -411,6 +411,15 @@ def test_offspace_deviation_decays_with_horizon(basis_one):
     ).offspace_deviation()
 
 
+def test_offspace_deviation_needs_no_row_permutation(model_one):
+    # the triangular factor of the row-permuted P Y gives the same norm
+    dil = model_one.flow_dilation(0.25)
+    r1 = np.linalg.qr(dil.y[dil.inverse_perm], mode="r")
+    want = operator_norm(r1 @ adjoint(dil.x[dil.inverse_perm[dil.k_dim:]]))
+    assert want > 1e-6
+    assert dil.offspace_deviation() == pytest.approx(want, rel=1e-12)
+
+
 def test_grid_requires_commensurate_times(model_one):
     with pytest.raises(ValueError):
         model_one.steps_of(1.0 / 3.0)

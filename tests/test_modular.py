@@ -1,7 +1,8 @@
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
-
-import tracemalloc
 
 from carshift import fock, modular, quasifree
 from carshift.opalg import AntilinearOperator, adjoint, operator_norm, polar_antilinear
@@ -78,6 +79,20 @@ def test_kms_condition(rep2, data2):
         x = rep2.field_star(f) @ rep2.field(g)
         y = rep2.field(f) @ rep2.field_star(g)
         assert modular.kms_residual(rep2, data2, x, y) <= 1e-10
+
+
+def test_kms_residual_of_modular_verify_fails_without_delta():
+    # x = pi(a*(f)) has charge 1, where Delta = nu / (1 - nu) = 1/3, so an
+    # all-identity Delta breaks the identity modular-verify checks
+    rep = quasifree.doubled_representation(quasifree.CovarianceState.isotropic(0.25, 3))
+    data = modular.tomita_operator(rep)
+    f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    g = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    x, y = rep.field_star(f), rep.field(g)
+    assert modular.kms_residual(rep, data, x, y) <= 1e-14
+    identity = copy.copy(data)
+    identity.delta = {q: np.eye(len(block)) for q, block in data.delta.items()}
+    assert modular.kms_residual(rep, identity, x, y) > 1e-2 * np.linalg.norm(f) * np.linalg.norm(g)
 
 
 def test_commutant_generators_commute(rep2):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from carshift import fock, quasifree
 from carshift.opalg import adjoint, anticommutator, inner, operator_norm
@@ -23,6 +24,73 @@ def test_tensor_convention():
     b = np.eye(2)
     t = quasifree.tensor(a, b)
     assert np.allclose(np.diag(t), [1.0, 2.0, 1.0, 2.0])
+
+
+def _kron_field(rep, f, g=None):
+    # pi(a(f (+) g)) multiplied out as a_u (x) Gamma + 1 (x) a*_w, with the
+    # first factor on the low bits
+    f = np.zeros(rep.n) if f is None else np.asarray(f, dtype=complex)
+    g = np.zeros(rep.n) if g is None else np.asarray(g, dtype=complex)
+    u = rep.state.sqrt_one_minus_r @ f - rep.state.sqrt_r @ g
+    w = np.conj(rep.state.sqrt_r @ f + rep.state.sqrt_one_minus_r @ g)
+    gamma = sparse.csr_array(np.diag(fock.parity(rep.factor)).astype(complex))
+    eye = sparse.csr_array(np.eye(rep.factor.dim))
+    lowered = fock.sparse_annihilator(rep.factor, u)
+    raised = fock.sparse_annihilator(rep.factor, w).conj().T
+    return sparse.kron(gamma, lowered, format="csr") + sparse.kron(raised, eye, format="csr")
+
+
+def _assert_same_csr(got, want):
+    assert got.nnz == want.nnz
+    assert got.data.tobytes() == want.data.tobytes()
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.indptr, want.indptr)
+
+
+@pytest.mark.parametrize("modes", [2, 3, 4])
+def test_fields_equal_the_kron_construction_bit_for_bit(modes):
+    rep = quasifree.doubled_representation(random_covariance(modes))
+    basis = np.eye(modes)
+    zero = np.zeros(modes)
+    pairs = [
+        (rng.standard_normal(modes) + 1j * rng.standard_normal(modes),
+         rng.standard_normal(modes) + 1j * rng.standard_normal(modes)),
+        (rng.standard_normal(modes), rng.standard_normal(modes)),
+        (rng.standard_normal(modes), None),
+        (None, rng.standard_normal(modes) + 1j * rng.standard_normal(modes)),
+        (basis[0], None),
+        (None, -basis[modes - 1]),
+        (zero, None),
+        (None, None),
+    ]
+    for f, g in pairs:
+        want = _kron_field(rep, f, g)
+        _assert_same_csr(rep.field(f, g), want)
+        _assert_same_csr(rep.field_star(f, g), adjoint(want).tocsr())
+
+
+def test_basis_vector_fields_drop_the_zero_coefficients():
+    # at an isotropic R a basis vector has exactly zero weight on the other
+    # modes, so the field keeps the entries of two of its 2n terms, each a
+    # partial permutation with dim / 2 entries; the zero field keeps none
+    rep = quasifree.doubled_representation(quasifree.CovarianceState.isotropic(0.25, 3))
+    e1 = np.eye(3)[1]
+    for f, g in ((e1, None), (None, e1)):
+        want = _kron_field(rep, f, g)
+        _assert_same_csr(rep.field(f, g), want)
+        _assert_same_csr(rep.field_star(f, g), adjoint(want).tocsr())
+        for field in (rep.field(f, g), rep.field_star(f, g)):
+            assert field.nnz == rep.dim
+            assert np.all(field.data != 0)
+    assert rep.field(np.zeros(3)).nnz == rep.field_star(None).nnz == 0
+
+
+def test_commutant_generator_equals_the_kron_grading():
+    rep = quasifree.doubled_representation(random_covariance(3))
+    gamma = sparse.csr_array(np.diag(fock.parity(rep.factor)).astype(complex))
+    f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    want = sparse.kron(gamma, gamma, format="csr") @ _kron_field(rep, None, f)
+    _assert_same_csr(rep.gamma_gamma @ rep.field(None, f), want)
 
 
 def test_covariance_spectrum_guard():
