@@ -1,9 +1,9 @@
-"""Bogoliubov liftings and Hilbert-Schmidt convergence criteria.
+"""Hilbert-Schmidt convergence criteria for Bogoliubov endomorphisms.
 
 An isometry ``V`` on the one-particle space commuting with the covariance
-lifts to an endomorphism of the CAR algebra; for unitary ``V`` the lifting is
-implemented on the doubled Fock space by second quantization of ``V`` on the
-first factor and of ``conj(V)`` on the second.
+lifts to an endomorphism of the CAR algebra.  Whether two such liftings are
+inner, extend or are cocycle conjugate is decided on the one-particle
+operators; no Fock-space implementer is formed.
 
 The criteria below all reduce to Hilbert-Schmidt norms of the form
 ``||R^{1/2}(1-R)^{1/2} X||_2`` evaluated along truncation sizes, with a fixed
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock
 from .hardyshift import DilationOperator, fit_power
 from .opalg import (
     adjoint,
@@ -30,9 +29,10 @@ from .opalg import (
     operator_norm,
     psd_sqrt,
 )
-from .quasifree import CovarianceState, tensor
+from .quasifree import CovarianceState
 
 _STAB_TOL = 1e-12
+_UNITARY_TOL = 1e-8
 
 
 @dataclass
@@ -121,15 +121,16 @@ def weighted_hs_norm(r, x):
     return hs_norm(np.dot(weight, np.asarray(x, dtype=complex)))
 
 
-def _check_unitary(v, tol=1e-8, label="V"):
-    """``v`` (a :class:`DilationOperator` or a dense matrix) if ``||v*v - 1|| <= tol``."""
+def _check_unitary(v, label):
+    """``v`` (a :class:`DilationOperator` or a dense matrix) if
+    ``||v*v - 1|| <= 1e-8``."""
     if isinstance(v, DilationOperator):
         resid = v.unitarity_residual()
     else:
         v = np.asarray(v, dtype=complex)
         resid = operator_norm(adjoint(v) @ v - np.eye(v.shape[0]))
-    if resid > tol:
-        raise ValueError(f"{label} is not an isometry at tolerance {tol:g}")
+    if resid > _UNITARY_TOL:
+        raise ValueError(f"{label} is not an isometry at tolerance {_UNITARY_TOL:g}")
     return v
 
 
@@ -216,35 +217,6 @@ def conjugacy_criterion(r, u_path, v_path, t_grid, sizes):
         if order[report.verdict] > order[worst]:
             worst = report.verdict
     return worst, per_t
-
-
-class Lifting:
-    """A Bogoliubov endomorphism of the represented CAR algebra."""
-
-    def __init__(self, rep, v):
-        self.rep = rep
-        self.v = v
-
-    def implementer(self):
-        """Second-quantized unitary implementing the lifting on the doubled space."""
-        first = fock.second_quantized(self.rep.factor, self.v)
-        second = fock.second_quantized(self.rep.factor, np.conj(self.v))
-        return tensor(first, second)
-
-
-def lift(rep, v):
-    """Validate ``V`` (isometry commuting with the covariance, both to
-    ``1e-10``) and lift it.  A square isometry is unitary, so the lifting
-    has an implementer."""
-    tol = 1e-10
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (rep.n, rep.n):
-        raise ValueError(f"V must be {rep.n}x{rep.n}")
-    _check_unitary(v, tol=tol)
-    comm = operator_norm(v @ rep.state.r - rep.state.r @ v)
-    if comm > tol:
-        raise ValueError(f"[V, R] != 0 at tolerance {tol:g} (norm {comm:.3e})")
-    return Lifting(rep, v)
 
 
 def approximation_check(u_dil, v_dil, k_dim, t_grid, tol=1e-10):

@@ -208,7 +208,11 @@ def _run_modular_verify(seed, modes, nu):
     eigs = data.delta_eigenvalues
     eigs = eigs[eigs > 1e-12]
     ratio = nu / (1.0 - nu)
-    powers = np.round(np.log(eigs) / np.log(ratio))
+    if ratio == 1.0:
+        # nu = 1/2 (the trace): Delta is the identity, every power is 0
+        powers = np.zeros_like(eigs)
+    else:
+        powers = np.round(np.log(eigs) / np.log(ratio))
     spec_resid = float(np.max(np.abs(eigs - ratio ** powers)))
     g = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
     kms = modular.kms_residual(rep, data, rep.field_star(f), rep.field(g))
@@ -327,11 +331,11 @@ def _run_approx(seed, family, t_grid):
     return ["t", "defect_hs"], rows, {"defect_slope": verdict}, {"slope": verdict[1]}
 
 
-def _run_prop2(seed, family, t, delta_grid, k_max):
+def _run_prop2(seed, family, delta_grid, k_max):
     rows = []
     values = []
     for delta in delta_grid:
-        rep = hardyshift.prop2_defect(family, t, delta, k_max)
+        rep = hardyshift.prop2_defect(family, delta, k_max)
         values.append(rep["value"])
         rows.append((delta, rep["value"], rep["tail_estimate_sq"]))
     slope = hardyshift.fit_power(delta_grid, values)
@@ -445,7 +449,6 @@ EXPERIMENTS = {
     "blaschke": (_run_blaschke, [_FAMILY, ("samples", COUNT, 1000)]),
     "prop2": (_run_prop2, [
         _FAMILY,
-        ("t", FLOAT, 1.0),
         ("delta_grid", POSITIVES, [2.0 ** -k for k in range(3, 11)]),
         ("k_max", COUNT, 64),
     ]),

@@ -122,11 +122,6 @@ def annihilator(space, f):
     return sparse_annihilator(space, f).toarray()
 
 
-def creator(space, f):
-    """``a*(f) = a(f)^dagger``, linear in ``f``."""
-    return np.conj(annihilator(space, f)).T
-
-
 def parity(space):
     """The diagonal of the grading unitary ``(-1)^N`` on the number basis."""
     return 1.0 - 2.0 * (particle_numbers(space) & 1)
@@ -153,8 +148,3 @@ def second_quantized(space, v):
     for b in range(space.dim):
         out[:, b] = wedge_vector(space, [v[:, i] for i in space.occupation(b)])
     return out
-
-
-def number_operator(space):
-    return np.diag(particle_numbers(space).astype(float)).astype(complex)
-

@@ -234,19 +234,19 @@ def window_exponent(k, delta):
     return (-0.5 / np.maximum(np.abs(k), 1) + 1j * (2.0 * np.pi * k / delta))[()]
 
 
-def prop2_defect(family, t, delta, k_max):
+def prop2_defect(family, delta, k_max):
     """Hilbert-Schmidt estimate for the window defect of ``Theta``.
 
-    Bounds ``P_w Theta P_w - P_w`` on ``w = [t, t+delta]`` by
+    Bounds ``P_w Theta P_w - P_w`` on a window ``w`` of length ``delta`` by
     ``(Theta - 1)P_w``, evaluated on the normalized window exponentials
     ``f_{k,delta}``, ``|k| <= k_max`` (the projected defect is dominated by
     this and decays at least as fast):
     ``sum_sq = sum_k ||(Theta - 1) f_{k,delta}||^2``, each term in closed form
     by :func:`expcalc.window_defects`.  ``Theta`` commutes with translation,
-    so no term depends on ``t``.  Returns the partial sum, its square root,
-    a ``1/k^2`` tail estimate from the median of ``k^2 ||(Theta - 1) f_k||^2``
-    over ``|k| >= max(2, k_max // 2)``, and the per-``k`` contributions as a
-    pair of arrays ``(k, value)``.
+    so no term depends on where the window starts.  Returns the partial sum,
+    its square root, a ``1/k^2`` tail estimate from the median of
+    ``k^2 ||(Theta - 1) f_k||^2`` over ``|k| >= max(2, k_max // 2)``, and the
+    per-``k`` contributions as a pair of arrays ``(k, value)``.
     """
     ks = np.arange(-k_max, k_max + 1)
     values = expcalc.window_defects(family.lambdas, window_exponent(ks, delta), delta)
@@ -279,52 +279,7 @@ def laplace_pairing(family, mu, start=0.0, end=np.inf):
 
 
 # ---------------------------------------------------------------------------
-# Wold decomposition and norm continuity
-
-
-def wold_decompose(v):
-    """Iterated-range Wold decomposition of a (partial) isometry.
-
-    Returns the projection onto the unitary part ``K0 = cap_n V^n K``, the
-    completely non-unitary complement and the deficiency ``dim ker V*``.
-    Accepts partial isometries (``V* V`` a projection), e.g. truncated shifts.
-    Ranks and convergence are decided at ``1e-10``; the iteration stops after
-    ``4 dim + 8`` steps.
-    """
-    tol = 1e-10
-    v = np.asarray(v, dtype=complex)
-    n = v.shape[0]
-    vv = v.conj().T @ v
-    if operator_norm(vv @ vv - vv) > tol * n:
-        raise ValueError("input is not a partial isometry at the given tolerance")
-    basis = np.eye(n, dtype=complex)
-    prev_proj = basis @ basis.conj().T
-    for _ in range(4 * n + 8):
-        a = v @ basis
-        if a.size == 0:
-            prev_proj = np.zeros((n, n), dtype=complex)
-            break
-        u, s, _ = np.linalg.svd(a, full_matrices=False)
-        keep = s > tol * max(s[0], 1.0) if len(s) else []
-        basis = u[:, keep]
-        proj = basis @ basis.conj().T
-        if operator_norm(proj - prev_proj) <= tol:
-            prev_proj = proj
-            break
-        prev_proj = proj
-    p_unitary = prev_proj
-    sing = np.linalg.svd(v, compute_uv=False)
-    deficiency = int(np.sum(sing < 0.5))
-    restricted = p_unitary @ v @ p_unitary
-    unit_resid = operator_norm(
-        restricted.conj().T @ restricted - p_unitary
-    )
-    return {
-        "p_unitary": p_unitary,
-        "p_cnu": np.eye(n) - p_unitary,
-        "deficiency": deficiency,
-        "unitary_residual": float(unit_resid),
-    }
+# norm continuity
 
 
 def condition_n_check(u_path, t_grid):
@@ -606,12 +561,3 @@ def _complement_basis(q, cols):
     if len(sz) == 0 or sz[0] == 0:
         return uz[:, :0]
     return uz[:, sz > max(RANK_TOL * sz[0], 1e-13)]
-
-
-def unitary_dilation(model, which, t):
-    """Unitary dilation on the doubled grid space (``which in {shift, flow}``)."""
-    if which == "shift":
-        return model.shift_dilation(t)
-    if which == "flow":
-        return model.flow_dilation(t)
-    raise ValueError(f"unknown dilation kind {which!r}")

@@ -23,15 +23,7 @@ import numpy as np
 from scipy import sparse
 
 from . import fock
-from .opalg import (
-    RANK_TOL,
-    AntilinearOperator,
-    adjoint,
-    hs_norm,
-    inner,
-    polar_antilinear,
-    sector_blocks,
-)
+from .opalg import RANK_TOL, hs_norm, inner, polar_antilinear, sector_blocks
 
 
 def monomial_indices(n):
@@ -171,8 +163,7 @@ def tomita_operator(rep):
         s[q] = np.linalg.solve(xc.T, y.T).T
         misfit += hs_norm(s[q] @ xc - y) ** 2
         del xc, y
-        jq, delta[q], wq = polar_antilinear(AntilinearOperator(s[q]))
-        j[q] = jq.matrix
+        j[q], delta[q], wq = polar_antilinear(s[q])
         eigenvalues.append(wq)
     residual = np.sqrt(misfit) / max(scale, 1e-300)
     return ModularData(
@@ -217,61 +208,6 @@ def involution_blocks(data, perm, signs):
 def commutant_generator(rep, f):
     """``b(f) = (Gamma (x) Gamma) pi(a(0 (+) f))``, commuting with ``M``."""
     return rep.gamma_gamma @ rep.field(None, f)
-
-
-def _algebra_span(rep, create, annihilate):
-    """Vectorized span of all normal-ordered monomials in the given generators."""
-    pairs = monomial_indices(rep.n)
-    eye = np.eye(rep.dim, dtype=complex)
-    cols = np.empty((rep.dim * rep.dim, len(pairs)), dtype=complex)
-    for k, (i_set, j_set) in enumerate(pairs):
-        op = eye
-        for i in i_set:
-            op = op @ create[i]
-        for j in j_set:
-            op = op @ annihilate[j]
-        cols[:, k] = op.reshape(-1)
-    return cols
-
-
-def commutant_check(rep):
-    """Brute-force commutant dimension and span comparison with ``J M J``.
-
-    Solves ``[X, G] = 0`` for all algebra generators ``G`` via the vectorized
-    Sylvester system and compares the solution space with the span of
-    monomials in the ``b(f)`` generators; both rank decisions cut singular
-    values at ``1e-8``, relative.  Feasible for ``modes <= 3``; intended for
-    small sanity checks.
-    """
-    tol = 1e-8
-    n, d = rep.n, rep.dim
-    gens = []
-    for i in range(n):
-        e = _basis_vec(n, i)
-        gens.append(rep.field(e).toarray())
-        gens.append(rep.field_star(e).toarray())
-    eye = np.eye(d, dtype=complex)
-    blocks = [np.kron(eye, g) - np.kron(g.T, eye) for g in gens]
-    stacked = np.vstack(blocks)
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    null_dim = int(np.sum(sv <= tol * sv.max()))
-
-    b_create = [adjoint(commutant_generator(rep, _basis_vec(n, i))) for i in range(n)]
-    b_annih = [commutant_generator(rep, _basis_vec(n, i)) for i in range(n)]
-    span = _algebra_span(rep, b_create, b_annih)
-    rank = int(np.linalg.matrix_rank(span, tol=tol * max(1.0, float(np.abs(span).max()))))
-
-    resid = 0.0
-    for g in gens:
-        for i in range(n):
-            b = b_annih[i]
-            resid = max(resid, hs_norm(g @ b - b @ g))
-    return {
-        "commutant_dim": null_dim,
-        "b_span_dim": rank,
-        "expected_dim": rep.factor.dim ** 2,
-        "max_commutator_residual": resid,
-    }
 
 
 def conjugate_by(data, x):

@@ -1,6 +1,6 @@
 """Complex operator helpers: norms (dense, of low-rank products ``a b*`` from
-their factors, and of operators graded by a sector label), antilinear maps
-and their polar decomposition.
+their factors, and of operators graded by a sector label) and the polar
+decomposition of an antilinear map given by its matrix.
 
 Inner products are antilinear in the first argument throughout the package
 (``inner(u, v) == np.vdot(u, v)``).
@@ -126,56 +126,27 @@ def anticommutator(a, b):
     return a @ b + b @ a
 
 
-class AntilinearOperator:
-    """Antilinear map ``v -> matrix @ conj(v)`` on a finite-dimensional space."""
+def polar_antilinear(m):
+    """Polar decomposition ``S = J Delta^{1/2}`` of the antilinear map
+    ``S v = m @ conj(v)``.
 
-    def __init__(self, matrix):
-        self.matrix = as_operator(matrix)
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-    def __call__(self, v):
-        return self.matrix @ np.conj(v)
-
-    def adjoint(self):
-        """Antilinear adjoint: ``inner(u, T v) == inner(v, T.adjoint() u)``."""
-        return AntilinearOperator(self.matrix.T)
-
-    def compose(self, other):
-        """Composition ``self o other`` with another antilinear map: linear,
-        returned as an ndarray."""
-        return self.matrix @ np.conj(other.matrix)
-
-    def is_antiunitary(self, tol=1e-10):
-        m = self.matrix
-        return np.linalg.norm(adjoint(m) @ m - np.eye(self.dim)) <= tol * self.dim
-
-
-def polar_antilinear(t):
-    """Polar decomposition ``t = j o delta^{1/2}`` of an antilinear map.
-
-    Returns ``(j, delta, eigenvalues)`` where ``j`` is an antiunitary
-    :class:`AntilinearOperator`, ``delta`` is positive semidefinite with
-    ``t(v) = j(delta^{1/2} @ v)`` and ``eigenvalues`` are those of ``delta``,
-    ascending.  Eigenvalues of ``delta`` below ``RANK_TOL * max(eig)`` are
-    treated as zero (pseudo-inverted away).
+    Returns ``(j, delta, eigenvalues)``: the matrix ``j`` of the antiunitary
+    ``J v = j @ conj(v)``, the positive semidefinite ``delta`` with
+    ``S v = J (delta^{1/2} v)``, and the eigenvalues of ``delta``, ascending.
+    Eigenvalues of ``delta`` below ``RANK_TOL * max(eig)`` are treated as
+    zero (pseudo-inverted away).
     """
-    if not isinstance(t, AntilinearOperator):
-        raise TypeError("polar_antilinear expects an AntilinearOperator")
-    m = t.matrix
+    m = as_operator(m)
     mc = np.conj(m)
-    delta = adjoint(mc) @ mc          # = (t* t) as a linear matrix
+    delta = adjoint(mc) @ mc          # = (S* S) as a linear matrix
     delta = 0.5 * (delta + adjoint(delta))
     w, vecs = np.linalg.eigh(delta)
     w = np.clip(w, 0.0, None)
     cutoff = RANK_TOL * max(w.max(), 1e-300)
     inv_sqrt = np.where(w > cutoff, 1.0 / np.sqrt(np.where(w > cutoff, w, 1.0)), 0.0)
     delta_inv_sqrt = (vecs * inv_sqrt) @ adjoint(vecs)
-    # j = t o delta^{-1/2}: matrix is m @ conj(delta^{-1/2}).
-    j = AntilinearOperator(m @ np.conj(delta_inv_sqrt))
-    return j, delta, w
+    # J = S o delta^{-1/2}: its matrix is m @ conj(delta^{-1/2}).
+    return m @ np.conj(delta_inv_sqrt), delta, w
 
 
 def psd_sqrt(a):

@@ -191,7 +191,7 @@ def test_criterion_10_window_defect_and_laplace_identity():
     start = time.time()
     family = hardyshift.ExponentialFamily([-1.0 + 0.0j])
     deltas = [2.0 ** -k for k in range(3, 11)]
-    values = [hardyshift.prop2_defect(family, 1.0, d, 64)["value"] for d in deltas]
+    values = [hardyshift.prop2_defect(family, d, 64)["value"] for d in deltas]
     assert hardyshift.fit_power(deltas, values) == pytest.approx(0.5, abs=0.15)
 
     # Laplace identity against a quadrature oracle on the half-line pieces
@@ -211,8 +211,7 @@ def test_criterion_11_dilations_and_approximation():
     start = time.time()
     basis = hardyshift.orthogonalize(hardyshift.ExponentialFamily([-1.0 + 0.0j]))
     fine = hardyshift.GridModel(basis, horizon=8.0, step=1.0 / 256)
-    for which in ("shift", "flow"):
-        dil = hardyshift.unitary_dilation(fine, which, 0.25)
+    for dil in (fine.shift_dilation(0.25), fine.flow_dilation(0.25)):
         assert dil.unitarity_residual() <= 1e-8
 
     # approximation conditions on a horizon long enough for the edge tail

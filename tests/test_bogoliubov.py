@@ -142,34 +142,6 @@ def test_conjugacy_rejects_non_unitary():
         )
 
 
-# ---------------------------------------------------------------------------
-# liftings
-
-
-def test_lift_requires_commutation():
-    state = quasifree.CovarianceState(np.diag([0.2, 0.7]))
-    rep = quasifree.doubled_representation(state)
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(ValueError, match=r"\[V, R\]"):
-        bogoliubov.lift(rep, swap)
-
-
-def test_lift_implementer_intertwines():
-    state = quasifree.CovarianceState.isotropic(0.25, 2)
-    rep = quasifree.doubled_representation(state)
-    th = 0.4
-    v = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    lifting = bogoliubov.lift(rep, v)
-    u = lifting.implementer()
-    assert operator_norm(adjoint(u) @ u - np.eye(u.shape[0])) <= 1e-12
-    f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    lhs = u @ rep.field(f) @ adjoint(u)
-    rhs = rep.field(v @ f)
-    assert operator_norm(lhs - rhs) <= 1e-10
-    # the vacuum state is preserved (V commutes with R)
-    assert np.linalg.norm(u @ rep.vacuum - rep.vacuum) <= 1e-10
-
-
 def test_approximation_check_contract():
     model = _models(FAM3)[64]
     ok = bogoliubov.approximation_check(

@@ -38,7 +38,7 @@ extension          nu (float), sizes (ints), case (equal|opposite|finite-rank)
 innerness          nu (float), sizes (ints), case (minus-identity|finite-rank)
 modular-verify     modes (int), nu (float)
 pipeline           family (path), nu (float), step (float), horizons (floats)
-prop2              family (path), t (float), delta_grid (floats), k_max (int)
+prop2              family (path), delta_grid (floats), k_max (int)
 quasifree-verify   modes (int), degree (int), trials (int)
 """
 
@@ -337,6 +337,16 @@ def test_modular_verify_at_six_modes(tmp_path):
     assert header.endswith(",solve_residual,kms_residual")
 
 
+@pytest.mark.filterwarnings("error")
+def test_modular_verify_at_the_trace(tmp_path):
+    # nu = 1/2, the II_1 case: Delta = 1, so every eigenvalue is the 0th power
+    # of the ratio nu/(1-nu) = 1 and no logarithm of the ratio is taken
+    config = write_config(tmp_path, "modular-verify", {"modes": 2, "nu": 0.5})
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "modular-verify.json").read_text())
+    assert report["verdicts"]["delta_spectrum"]["value"] <= 1e-12
+
+
 def _conjugacy_values(tmp_path, step):
     fam = write_family(tmp_path, [-1.0 + 0.0j])
     config = write_config(tmp_path, "conjugacy", {"family": fam, "step": step})
@@ -381,7 +391,7 @@ def test_prop2_run(tmp_path):
     config = write_config(
         tmp_path,
         "prop2",
-        {"family": fam, "t": 1.0, "delta_grid": "0.125 0.0625 0.03125 0.015625", "k_max": 24},
+        {"family": fam, "delta_grid": "0.125 0.0625 0.03125 0.015625", "k_max": 24},
     )
     assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "prop2.json").read_text())

@@ -192,7 +192,7 @@ def test_fit_power_needs_two_distinct_abscissae(xs):
 def test_prop2_estimate_rate():
     family = hs.ExponentialFamily(FAMILY_ONE)
     deltas = [2.0 ** -k for k in range(3, 9)]
-    vals = [hs.prop2_defect(family, 1.0, d, 32)["value"] for d in deltas]
+    vals = [hs.prop2_defect(family, d, 32)["value"] for d in deltas]
     assert hs.fit_power(deltas, vals) == pytest.approx(0.5, abs=0.15)
 
 
@@ -229,7 +229,7 @@ def mp_window_defect(lambdas, mu, delta):
 
 def test_prop2_per_k_matches_mpmath():
     delta = 2.0 ** -10
-    rep = hs.prop2_defect(hs.ExponentialFamily(FAMILY_THREE), 1.0, delta, 2048)
+    rep = hs.prop2_defect(hs.ExponentialFamily(FAMILY_THREE), delta, 2048)
     ks, values = rep["per_k"]
     assert list(ks) == list(range(-2048, 2049))
     assert rep["sum_sq"] == pytest.approx(np.sum(values), rel=1e-15)
@@ -249,20 +249,20 @@ def term_scale(combo):
 
 @pytest.mark.parametrize("t", [0.0, 1.0])
 def test_prop2_matches_the_term_by_term_loop(t):
-    # the ExpCombo loop that prop2_defect ran before its closed form; Theta
-    # commutes with translation, so the window start t changes no value
+    # the ExpCombo loop that prop2_defect ran before its closed form, on
+    # windows that start at t; Theta commutes with translation, so t changes
+    # no value
     family, delta, k_max = hs.ExponentialFamily(FAMILY_ONE), 0.125, 9
     per_k = {
         k: combo_window_defect(family, hs.window_exponent(k, delta), t, delta).norm_sq()
         for k in range(-k_max, k_max + 1)
     }
     amp = np.median([per_k[k] * k * k for k in per_k if abs(k) >= max(2, k_max // 2)])
-    rep = hs.prop2_defect(family, t, delta, k_max)
+    rep = hs.prop2_defect(family, delta, k_max)
     assert rep["sum_sq"] == pytest.approx(sum(per_k.values()), rel=1e-12)
     assert rep["value"] == pytest.approx(np.sqrt(sum(per_k.values())), rel=1e-12)
     assert rep["tail_estimate_sq"] == pytest.approx(2.0 * amp / k_max, rel=1e-12)
     assert rep["per_k"][1] == pytest.approx([per_k[k] for k in rep["per_k"][0]], rel=1e-12)
-    assert np.array_equal(rep["per_k"][1], hs.prop2_defect(family, 7.5, delta, k_max)["per_k"][1])
 
 
 DECAY_RATES = st.builds(complex, st.floats(-3.0, -0.2), st.floats(-3.0, 3.0))
@@ -281,7 +281,7 @@ def test_prop2_per_k_matches_the_combo_calculus(lambdas, delta, start):
     gaps += [abs(mu - lam) for mu in mus for lam in lambdas]
     assume(min(gaps) > 0.25)
     family = hs.ExponentialFamily(lambdas)
-    got_ks, values = hs.prop2_defect(family, start, delta, 16)["per_k"]
+    got_ks, values = hs.prop2_defect(family, delta, 16)["per_k"]
     assert np.array_equal(got_ks, ks)
     for mu, value in zip(mus, values):
         defect = combo_window_defect(family, mu, start, delta)
@@ -316,42 +316,7 @@ def test_laplace_pairing_against_quadrature():
 
 
 # ---------------------------------------------------------------------------
-# Wold decomposition and continuity
-
-
-def test_wold_unitary_input():
-    n = 6
-    perm = np.eye(n)[list(range(1, n)) + [0]]
-    out = hs.wold_decompose(perm)
-    assert out["deficiency"] == 0
-    assert np.allclose(out["p_unitary"], np.eye(n))
-
-
-def test_wold_pure_shift_truncation():
-    # truncated unilateral shift: a partial isometry with trivial unitary part
-    n = 8
-    v = np.zeros((n, n))
-    for i in range(n - 1):
-        v[i + 1, i] = 1.0
-    out = hs.wold_decompose(v)
-    assert out["deficiency"] == 1
-    assert operator_norm(out["p_unitary"]) <= 1e-10
-
-
-def test_wold_mixed_direct_sum():
-    perm = np.eye(3)[[1, 2, 0]]
-    shift = np.zeros((4, 4))
-    for i in range(3):
-        shift[i + 1, i] = 1.0
-    v = np.block([[perm, np.zeros((3, 4))], [np.zeros((4, 3)), shift]])
-    out = hs.wold_decompose(v)
-    assert out["deficiency"] == 1
-    assert np.trace(out["p_unitary"]).real == pytest.approx(3.0, abs=1e-8)
-
-
-def test_wold_rejects_garbage():
-    with pytest.raises(ValueError):
-        hs.wold_decompose(np.ones((3, 3)))
+# norm continuity
 
 
 def test_condition_n_check_continuous_vs_jumpy():
@@ -432,13 +397,6 @@ def test_grid_refuses_times_at_or_past_the_horizon(model_one, t):
         with pytest.raises(ValueError, match="horizon"):
             build(t)
     assert model_one.steps_of(8.0 - 1.0 / 64) == 511
-
-
-def test_unitary_dilation_dispatch(model_one):
-    assert hs.unitary_dilation(model_one, "shift", 0.25).unitarity_residual() == 0.0
-    assert hs.unitary_dilation(model_one, "flow", 0.25).unitarity_residual() <= 1e-12
-    with pytest.raises(ValueError):
-        hs.unitary_dilation(model_one, "nope", 0.25)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from carshift import fock, modular, quasifree
-from carshift.opalg import AntilinearOperator, adjoint, operator_norm, polar_antilinear
+from carshift.opalg import adjoint, operator_norm, polar_antilinear
 from dense_modular import dense_delta, dense_involution, dense_j, dense_s
 
 rng = np.random.default_rng(5)
@@ -42,7 +42,7 @@ def test_s_action_on_monomials(rep2, data2):
     e0 = np.array([1.0, 0.0])
     e1 = np.array([0.0, 1.0])
     x = rep2.field_star(e0) @ rep2.field(e1)
-    lhs = AntilinearOperator(dense_s(data2))(x @ rep2.vacuum)
+    lhs = dense_s(data2) @ np.conj(x @ rep2.vacuum)
     rhs = adjoint(x) @ rep2.vacuum
     assert np.linalg.norm(lhs - rhs) <= 1e-10
 
@@ -50,13 +50,13 @@ def test_s_action_on_monomials(rep2, data2):
 def test_vacuum_fixed(rep2, data2):
     vac = rep2.vacuum
     assert np.linalg.norm(dense_delta(data2) @ vac - vac) <= 1e-10
-    assert np.linalg.norm(AntilinearOperator(dense_j(data2))(vac) - vac) <= 1e-10
+    assert np.linalg.norm(dense_j(data2) @ np.conj(vac) - vac) <= 1e-10
 
 
 def test_j_is_antiunitary_involution(data2):
-    j = AntilinearOperator(dense_j(data2))
-    assert j.is_antiunitary(tol=1e-9)
-    assert operator_norm(j.compose(j) - np.eye(j.dim)) <= 1e-9
+    j = dense_j(data2)
+    assert np.linalg.norm(adjoint(j) @ j - np.eye(len(j))) <= 1e-9 * len(j)
+    assert operator_norm(j @ np.conj(j) - np.eye(len(j))) <= 1e-9
 
 
 def test_polar_j_matches_wedge_formula(rep2, data2):
@@ -111,14 +111,6 @@ def test_j_conjugation_lands_in_commutant(rep2, data2):
     assert operator_norm((lhs - rhs).toarray()) <= 1e-10
 
 
-def test_commutant_dimension_single_mode():
-    rep = quasifree.doubled_representation(quasifree.CovarianceState.isotropic(0.3, 1))
-    report = modular.commutant_check(rep)
-    assert report["commutant_dim"] == report["expected_dim"] == 4
-    assert report["b_span_dim"] == 4
-    assert report["max_commutator_residual"] <= 1e-10
-
-
 def test_non_cyclic_vacuum_rejected():
     # R with an eigenvalue at the edge is rejected before we ever get here;
     # force the degenerate path with a nearly singular covariance instead
@@ -170,7 +162,7 @@ def test_sector_solve_matches_dense_solve(modes):
     data = modular.tomita_operator(rep)
     x_cols, xstar_cols = _dense_monomial_columns(rep)
     m = np.linalg.solve(np.conj(x_cols).T, xstar_cols.T).T
-    _, delta, eigenvalues = polar_antilinear(AntilinearOperator(m))
+    _, delta, eigenvalues = polar_antilinear(m)
     # J from the SVD conj(m) = U s V*, J = conj(U V*): the eigh of Delta in
     # polar_antilinear squares the condition number of the full matrix and
     # is 1.2e-12 off the wedge formula at 4 modes, the SVD 1.8e-14
@@ -247,7 +239,8 @@ def test_strongly_mixed_state_keeps_j_antiunitary():
     # but within each charge sector Delta is the scalar 99^(-q)
     rep = quasifree.doubled_representation(quasifree.CovarianceState.isotropic(0.01, 3))
     data = modular.tomita_operator(rep)
-    assert AntilinearOperator(dense_j(data)).is_antiunitary(tol=1e-9)
+    j = dense_j(data)
+    assert np.linalg.norm(adjoint(j) @ j - np.eye(len(j))) <= 1e-9 * len(j)
     formula = dense_involution(*modular.modular_involution_formula(rep))
     assert operator_norm(dense_j(data) - formula) <= 1e-9
 

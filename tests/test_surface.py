@@ -15,7 +15,9 @@ the reads that reach it.
 
 import ast
 import importlib
+import importlib.util
 import inspect
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -24,32 +26,44 @@ import numpy as np
 import carshift
 
 SRC = Path(carshift.__file__).parent
+ROOT = SRC.parent.parent
 
-# qualified name -> why it stays although nothing in src/ names it
+# qualified name -> why it stays although nothing in src/ names it: the test it
+# is an oracle for, the acceptance criterion that calls it or the perfbench
+# metric that reads it
 KEEP = {
-    "opalg.AntilinearOperator.adjoint": "oracle of polar_antilinear's Δ",
-    "opalg.AntilinearOperator.is_antiunitary": "oracle of polar_antilinear's J",
-    "opalg.AntilinearOperator.compose": (
-        "oracle of polar_antilinear's Δ (test_polar_antilinear_recovers_factors) "
-        "and of J² = 1 (test_j_is_antiunitary_involution)"
+    "fock.mode_annihilator": "perfbench metric fock.mode_annihilator.calls",
+    "fock.second_quantized": (
+        "oracle of Delta = Gamma(h) (x) Gamma(h^-1) (test_delta_matches_closed_form)"
     ),
-    "fock.creator": "perfbench",
-    "fock.mode_annihilator": "perfbench",
-    "fock.number_operator": "perfbench",
-    "quasifree.purification_projection": "perfbench",
-    "modular.commutant_check": "paper verdict-to-be (commutant = J M J)",
-    "bogoliubov.lift": "paper verdict-to-be (implemented liftings)",
-    "bogoliubov.Lifting.implementer": "paper verdict-to-be (implemented liftings)",
-    "expcalc.ExpCombo.backshift": "oracle of backward_shift_matrix",
-    "expcalc.ExpCombo.evaluate": "oracle of the closed-form inner products (quadrature)",
-    "hardyshift.FlowData.apply_combo": "oracle of defect_hs_norm and defect_increment_hs",
-    "hardyshift.defect_increment_hs": "acceptance",
-    "hardyshift.estimate_inequalities": "acceptance",
-    "hardyshift.laplace_pairing": "acceptance",
-    "hardyshift.unitary_dilation": "acceptance",
-    "hardyshift.wold_decompose": "paper verdict-to-be (Wold decomposition)",
-    "hardyshift.GridModel.flow_matrix": "oracle of flow_dilation's compression",
-    "hardyshift.DilationOperator.to_dense": "perfbench; oracle of the factored norms",
+    "quasifree.purification_projection": (
+        "acceptance criterion 3 (test_criterion_03_purification); "
+        "perfbench metric quasifree.purification_projection.s"
+    ),
+    "expcalc.ExpCombo.backshift": (
+        "oracle of backward_shift_matrix (test_backward_shift_matrix_matches_combo_action)"
+    ),
+    "expcalc.ExpCombo.evaluate": (
+        "oracle of the closed-form inner products (test_inner_matches_quadrature)"
+    ),
+    "hardyshift.FlowData.apply_combo": (
+        "oracle of defect_hs_norm and defect_increment_hs "
+        "(test_defect_closed_form_against_combo_oracle, test_defect_increment_closed_form)"
+    ),
+    "hardyshift.defect_increment_hs": "acceptance criterion 8 (test_criterion_08_defect_slope)",
+    "hardyshift.estimate_inequalities": (
+        "acceptance criterion 9 (test_criterion_09_estimates_sum_linear)"
+    ),
+    "hardyshift.laplace_pairing": (
+        "acceptance criterion 10 (test_criterion_10_window_defect_and_laplace_identity)"
+    ),
+    "hardyshift.GridModel.flow_matrix": (
+        "oracle of flow_dilation's compression (test_dilation_compresses_to_the_grid_flow)"
+    ),
+    "hardyshift.DilationOperator.to_dense": (
+        "perfbench metric hardyshift.to_dense.s; "
+        "oracle of the factored norms (test_factored_residuals_match_dense)"
+    ),
 }
 
 # method named like an np.ndarray attribute -> the reads in src/ that reach it
@@ -182,3 +196,36 @@ def test_method_reads_through_a_module_or_an_array_name_do_not_count():
     )
     unused = _unused({"toy": ast.parse(source)})
     assert unused == ["toy.Combo.norm", "toy.Combo.size"]
+
+
+def _tracing():
+    """``perfbench/tracing.py``, loaded from its file (perfbench is not a package)."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_metrics_name_public_functions_or_traced_methods():
+    # a per-layer metric "<module>.<name>.<stat>" reads the span of a public
+    # function of carshift.<module> or of a traced method; deleting the
+    # function would make the traced run fail to find the metric
+    tracing = _tracing()
+    metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    counters = {counter for counter, _ in tracing.COUNTERS.values()} | {"cli.csv_bytes"}
+    spans = {span for *_, span in tracing.METHODS}
+    missing = []
+    for metric in metrics:
+        module_name = metric.split(".")[0]
+        if module_name not in tracing.MODULES or metric in counters:
+            continue
+        span = metric.rsplit(".", 1)[0]
+        module = importlib.import_module("carshift." + module_name)
+        function = getattr(module, span.split(".", 1)[1], None)
+        public = inspect.isfunction(function) and function.__module__ == module.__name__
+        if not (public or span in spans):
+            missing.append(metric)
+    assert missing == []
+    for name, reason in KEEP.items():
+        if "perfbench" in reason:
+            assert any(metric in reason for metric in metrics), name
