@@ -33,6 +33,7 @@ from .quasifree import CovarianceState
 
 _STAB_TOL = 1e-12
 _UNITARY_TOL = 1e-8
+_APPROXIMATION_TOL = 1e-6
 
 
 @dataclass
@@ -136,7 +137,7 @@ def _check_unitary(v, label):
 
 def _difference(u, v):
     """``u - v``: the factors ``(a, b)`` with ``u - v = a b*`` when both are
-    dilations (sharing a permutation), the dense matrix when both are dense;
+    dilations (sharing a rotation), the dense matrix when both are dense;
     mixing forms is an error."""
     factored = [isinstance(op, DilationOperator) for op in (u, v)]
     if factored[0] != factored[1]:
@@ -162,7 +163,7 @@ def extension_criterion(r_prime, v_prime, w_prime, sizes):
 
     ``v_prime`` and ``w_prime`` are callables ``size -> operator``, both dense
     matrices or both dilations (:class:`DilationOperator`) sharing a
-    permutation; dilations are never densified.
+    rotation; dilations are never densified.
     """
     return _trend(
         sizes,
@@ -201,7 +202,7 @@ def conjugacy_criterion(r, u_path, v_path, t_grid, sizes):
 
     ``u_path`` and ``v_path`` are callables ``(t, size) -> unitary``, where a
     unitary is a dense matrix or a :class:`DilationOperator`; two dilations
-    must share their permutation and are never densified.  Returns an
+    must share their rotation and are never densified.  Returns an
     overall verdict (worst case over the grid) plus per-t reports.
     """
     per_t = {}
@@ -219,17 +220,17 @@ def conjugacy_criterion(r, u_path, v_path, t_grid, sizes):
     return worst, per_t
 
 
-def approximation_check(u_dil, v_dil, k_dim, t_grid, tol=1e-10):
+def approximation_check(u_dil, v_dil, t_grid):
     """Check the two approximation conditions for unitary dilations.
 
     ``u_dil``/``v_dil``: callables ``t -> unitary`` on the doubled grid space,
-    dilations (:class:`DilationOperator`) that share a permutation; ``k_dim``:
-    dimension of the embedded subspace ``K`` (first block of coordinates).
-    For each ``t`` reports the Hilbert-Schmidt norm of ``U'_t - V'_t`` and
-    the operator-norm deviation of ``U'_t V'_t*`` from the identity on
-    ``K' (-) K``: the larger of the norms of its diagonal block minus 1 and of
-    the mixed block ``K' -> K``.  Passes when all deviations are below
-    ``tol``; the HS norms are reported, not bounded.
+    dilations (:class:`DilationOperator`) that share a rotation and the
+    dimension ``k_dim`` of the embedded subspace ``K`` (first block of
+    coordinates).  For each ``t`` reports the Hilbert-Schmidt norm of
+    ``U'_t - V'_t`` and the operator-norm deviation of ``U'_t V'_t*`` from
+    the identity on ``K' (-) K``: the larger of the norms of its diagonal
+    block minus 1 and of the mixed block ``K' -> K``.  Passes when all
+    deviations are below ``1e-6``; the HS norms are reported, not bounded.
     """
     rows = []
     ok = True
@@ -238,10 +239,11 @@ def approximation_check(u_dil, v_dil, k_dim, t_grid, tol=1e-10):
         hs = lowrank_hs_norm(*ut.difference_factors(vt))
         # U V* - 1 = l r*, so each block is a product of row blocks
         l, r = ut.product_defect_factors(vt)
+        k_dim = ut.k_dim
         block = lowrank_operator_norm(l[k_dim:], r[k_dim:])
         mixed = lowrank_operator_norm(l[:k_dim], r[k_dim:])
         dev = max(block, mixed)
         rows.append({"t": float(t), "hs_norm": hs, "offspace_deviation": dev})
-        if dev > tol:
+        if dev > _APPROXIMATION_TOL:
             ok = False
     return {"pass": ok, "rows": rows}

@@ -407,7 +407,7 @@ def _run_pipeline(seed, family, nu, step, horizons):
     models, verdict, per_t = _conjugacy(nu, basis, horizons, step, _DILATION_T_GRID)
     largest = models[max(models)]
     approx = bogoliubov.approximation_check(
-        largest.shift_dilation, largest.flow_dilation, largest.n, _DILATION_T_GRID, tol=1e-6
+        largest.shift_dilation, largest.flow_dilation, _DILATION_T_GRID
     )
     worst_dev = max(row["offspace_deviation"] for row in approx["rows"])
     rows.append(("approximation", float(worst_dev)))

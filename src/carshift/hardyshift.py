@@ -9,8 +9,9 @@ diagonal (pure phases) on K1 and agrees with ``S_t`` on the complement K0.
 
 All defect norms are evaluated in closed form through :mod:`carshift.expcalc`.
 Grid discretizations identify the doubled space K (+) K with cell functions on
-a circle of circumference ``2 * horizon``; the shift dilation is then an exact
-permutation and the flow dilation an exact unitary built from a rotation on a
+a circle of circumference ``2 * horizon``; the shift dilation is then a
+rotation of the circle cells, stored as its shift count, and the flow
+dilation that rotation times an exact unitary built from a rotation on a
 small subspace, so unitarity holds to rounding error at any resolution.
 """
 
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import expcalc
-from .expcalc import ExpCombo, theta_apply as _theta_terms
+from .expcalc import ExpCombo
 from .opalg import RANK_TOL, adjoint, lowrank_hs_norm, operator_norm
 
 
@@ -89,11 +90,6 @@ def blaschke_asymptotics(family):
     coeffs = np.polyfit(1.0 / radii, np.asarray(vals).real, 1)
     c3 = float(coeffs[1])
     return {"c3": c3, "two_s": 2.0 * family.s_value}
-
-
-def theta_apply(family, combo):
-    """Apply ``Theta = F^{-1} B F`` to an exponential combination (exact)."""
-    return _theta_terms(family.lambdas, combo)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +269,7 @@ def laplace_pairing(family, mu, start=0.0, end=np.inf):
     ``|B| <= 1``, consistent with ``Theta`` being a contraction pairing).
     """
     f = ExpCombo.normalized_exponential(mu, start=start, end=end)
-    pairing = f.inner(theta_apply(family, f))
+    pairing = f.inner(expcalc.theta_apply(family.lambdas, f))
     reference = blaschke_eval(family, -np.conj(mu))
     return complex(pairing), complex(reference)
 
@@ -305,18 +301,22 @@ def condition_n_check(u_path, t_grid):
 
 
 class DilationOperator:
-    """Unitary on the doubled grid space: permutation times ``I + X Y*``.
+    """Unitary on the doubled grid space: rotation of the circle cells times
+    ``I + X Y*``.
 
-    The permutation realizes the translation ``S'_t`` on the circle
-    ``[-T, T)``; the low-rank rotation carries the flow correction.  Stored in
-    factored form so norms are exact and cheap at any resolution.
+    The ``dim`` cells of the circle ``[-T, T)`` carry the doubled space, so
+    the translation ``S'_t`` is the rotation ``P`` by ``shift`` cells,
+    ``(P B)[i] = B[(i - shift) mod dim]``; the low-rank rotation (2-D factors
+    ``X``, ``Y`` of one shape) carries the flow correction.  Stored as the
+    shift count and the factors, so norms are exact and cheap at any
+    resolution.
     """
 
-    def __init__(self, perm, x, y, k_dim):
-        self.perm = np.asarray(perm)
-        self.dim = len(self.perm)
-        self.x = np.asarray(x, dtype=complex).reshape(self.dim, -1)
-        self.y = np.asarray(y, dtype=complex).reshape(self.dim, -1)
+    def __init__(self, shift, x, y, k_dim):
+        self.x = np.asarray(x, dtype=complex)
+        self.y = np.asarray(y, dtype=complex)
+        self.dim = self.x.shape[0]
+        self.shift = int(shift) % self.dim
         self.k_dim = k_dim
 
     def to_dense(self):
@@ -324,7 +324,7 @@ class DilationOperator:
         if self.dim > 6000:
             raise ValueError("dense form refused above dimension 6000")
         m = np.eye(self.dim, dtype=complex) + self.x @ self.y.conj().T
-        return self._permute_vec_block(m)
+        return _rotated_rows(m, self.shift, 0, self.dim)
 
     def unitarity_residual(self):
         """Operator norm of ``U*U - 1``, exact for any factors ``X``, ``Y``.
@@ -352,47 +352,46 @@ class DilationOperator:
         if self.x.shape[1] == 0:
             return 0.0
         r1 = np.linalg.qr(self.y, mode="r")
-        # rows k_dim.. of P X, gathered through the inverse permutation
-        small = r1 @ adjoint(self.x[self.inverse_perm[self.k_dim:]])
+        small = r1 @ adjoint(_rotated_rows(self.x, self.shift, self.k_dim, self.dim))
         return float(operator_norm(small))
-
-    @property
-    def inverse_perm(self):
-        """``inv`` with ``inv[perm[i]] = i``: row ``i`` of ``P B`` is row ``inv[i]`` of ``B``."""
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(self.dim)
-        return inv
-
-    def _permute_vec_block(self, block):
-        out = np.empty_like(block)
-        out[self.perm, :] = block
-        return out
 
     def difference_factors(self, other):
         """Factors ``(a, b)`` with ``self - other = a b*``.
 
-        Both operators must share the permutation ``P``; then
+        Both operators must share the rotation ``P``; then
         ``self - other = P [X_u, -X_v] [Y_u, Y_v]*``.
         """
         self._check_same_perm(other)
-        a = self._permute_vec_block(np.hstack([self.x, -other.x]))
+        a = _rotated_rows(np.hstack([self.x, -other.x]), self.shift, 0, self.dim)
         return a, np.hstack([self.y, other.y])
 
     def product_defect_factors(self, other):
         """Factors ``(l, r)`` with ``self other* - 1 = l r*``.
 
-        With a shared permutation ``P``,
+        With a shared rotation ``P``,
         ``U V* - 1 = P [X_u, Y_v + X_u (Y_u* Y_v)] (P [Y_u, X_v])*``.
         """
         self._check_same_perm(other)
         cross = other.y + self.x @ (self.y.conj().T @ other.y)
-        l = self._permute_vec_block(np.hstack([self.x, cross]))
-        r = self._permute_vec_block(np.hstack([self.y, other.x]))
+        l = _rotated_rows(np.hstack([self.x, cross]), self.shift, 0, self.dim)
+        r = _rotated_rows(np.hstack([self.y, other.x]), self.shift, 0, self.dim)
         return l, r
 
     def _check_same_perm(self, other):
-        if not np.array_equal(self.perm, other.perm):
+        if (self.shift, self.dim, self.k_dim) != (other.shift, other.dim, other.k_dim):
             raise ValueError("dilations with different permutations have no shared factored form")
+
+
+def _rotated_rows(block, shift, lo, hi):
+    """Rows ``lo..hi`` of ``P B``, ``(P B)[i] = B[(i - shift) mod dim]``, for
+    the rows ``B`` of ``block``: a view when they do not wrap past the last
+    row, else a copy of those rows only."""
+    dim = block.shape[0]
+    start = (lo - shift) % dim
+    stop = start + hi - lo
+    if stop <= dim:
+        return block[start:stop]
+    return np.concatenate([block[start:], block[: stop - dim]])
 
 
 class GridModel:
@@ -466,17 +465,12 @@ class GridModel:
     # -- operators on the single grid space K ------------------------------
 
     def shift_matrix(self, t):
-        m = self.steps_of(t)
-        out = np.zeros((self.n, self.n), dtype=complex)
-        for j in range(self.n - m):
-            out[j + m, j] = 1.0
-        return out
+        return np.eye(self.n, k=-self.steps_of(t), dtype=complex)
 
     def flow_lowrank(self, t):
         """Factors of the direct grid ``V_t = S_t + X Y*`` on K."""
         m = self.steps_of(t)
-        lam = np.asarray(self.basis.family.lambdas)
-        phases = np.exp(1j * lam.imag * t)
+        phases = build_vt(self.basis, t).phases
         shifted = np.zeros_like(self.ghat)
         if m < self.n:
             shifted[m:, :] = self.ghat[: self.n - m, :]
@@ -489,18 +483,11 @@ class GridModel:
 
     # -- circle dilations ---------------------------------------------------
 
-    def _circle_perm(self, m):
-        n = self.n
-        raw = np.arange(2 * n)
-        phys = np.where(raw < n, raw + n, raw - n)
-        phys2 = (phys + m) % (2 * n)
-        return np.where(phys2 >= n, phys2 - n, phys2 + n)
-
     def shift_dilation(self, t):
         """The exact unitary dilation of ``S_t``: translation on the circle."""
         m = self.steps_of(t)
         empty = np.zeros((2 * self.n, 0), dtype=complex)
-        return DilationOperator(self._circle_perm(m), empty, empty, self.n)
+        return DilationOperator(m, empty, empty, self.n)
 
     def flow_dilation(self, t):
         """An exact unitary dilation of the grid ``V_t``.
@@ -512,14 +499,12 @@ class GridModel:
         to the first summand is exactly the grid ``V_t``.
         """
         m = self.steps_of(t)
-        perm = self._circle_perm(m)
         n2 = 2 * self.n
         nlam = self.ghat.shape[1]
         b = np.zeros((n2, nlam), dtype=complex)
         b[: self.n, :] = self.ghat
-        lam = np.asarray(self.basis.family.lambdas)
-        phases = np.exp(1j * lam.imag * t)
-        c = b[perm, :] * phases[None, :]        # S'^* then phase
+        phases = build_vt(self.basis, t).phases
+        c = _rotated_rows(b, -m, 0, n2) * phases[None, :]  # S'^* then phase
         joint = np.hstack([b, c])
         uq, sq, _ = np.linalg.svd(joint, full_matrices=False)
         q = uq[:, sq > RANK_TOL * sq[0]]
@@ -535,7 +520,7 @@ class GridModel:
         else:
             x = np.hstack([c, -q])
             y = np.hstack([b, q])
-        return DilationOperator(perm, x, y, self.n)
+        return DilationOperator(m, x, y, self.n)
 
     def compression_residual(self, t, dilation):
         """Frobenius distance between the compression of ``dilation`` (the
@@ -548,7 +533,7 @@ class GridModel:
         so its recorded value holds only by bit reproducibility until it is
         re-recorded from an accurate route.
         """
-        sx = dilation.x[dilation.inverse_perm[: self.n]]
+        sx = _rotated_rows(dilation.x, dilation.shift, 0, self.n)
         yk = dilation.y[: self.n, :]
         xd, yd = self.flow_lowrank(t)
         return lowrank_hs_norm(np.hstack([sx, -xd]), np.hstack([yk, yd]))

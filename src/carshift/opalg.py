@@ -14,8 +14,8 @@ RANK_TOL = 1e-10
 
 
 def as_operator(a):
-    """Validate and return a square complex matrix."""
-    a = np.asarray(a, dtype=complex)
+    """Validate and return a square matrix; a real one stays real."""
+    a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a

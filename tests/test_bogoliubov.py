@@ -144,14 +144,10 @@ def test_conjugacy_rejects_non_unitary():
 
 def test_approximation_check_contract():
     model = _models(FAM3)[64]
-    ok = bogoliubov.approximation_check(
-        model.shift_dilation, model.shift_dilation, model.n, [0.5], tol=1e-12
-    )
+    ok = bogoliubov.approximation_check(model.shift_dilation, model.shift_dilation, [0.5])
     assert ok["pass"]
     assert ok["rows"] == [{"t": 0.5, "hs_norm": 0.0, "offspace_deviation": 0.0}]
-    bad = bogoliubov.approximation_check(
-        model.shift_dilation, model.flow_dilation, model.n, [0.5], tol=1e-12
-    )
+    bad = bogoliubov.approximation_check(model.shift_dilation, model.flow_dilation, [0.5])
     assert not bad["pass"]
 
 
@@ -173,13 +169,13 @@ def _models(lambdas):
 def _first_dilation(first, t, n):
     """The shift (no low-rank part), a flow of another family on the same grid,
     or that flow with its low-rank part doubled (not unitary); all share the
-    permutation of the fam3 flow dilation."""
+    rotation of the fam3 flow dilation."""
     if first == "shift":
         return _models(FAM3)[n].shift_dilation(t)
     dil = _models([-1.0])[n].flow_dilation(t)
     if first == "fam1-flow":
         return dil
-    return hardyshift.DilationOperator(dil.perm, 2.0 * dil.x, dil.y, dil.k_dim)
+    return hardyshift.DilationOperator(dil.shift, 2.0 * dil.x, dil.y, dil.k_dim)
 
 
 def _random_covariance(size):
@@ -228,7 +224,7 @@ def test_approximation_factored_matches_dense(first):
     model = _models(FAM3)[96]
     t_grid = [0.25, 0.5]
     got = bogoliubov.approximation_check(
-        lambda t: _first_dilation(first, t, 96), model.flow_dilation, model.n, t_grid, tol=1e-6
+        lambda t: _first_dilation(first, t, 96), model.flow_dilation, t_grid
     )
     want = [
         _dense_approximation_row(
@@ -269,7 +265,6 @@ def test_factored_criteria_need_a_shared_permutation():
         bogoliubov.approximation_check(
             lambda t: model.shift_dilation(0.25),
             lambda t: model.flow_dilation(0.5),
-            model.n,
             [0.25],
         )
 

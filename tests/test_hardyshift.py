@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from carshift import hardyshift as hs
-from carshift.expcalc import ExpCombo
+from carshift.expcalc import ExpCombo, theta_apply
 from carshift.opalg import adjoint, operator_norm
 
 FAMILY_ONE = [-1.0 + 0.0j]
@@ -240,7 +240,7 @@ def test_prop2_per_k_matches_mpmath():
 
 def combo_window_defect(family, mu, start, delta):
     f = ExpCombo.normalized_exponential(mu, start=start, end=start + delta)
-    return hs.theta_apply(family, f) - f
+    return theta_apply(family.lambdas, f) - f
 
 
 def term_scale(combo):
@@ -308,7 +308,7 @@ def test_laplace_pairing_against_quadrature():
     family = hs.ExponentialFamily(FAMILY_ONE)
     mu = hs.window_exponent(2, 0.5)
     f = ExpCombo.normalized_exponential(mu, start=1.0)
-    image = hs.theta_apply(family, f)
+    image = theta_apply(family.lambdas, f)
     re = integrate.quad(lambda x: (np.conj(f.evaluate(x)) * image.evaluate(x)).real, 1.0, 120, limit=800)[0]
     im = integrate.quad(lambda x: (np.conj(f.evaluate(x)) * image.evaluate(x)).imag, 1.0, 120, limit=800)[0]
     pairing, _ = hs.laplace_pairing(family, mu, start=1.0)
@@ -377,10 +377,10 @@ def test_offspace_deviation_decays_with_horizon(basis_one):
 
 
 def test_offspace_deviation_needs_no_row_permutation(model_one):
-    # the triangular factor of the row-permuted P Y gives the same norm
+    # the triangular factor of the row-rotated P Y gives the same norm
     dil = model_one.flow_dilation(0.25)
-    r1 = np.linalg.qr(dil.y[dil.inverse_perm], mode="r")
-    want = operator_norm(r1 @ adjoint(dil.x[dil.inverse_perm[dil.k_dim:]]))
+    r1 = np.linalg.qr(np.roll(dil.y, dil.shift, axis=0), mode="r")
+    want = operator_norm(r1 @ adjoint(np.roll(dil.x, dil.shift, axis=0)[dil.k_dim:]))
     assert want > 1e-6
     assert dil.offspace_deviation() == pytest.approx(want, rel=1e-12)
 
@@ -454,7 +454,7 @@ def test_ghat_equals_the_loop_columns():
 
 
 def random_factored(rng, dim, k, k_dim, rank_deficient=False):
-    """A non-unitary ``DilationOperator`` with random permutation and factors."""
+    """A non-unitary ``DilationOperator`` with random shift and factors."""
     def gaussian(cols):
         return rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))
 
@@ -464,13 +464,12 @@ def random_factored(rng, dim, k, k_dim, rank_deficient=False):
         y = np.hstack([x[:, :-1], gaussian(1) / np.sqrt(dim)]) @ gaussian(k)[:k, :]
     else:
         y = gaussian(k) / np.sqrt(dim)
-    return hs.DilationOperator(rng.permutation(dim), x, y, k_dim)
+    return hs.DilationOperator(rng.integers(dim), x, y, k_dim)
 
 
-def dense_permutation(perm):
-    p = np.zeros((len(perm), len(perm)))
-    p[perm, np.arange(len(perm))] = 1.0
-    return p
+def dense_rotation(dim, shift):
+    """The matrix of ``(P B)[i] = B[(i - shift) mod dim]``."""
+    return np.roll(np.eye(dim), shift, axis=0)
 
 
 @pytest.mark.parametrize(
@@ -485,8 +484,9 @@ def test_factored_residuals_match_dense(dim, k, rank_deficient):
     if rank_deficient:
         assert np.linalg.matrix_rank(np.hstack([dil.x, dil.y])) == k + 1
     u = dil.to_dense()
+    assert np.allclose(u, dense_rotation(dim, dil.shift) @ (np.eye(dim) + dil.x @ adjoint(dil.y)))
     want_unitarity = operator_norm(adjoint(u) @ u - np.eye(dim))
-    s_u_star = dense_permutation(dil.perm) @ adjoint(u)
+    s_u_star = dense_rotation(dim, dil.shift) @ adjoint(u)
     want_offspace = operator_norm((s_u_star - np.eye(dim))[:, k_dim:])
     if k == 0:
         assert dil.unitarity_residual() == want_unitarity == 0.0
@@ -502,8 +502,8 @@ def test_compression_residual_reads_the_given_dilation(model_one):
     flow = model_one.flow_dilation(t)
     got = model_one.compression_residual(t, flow)
     assert got == model_one.compression_residual(t, model_one.flow_dilation(t))
-    # another operator with the same permutation gives its own distance
-    doubled = hs.DilationOperator(flow.perm, 2.0 * flow.x, flow.y, flow.k_dim)
+    # another operator with the same rotation gives its own distance
+    doubled = hs.DilationOperator(flow.shift, 2.0 * flow.x, flow.y, flow.k_dim)
     n = model_one.n
     want = np.linalg.norm(doubled.to_dense()[:n, :n] - model_one.flow_matrix(t))
     assert model_one.compression_residual(t, doubled) == pytest.approx(want, rel=1e-9)

@@ -42,6 +42,16 @@ def test_psd_sqrt_squares_back():
     assert np.allclose(s @ s, h, atol=1e-10)
 
 
+def test_psd_sqrt_of_a_real_matrix_is_real():
+    # a real symmetric input takes a real eigh, which agrees with the complex one
+    a = np.random.default_rng(7).standard_normal((6, 6))
+    h = a @ a.T
+    s = opalg.psd_sqrt(h)
+    assert s.dtype == np.float64
+    want = opalg.psd_sqrt(h.astype(complex))
+    assert np.linalg.norm(s - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def graded_operator(labels, target):
     """Random blocks from each sector ``s`` into sector ``target[s]`` (skipped if None)."""
     op = np.zeros((len(labels), len(labels)), dtype=complex)

@@ -209,8 +209,11 @@ def _tracing():
 def test_perfbench_metrics_name_public_functions_or_traced_methods():
     # a per-layer metric "<module>.<name>.<stat>" reads the span of a public
     # function of carshift.<module> or of a traced method; deleting the
-    # function would make the traced run fail to find the metric
+    # function or renaming the method would make the traced run fail
     tracing = _tracing()
+    for module_name, class_name, method, _ in tracing.METHODS:
+        owner = getattr(importlib.import_module("carshift." + module_name), class_name)
+        assert method in vars(owner), f"{module_name}.{class_name}.{method}"
     metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
     counters = {counter for counter, _ in tracing.COUNTERS.values()} | {"cli.csv_bytes"}
     spans = {span for *_, span in tracing.METHODS}
