@@ -193,18 +193,34 @@ def _run_quasifree_verify(seed, modes, degree, trials):
     return ["trial", "determinant", "gns_value", "residual"], rows, verdicts, {}
 
 
+def _largest_norm(blocks):
+    """The largest operator norm of the blocks, skipping exact zeros (0 if none)."""
+    return max((opalg.operator_norm(b) for b in blocks if b.any()), default=0.0)
+
+
+def _block_differences(lhs, rhs):
+    """The blocks of ``lhs - rhs`` for two ``{source: (target, block)}`` maps of
+    :func:`carshift.opalg.sector_blocks`; a block on one side only is compared
+    with zero.  ``ValueError`` if the two map a source into different sectors."""
+    targets = {}
+    for source, (target, _) in [*lhs.items(), *rhs.items()]:
+        if targets.setdefault(source, target) != target:
+            raise ValueError("matrix does not map each sector into a sector of its own")
+    zero = (None, 0.0)
+    return [lhs.get(q, zero)[1] - rhs.get(q, zero)[1] for q in targets]
+
+
 def _run_modular_verify(seed, modes, nu):
     rng = np.random.default_rng(seed)
     state = quasifree.CovarianceState.isotropic(nu, modes)
     rep = quasifree.doubled_representation(state)
     data = modular.tomita_operator(rep)
     formula = modular.involution_blocks(data, *modular.modular_involution_formula(rep))
-    diffs = [data.j[q] - formula[q] for q in data.j]
-    j_resid = max((opalg.operator_norm(d) for d in diffs if d.any()), default=0.0)
+    j_resid = _largest_norm(data.j[q] - formula[q] for q in data.j)
     f = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
-    lhs = modular.conjugate_by(data, rep.field(f, None))
-    rhs = -opalg.adjoint(modular.commutant_generator(rep, f))
-    b_resid = opalg.sector_operator_norm(lhs - rhs, rep.charge)
+    lhs = modular.conjugate_by(data, rep.field(f))
+    rhs = opalg.sector_blocks(-opalg.adjoint(modular.commutant_generator(rep, f)), rep.charge)
+    b_resid = _largest_norm(_block_differences(lhs, rhs))
     eigs = data.delta_eigenvalues
     eigs = eigs[eigs > 1e-12]
     ratio = nu / (1.0 - nu)

@@ -10,8 +10,10 @@ map sector ``q`` onto ``-q`` and ``Delta`` is block diagonal (Araki, Publ. RIMS
 6 (1970) 385-442).  Everything here stays in those blocks: the monomial
 columns are built sector by sector, the solve and the polar decomposition run
 per sector, :class:`ModularData` holds one block per sector, the closed-form
-involution is a signed permutation and :func:`conjugate_by` works one block
-pair at a time.  No ``dim x dim`` matrix is formed.
+involution is a signed permutation and :func:`conjugate_by` returns the
+blocks of ``J x J``.  No ``dim x dim`` matrix is formed.  Only the ``4^n``
+monomials ``x`` are multiplied out: every ``x* vac`` is a signed copy of one
+of their columns, half of the vectors the system holds.
 
 The commutant is generated by ``b(f) = (Gamma (x) Gamma) pi(a(0 (+) f))``;
 its adjoint is ``b(f)* = pi(a*(0 (+) f)) (Gamma (x) Gamma)``.
@@ -36,12 +38,6 @@ def monomial_indices(n):
     return [(i_set, j_set) for i_set in subsets for j_set in subsets]
 
 
-def _basis_vec(n, i):
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
-
-
 def _sectors(charge):
     """``q -> `` the basis indices of charge ``q``, ascending, for ascending ``q``."""
     return {q: np.flatnonzero(charge == q) for q in np.unique(charge).tolist()}
@@ -51,40 +47,42 @@ def _monomial_columns(rep, sectors):
     """Columns ``pi(x) vac`` and ``pi(x*) vac`` of the monomials, per charge sector.
 
     ``x = prod_{i in I} a*(e_i) prod_{j in J} a(e_j)`` with both products in
-    increasing index order, and ``x*`` reverses the factors.  Returns two
-    dicts ``q -> block``: the ``x vac`` of the monomials of charge
-    ``q = |I| - |J|`` restricted to sector ``q``, and their ``x* vac``
-    restricted to sector ``-q``, columns in the order of
+    increasing index order.  Returns two dicts ``q -> block``: the ``x vac``
+    of the monomials of charge ``q = |I| - |J|`` restricted to sector ``q``,
+    and their ``x* vac`` restricted to sector ``-q``, columns in the order of
     :func:`monomial_indices`.  Raises ``ValueError`` if a column has a
     nonzero entry outside its sector.
 
-    Both ``x`` and ``x*`` are words ``a*(e_A[0]) .. a*(e_A[-1]) a(e_B[0]) ..
-    a(e_B[-1])`` of charge ``|A| - |B|``, and a word's vector is one factor
-    applied to that of a shorter word: ``a*(e_A[0]) (A[1:], B) vac``, or
-    ``a(e_B[0]) ((), B[1:]) vac`` when ``A`` is empty.  One sparse product
-    per first factor and sector of the shorter words builds them: first the
-    words with empty ``A`` from charge 0 down, then the others from the
-    lowest charge up, so every shorter word is built before it is used.
+    Only the 4^n vectors ``x vac`` are multiplied out.  A monomial
+    ``(A, B)``'s vector is one factor applied to that of a shorter monomial:
+    ``a*(e_A[0]) (A[1:], B) vac``, or ``a(e_B[0]) ((), B[1:]) vac`` when
+    ``A`` is empty.  One sparse product per first factor and sector of the
+    shorter monomials builds them: first those with empty ``A`` from charge
+    0 down, then the others from the lowest charge up, so every shorter
+    monomial is built before it is used.  The creators anticommute, and so
+    do the annihilators, so ``x* = a*(e_J reversed) a(e_I reversed)`` is
+    ``(-1)^{|I|(|I|-1)/2 + |J|(|J|-1)/2}`` times the monomial ``(J, I)``:
+    every ``x*`` block is a signed column copy of an ``x`` block.
     """
     n = rep.n
-    x_words = monomial_indices(n)
-    xstar_words = [(j_set[::-1], i_set[::-1]) for i_set, j_set in x_words]
-    # word -> (charge, column of the charge's matrix of word vectors)
+    # monomial -> (charge, column of the charge's block)
     column, counts = {}, {}
-    for word in x_words + xstar_words:
-        q = len(word[0]) - len(word[1])
-        if word not in column:
-            column[word] = (q, counts.get(q, 0))
-            counts[q] = column[word][1] + 1
-    vectors = {q: np.empty((len(sectors.get(q, ())), k), complex) for q, k in counts.items()}
-    factors = {}
-    groups = {}
+    for a, b in monomial_indices(n):
+        q = len(a) - len(b)
+        column[a, b] = (q, counts.get(q, 0))
+        counts[q] = column[a, b][1] + 1
+    x_cols = {q: np.empty((len(sectors.get(q, ())), k), complex) for q, k in counts.items()}
+    groups, flips = {}, {}
     for (a, b), (q, col) in column.items():
         if a or b:
             step, mode, rest = (1, a[0], (a[1:], b)) if a else (-1, b[0], ((), b[1:]))
             members = groups.setdefault((step, q - step, mode), ([], []))
             members[0].append(col)
             members[1].append(column[rest][1])
+        # x* = (-1)^{|I|(|I|-1)/2 + |J|(|J|-1)/2} times the monomial (J, I)
+        members = flips.setdefault(q, ([], []))
+        members[0].append(column[b, a][1])
+        members[1].append((-1) ** (len(a) * (len(a) - 1) // 2 + len(b) * (len(b) - 1) // 2))
 
     def store(full, target, cols):
         rows = sectors.get(target, np.empty(0, dtype=int))
@@ -92,21 +90,21 @@ def _monomial_columns(rep, sectors):
         full[rows] = 0.0
         if np.any(full):
             raise ValueError("monomial columns leave their charge sectors")
-        vectors[target][:, cols] = inside
+        x_cols[target][:, cols] = inside
 
     store(rep.vacuum[:, None].copy(), 0, [column[(), ()][1]])
+    factors = {}
     for step, source, mode in sorted(groups, key=lambda g: (g[0], g[0] * g[1])):
         cols, rest = groups[step, source, mode]
         if (step, mode) not in factors:
             factor = rep.field_star if step == 1 else rep.field
-            factors[step, mode] = factor(_basis_vec(n, mode)).tocsc()
+            factors[step, mode] = factor(np.eye(n)[mode]).tocsc()
         op = factors[step, mode][:, sectors[source]]
-        store(op @ vectors[source][:, rest], source + step, cols)
-    x_cols, xstar_cols = {}, {}
-    for q in sorted(vectors):
-        block = vectors.pop(q)
-        x_cols[q] = block[:, [column[w][1] for w in x_words if column[w][0] == q]]
-        xstar_cols[-q] = block[:, [column[w][1] for w in xstar_words if column[w][0] == q]]
+        store(op @ x_cols[source][:, rest], source + step, cols)
+    xstar_cols = {}
+    for q, (cols, signs) in flips.items():
+        xstar_cols[q] = x_cols[-q][:, cols]
+        xstar_cols[q] *= signs
     return x_cols, xstar_cols
 
 
@@ -121,9 +119,9 @@ class ModularData:
     ``delta_eigenvalues`` are the eigenvalues of ``Delta``, ascending.
     """
 
-    def __init__(self, charge, s, j, delta, delta_eigenvalues, solve_residual):
+    def __init__(self, charge, sectors, s, j, delta, delta_eigenvalues, solve_residual):
         self.charge = charge
-        self.sectors = _sectors(charge)
+        self.sectors = sectors
         self.s = s
         self.j = j
         self.delta = delta
@@ -167,7 +165,7 @@ def tomita_operator(rep):
         eigenvalues.append(wq)
     residual = np.sqrt(misfit) / max(scale, 1e-300)
     return ModularData(
-        rep.charge, s, j, delta, np.sort(np.concatenate(eigenvalues)), float(residual)
+        rep.charge, sectors, s, j, delta, np.sort(np.concatenate(eigenvalues)), float(residual)
     )
 
 
@@ -190,19 +188,14 @@ def modular_involution_formula(rep):
 
 def involution_blocks(data, perm, signs):
     """The antilinear ``v -> signs * conj(v[perm])`` in the block layout of
-    ``data.j``; ``ValueError`` unless it maps each sector ``q`` onto ``-q``."""
-    position = np.empty(len(perm), dtype=int)
-    for rows in data.sectors.values():
-        position[rows] = np.arange(len(rows))
-    blocks = {}
-    for q, cols in data.sectors.items():
-        rows = data.sectors.get(-q, np.empty(0, dtype=int))
-        if len(rows) != len(cols) or np.any(data.charge[perm[rows]] != q):
-            raise ValueError("the involution does not map charge sector q onto -q")
-        block = np.zeros((len(rows), len(cols)), dtype=complex)
-        block[np.arange(len(rows)), position[perm[rows]]] = signs[rows]
-        blocks[q] = block
-    return blocks
+    ``data.j``, read with :func:`carshift.opalg.sector_blocks` from the
+    signed permutation matrix; ``ValueError`` unless it maps each sector
+    ``q`` onto ``-q``."""
+    matrix = sparse.csr_array((signs, perm, np.arange(len(perm) + 1)), shape=(len(perm),) * 2)
+    blocks = sector_blocks(matrix, data.charge)
+    if {q: target for q, (target, _) in blocks.items()} != {q: -q for q in data.sectors}:
+        raise ValueError("the involution does not map charge sector q onto -q")
+    return {q: block for q, (_, block) in blocks.items()}
 
 
 def commutant_generator(rep, f):
@@ -211,33 +204,19 @@ def commutant_generator(rep, f):
 
 
 def conjugate_by(data, x):
-    """``J x J`` for the modular conjugation ``J`` of ``data`` and a matrix
-    ``x`` that maps each charge sector into one sector (a field lowers the
-    charge by one), as a CSR array.
+    """The blocks of ``J x J`` for the modular conjugation ``J`` of ``data``
+    and a matrix ``x`` that maps each charge sector into one sector (a field
+    lowers the charge by one), as ``{source: (target, block)}`` in the
+    layout of :func:`carshift.opalg.sector_blocks`.
 
-    One block pair at a time: the block ``x_{s -> t}`` of
-    :func:`carshift.opalg.sector_blocks` gives
-    ``(J x J)_{-s -> -t} = J_t conj(x_{s -> t}) conj(J_{-s})``; for a field,
-    ``(J x J)_{q -> q+1} = J_{-q-1} conj(x_{-q -> -q-1}) conj(J_q)``.  Each
-    row of sector ``-t`` holds the columns of sector ``-s``, so the CSR
-    arrays are written block by block.
+    The block ``x_{s -> t}`` gives ``(J x J)_{-s -> -t} = J_t conj(x_{s -> t})
+    conj(J_{-s})``; for a field, ``(J x J)_{q -> q+1} = J_{-q-1}
+    conj(x_{-q -> -q-1}) conj(J_q)``.
     """
-    blocks = [
-        (data.sectors[-target], data.sectors[-source],
-         data.j[target] @ np.conj(block) @ np.conj(data.j[-source]))
+    return {
+        -source: (-target, data.j[target] @ np.conj(block) @ np.conj(data.j[-source]))
         for source, (target, block) in sector_blocks(x, data.charge).items()
-    ]
-    lengths = np.zeros(len(data.charge), dtype=np.intp)
-    for rows, cols, _ in blocks:
-        lengths[rows] = len(cols)
-    indptr = np.concatenate([[0], np.cumsum(lengths)])
-    indices = np.empty(indptr[-1], dtype=np.intp)
-    values = np.empty(indptr[-1], dtype=complex)
-    for rows, cols, out in blocks:
-        where = indptr[rows][:, None] + np.arange(len(cols))
-        indices[where] = cols
-        values[where] = out
-    return sparse.csr_array((values, indices, indptr), shape=x.shape)
+    }
 
 
 def kms_residual(rep, data, ops_x, ops_y):

@@ -26,6 +26,14 @@ def dense_delta(data):
     return _assemble(data, data.delta, flip=False)
 
 
+def dense_blocks(data, blocks):
+    """The matrix with the blocks ``{source: (target, block)}`` of ``conjugate_by``."""
+    out = np.zeros((len(data.charge),) * 2, dtype=complex)
+    for source, (target, block) in blocks.items():
+        out[np.ix_(data.sectors[target], data.sectors[source])] = block
+    return out
+
+
 def dense_involution(perm, signs):
     """The matrix ``M`` of ``v -> signs * conj(v[perm])``."""
     out = np.zeros((len(perm), len(perm)), dtype=complex)

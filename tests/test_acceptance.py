@@ -12,7 +12,7 @@ from scipy import integrate
 from carshift import bogoliubov, cli, expcalc, fock, hardyshift, modular, quasifree
 from carshift.expcalc import ExpCombo
 from carshift.opalg import adjoint, anticommutator, inner, operator_norm
-from dense_modular import dense_delta, dense_involution, dense_j
+from dense_modular import dense_blocks, dense_delta, dense_involution, dense_j
 
 
 def random_real_covariance(rng, n, lo=0.1, hi=0.9):
@@ -88,7 +88,7 @@ def test_criterion_04_modular_suite():
         assert operator_norm(dense_j(data) - formula) <= 1e-9
         # exactly one of J pi J = b(f) / -b*(f) holds; it is the starred one
         f = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
-        conj_f = modular.conjugate_by(data, rep.field(f)).toarray()
+        conj_f = dense_blocks(data, modular.conjugate_by(data, rep.field(f)))
         b = modular.commutant_generator(rep, f)
         starred = operator_norm(conj_f - (-adjoint(b)))
         plain = operator_norm(conj_f - b)

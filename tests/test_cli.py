@@ -337,6 +337,25 @@ def test_modular_verify_at_six_modes(tmp_path):
     assert header.endswith(",solve_residual,kms_residual")
 
 
+def test_block_differences_compare_a_block_on_one_side_with_zero():
+    a, b = np.ones((2, 3)), np.full((2, 3), 2.0)
+    lhs = {0: (1, a), 2: (3, a)}
+    rhs = {0: (1, b), 4: (5, b)}
+    got = cli._block_differences(lhs, rhs)
+    assert [d.tolist() for d in got] == [(a - b).tolist(), a.tolist(), (-b).tolist()]
+    with pytest.raises(ValueError, match="sector"):
+        cli._block_differences(lhs, {0: (2, b)})
+
+
+@pytest.mark.parametrize("kind", ["modular-verify", "quasifree-verify"])
+def test_doubled_representation_beyond_six_modes_is_an_error(tmp_path, capsys, kind):
+    # 2 * 7 modes exceed fock.MAX_MODES = 12: refused before anything is built
+    config = write_config(tmp_path, kind, {"modes": 7})
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert "error: doubled representation needs 2*7 <= 12 modes" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_modular_verify_at_the_trace(tmp_path):
     # nu = 1/2, the II_1 case: Delta = 1, so every eigenvalue is the 0th power

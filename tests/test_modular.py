@@ -1,4 +1,5 @@
 import copy
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from carshift import fock, modular, quasifree
 from carshift.opalg import adjoint, operator_norm, polar_antilinear
-from dense_modular import dense_delta, dense_involution, dense_j, dense_s
+from dense_modular import dense_blocks, dense_delta, dense_involution, dense_j, dense_s
 
 rng = np.random.default_rng(5)
 
@@ -106,9 +107,9 @@ def test_commutant_generators_commute(rep2):
 def test_j_conjugation_lands_in_commutant(rep2, data2):
     # J pi(a(f+0)) J = -b*(f); the sign is fixed by the polar J
     f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    lhs = modular.conjugate_by(data2, rep2.field(f))
-    rhs = -adjoint(modular.commutant_generator(rep2, f))
-    assert operator_norm((lhs - rhs).toarray()) <= 1e-10
+    lhs = dense_blocks(data2, modular.conjugate_by(data2, rep2.field(f)))
+    rhs = -adjoint(modular.commutant_generator(rep2, f)).toarray()
+    assert operator_norm(lhs - rhs) <= 1e-10
 
 
 def test_non_cyclic_vacuum_rejected():
@@ -197,7 +198,7 @@ def test_conjugate_by_matches_the_dense_product(modes):
     f = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
     for x in (rep.field(f), rep.field_star(f), rep.field_star(f) @ rep.field(f)):
         want = j @ np.conj(x.toarray()) @ np.conj(j)
-        got = modular.conjugate_by(data, x).toarray()
+        got = dense_blocks(data, modular.conjugate_by(data, x))
         assert operator_norm(got - want) <= 1e-12 * max(operator_norm(want), 1.0)
 
 
@@ -232,6 +233,22 @@ def test_tomita_operator_stays_below_one_dense_operator():
     finally:
         tracemalloc.stop()
     assert peak < rep.dim * rep.dim * 16
+
+
+def test_monomial_columns_hold_one_word_family():
+    # the x blocks and their signed copies, the x* blocks, are two block sets
+    # of C(4n, 2n) complex entries; a second family of word vectors, the x*
+    # multiplied out on their own, would push the peak past three
+    modes = 5
+    rep = quasifree.doubled_representation(quasifree.CovarianceState.isotropic(0.25, modes))
+    sectors = modular._sectors(rep.charge)
+    tracemalloc.start()
+    try:
+        modular._monomial_columns(rep, sectors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * math.comb(4 * modes, 2 * modes) * 16
 
 
 def test_strongly_mixed_state_keeps_j_antiunitary():
