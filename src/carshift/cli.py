@@ -221,15 +221,12 @@ def _run_modular_verify(seed, modes, nu):
     lhs = modular.conjugate_by(data, rep.field(f))
     rhs = opalg.sector_blocks(-opalg.adjoint(modular.commutant_generator(rep, f)), rep.charge)
     b_resid = _largest_norm(_block_differences(lhs, rhs))
-    eigs = data.delta_eigenvalues
-    eigs = eigs[eigs > 1e-12]
+    # the isotropic state's Delta is (nu / (1 - nu))^q times the identity on
+    # charge sector q: each sector's eigenvalues are checked relative to that
     ratio = nu / (1.0 - nu)
-    if ratio == 1.0:
-        # nu = 1/2 (the trace): Delta is the identity, every power is 0
-        powers = np.zeros_like(eigs)
-    else:
-        powers = np.round(np.log(eigs) / np.log(ratio))
-    spec_resid = float(np.max(np.abs(eigs - ratio ** powers)))
+    spec_resid = max(
+        float(np.max(np.abs(w / ratio**q - 1.0))) for q, w in data.delta_eigenvalues.items()
+    )
     g = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
     kms = modular.kms_residual(rep, data, rep.field_star(f), rep.field(g))
     rows = [(modes, nu, j_resid, b_resid, spec_resid, data.solve_residual, kms)]

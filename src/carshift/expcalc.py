@@ -3,9 +3,9 @@
 An :class:`ExpCombo` is a finite sum of terms ``c * exp(mu*(x - s))`` supported
 on ``(s, e)`` with ``e = inf`` allowed when ``Re mu < 0``.  The class is closed
 under the operations needed by the shift-semigroup machinery -- translation,
-backward translation, windowing, and multiplication on the Laplace side by a
-Blaschke product (a Volterra convolution) -- so every inner product is
-evaluated exactly, without quadrature.
+windowing, and multiplication on the Laplace side by a Blaschke product (a
+Volterra convolution) -- so every inner product is evaluated exactly,
+without quadrature.
 
 :func:`window_defects` evaluates ``||(Theta - 1) f||^2`` for many window
 exponentials ``f`` at once from the same closed forms, as array expressions;
@@ -88,16 +88,6 @@ class ExpCombo:
         """Forward translation ``(S_t u)(x) = u(x - t)`` (``t >= 0``)."""
         return ExpCombo([(c, mu, s + t, e + t) for c, mu, s, e in self.terms])
 
-    def backshift(self, t):
-        """Backward translation ``(S_t* u)(x) = u(x + t)`` restricted to x > 0."""
-        out = []
-        for c, mu, s, e in self.terms:
-            s2 = max(s - t, 0.0)
-            e2 = e - t
-            if e2 > 0:
-                out.append((c * cmath.exp(mu * (s2 + t - s)), mu, s2, e2))
-        return ExpCombo(out)
-
     def window(self, lo, hi=np.inf):
         """Restriction to the interval ``(lo, hi)``."""
         out = []
@@ -123,15 +113,6 @@ class ExpCombo:
 
     def norm_sq(self):
         return max(self.inner(self).real, 0.0)
-
-    def evaluate(self, x):
-        """Pointwise values (for quadrature oracles in tests)."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=complex)
-        for c, mu, s, e in self.terms:
-            mask = (x > s) & (x < e)
-            out[mask] += c * np.exp(mu * (x[mask] - s))
-        return out
 
     def compress(self):
         """Merge terms sharing (rate, support); merged coefficients that

@@ -32,10 +32,6 @@ class FockSpace:
         self._mode_tables = {}
         self._pattern = None
 
-    def occupation(self, index):
-        """Tuple of occupied mode indices of a basis state."""
-        return tuple(i for i in range(self.modes) if index >> i & 1)
-
     def __repr__(self):
         return f"FockSpace(modes={self.modes})"
 
@@ -125,26 +121,3 @@ def annihilator(space, f):
 def parity(space):
     """The diagonal of the grading unitary ``(-1)^N`` on the number basis."""
     return 1.0 - 2.0 * (particle_numbers(space) & 1)
-
-
-def wedge_vector(space, vectors):
-    """``f_1 ^ ... ^ f_k`` realized as ``a*(f_1) ... a*(f_k) vacuum``."""
-    v = vacuum(space)
-    for f in reversed(list(vectors)):
-        v = sparse_annihilator(space, f).conj().T @ v
-    return v
-
-
-def second_quantized(space, v):
-    """Multiplicative second quantization of a one-particle matrix.
-
-    For unitary ``v`` this is the unitary sending
-    ``f_1 ^ ... ^ f_k -> (v f_1) ^ ... ^ (v f_k)``.
-    """
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (space.modes, space.modes):
-        raise ValueError(f"expected {space.modes}x{space.modes} matrix, got {v.shape}")
-    out = np.zeros((space.dim, space.dim), dtype=complex)
-    for b in range(space.dim):
-        out[:, b] = wedge_vector(space, [v[:, i] for i in space.occupation(b)])
-    return out

@@ -115,6 +115,11 @@ class ExponentialBasis:
     coeff: np.ndarray            # upper triangular: g_n = sum_m coeff[m, n] f_m
     g_combos: list
 
+    def phases(self, t):
+        """The phases ``exp(i Im(l_n) t)`` of the isometry ``V_t`` on the ``g_n``."""
+        lam = np.asarray(self.family.lambdas)
+        return np.exp(1j * lam.imag * t)
+
 
 def orthogonalize(family):
     """Successive orthogonalization of the normalized exponentials.
@@ -142,30 +147,6 @@ def backward_shift_matrix(basis, t):
     """Matrix of ``S_t*`` on span{g_n}: upper triangular, diagonal ``exp(l_n t)``."""
     d = np.diag(np.exp(np.asarray(basis.family.lambdas) * t))
     return solve_triangular(basis.coeff, d @ basis.coeff, lower=False)
-
-
-@dataclass
-class FlowData:
-    """The isometry ``V_t``: phases on span{g_n}, equal to ``S_t`` elsewhere."""
-
-    basis: ExponentialBasis
-    t: float
-    phases: np.ndarray
-
-    def apply_combo(self, u):
-        """Apply ``V_t`` to an exponential combination (exact)."""
-        shifted = u
-        out = ExpCombo()
-        for phase, g in zip(self.phases, self.basis.g_combos):
-            c = g.inner(u)
-            shifted = shifted - g.scaled(c)
-            out = out + g.scaled(phase * c)
-        return out + shifted.shift(self.t)
-
-
-def build_vt(basis, t):
-    lam = np.asarray(basis.family.lambdas)
-    return FlowData(basis, float(t), np.exp(1j * lam.imag * t))
 
 
 def defect_hs_norm(basis, t):
@@ -197,9 +178,8 @@ def estimate_inequalities(basis, t):
     and ``||P_{[0,t]} V_t S_t* S_t g_n||^2 = ||P_{[0,t]} g_n||^2``.  Their sum
     over ``n`` is O(t).
     """
-    vt = build_vt(basis, t)
     lhs_far, lhs_near = [], []
-    for phase, g in zip(vt.phases, basis.g_combos):
+    for phase, g in zip(basis.phases(t), basis.g_combos):
         moved = g.scaled(phase).window(t) - g.shift(t)
         lhs_far.append(moved.norm_sq())
         lhs_near.append(g.window(0.0, t).norm_sq())
@@ -361,7 +341,7 @@ class DilationOperator:
         Both operators must share the rotation ``P``; then
         ``self - other = P [X_u, -X_v] [Y_u, Y_v]*``.
         """
-        self._check_same_perm(other)
+        self._check_same_rotation(other)
         a = _rotated_rows(np.hstack([self.x, -other.x]), self.shift, 0, self.dim)
         return a, np.hstack([self.y, other.y])
 
@@ -371,15 +351,15 @@ class DilationOperator:
         With a shared rotation ``P``,
         ``U V* - 1 = P [X_u, Y_v + X_u (Y_u* Y_v)] (P [Y_u, X_v])*``.
         """
-        self._check_same_perm(other)
+        self._check_same_rotation(other)
         cross = other.y + self.x @ (self.y.conj().T @ other.y)
         l = _rotated_rows(np.hstack([self.x, cross]), self.shift, 0, self.dim)
         r = _rotated_rows(np.hstack([self.y, other.x]), self.shift, 0, self.dim)
         return l, r
 
-    def _check_same_perm(self, other):
+    def _check_same_rotation(self, other):
         if (self.shift, self.dim, self.k_dim) != (other.shift, other.dim, other.k_dim):
-            raise ValueError("dilations with different permutations have no shared factored form")
+            raise ValueError("dilations with different rotations have no shared factored form")
 
 
 def _rotated_rows(block, shift, lo, hi):
@@ -397,8 +377,8 @@ def _rotated_rows(block, shift, lo, hi):
 class GridModel:
     """Cell discretization of ``L2(0, T)`` and its doubled circle space.
 
-    ``T`` is the horizon.  Every operator at a time ``t`` (the shift and flow
-    matrices and their dilations) refuses ``t >= T`` with ``ValueError``:
+    ``T`` is the horizon.  Every operator at a time ``t`` (the factors of the
+    grid flow and the dilations) refuses ``t >= T`` with ``ValueError``:
     ``S_t`` then moves all of ``L2(0, T)`` past the horizon, and on the circle
     of circumference ``2 T`` a longer translation wraps back into the first
     summand, so the dilations no longer dilate the grid ``V_t``.
@@ -464,22 +444,15 @@ class GridModel:
 
     # -- operators on the single grid space K ------------------------------
 
-    def shift_matrix(self, t):
-        return np.eye(self.n, k=-self.steps_of(t), dtype=complex)
-
     def flow_lowrank(self, t):
         """Factors of the direct grid ``V_t = S_t + X Y*`` on K."""
         m = self.steps_of(t)
-        phases = build_vt(self.basis, t).phases
+        phases = self.basis.phases(t)
         shifted = np.zeros_like(self.ghat)
         if m < self.n:
             shifted[m:, :] = self.ghat[: self.n - m, :]
         x = self.ghat * phases[None, :] - shifted
         return x, self.ghat.copy()
-
-    def flow_matrix(self, t):
-        x, y = self.flow_lowrank(t)
-        return self.shift_matrix(t) + x @ y.conj().T
 
     # -- circle dilations ---------------------------------------------------
 
@@ -503,7 +476,7 @@ class GridModel:
         nlam = self.ghat.shape[1]
         b = np.zeros((n2, nlam), dtype=complex)
         b[: self.n, :] = self.ghat
-        phases = build_vt(self.basis, t).phases
+        phases = self.basis.phases(t)
         c = _rotated_rows(b, -m, 0, n2) * phases[None, :]  # S'^* then phase
         joint = np.hstack([b, c])
         uq, sq, _ = np.linalg.svd(joint, full_matrices=False)

@@ -115,8 +115,8 @@ class ModularData:
     ``s[q]`` and ``j[q]`` are the matrices of the antilinear blocks from
     sector ``q`` to sector ``-q``: for ``v`` supported on sector ``q``,
     ``(S v)[sectors[-q]] = s[q] @ conj(v[sectors[q]])``.  ``delta[q]`` is the
-    positive definite block of ``Delta`` on sector ``q``.
-    ``delta_eigenvalues`` are the eigenvalues of ``Delta``, ascending.
+    positive definite block of ``Delta`` on sector ``q``, and
+    ``delta_eigenvalues[q]`` its eigenvalues, ascending.
     """
 
     def __init__(self, charge, sectors, s, j, delta, delta_eigenvalues, solve_residual):
@@ -153,20 +153,16 @@ def tomita_operator(rep):
             f"(monomial matrix condition {cond:.3e})"
         )
     scale = np.sqrt(sum(hs_norm(y) ** 2 for y in xstar_cols.values()))
-    s, j, delta = {}, {}, {}
-    eigenvalues = []
+    s, j, delta, eigenvalues = {}, {}, {}, {}
     misfit = 0.0
     for q in sorted(x_cols):
         xc, y = x_cols.pop(q), xstar_cols.pop(q)
         s[q] = np.linalg.solve(xc.T, y.T).T
         misfit += hs_norm(s[q] @ xc - y) ** 2
         del xc, y
-        j[q], delta[q], wq = polar_antilinear(s[q])
-        eigenvalues.append(wq)
+        j[q], delta[q], eigenvalues[q] = polar_antilinear(s[q])
     residual = np.sqrt(misfit) / max(scale, 1e-300)
-    return ModularData(
-        rep.charge, sectors, s, j, delta, np.sort(np.concatenate(eigenvalues)), float(residual)
-    )
+    return ModularData(rep.charge, sectors, s, j, delta, eigenvalues, float(residual))
 
 
 def modular_involution_formula(rep):

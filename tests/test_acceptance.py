@@ -13,6 +13,7 @@ from carshift import bogoliubov, cli, expcalc, fock, hardyshift, modular, quasif
 from carshift.expcalc import ExpCombo
 from carshift.opalg import adjoint, anticommutator, inner, operator_norm
 from dense_modular import dense_blocks, dense_delta, dense_involution, dense_j
+from oracles import evaluate
 
 
 def random_real_covariance(rng, n, lo=0.1, hi=0.9):
@@ -198,7 +199,7 @@ def test_criterion_10_window_defect_and_laplace_identity():
     mu = hardyshift.window_exponent(2, 0.25)
     f = ExpCombo.normalized_exponential(mu, start=1.0)
     image = expcalc.theta_apply(family.lambdas, f)
-    kernel = lambda x: np.conj(f.evaluate(x)) * image.evaluate(x)
+    kernel = lambda x: np.conj(evaluate(f, x)) * evaluate(image, x)
     re = integrate.quad(lambda x: kernel(x).real, 1.0, 150.0, limit=800)[0]
     im = integrate.quad(lambda x: kernel(x).imag, 1.0, 150.0, limit=800)[0]
     pairing, reference = hardyshift.laplace_pairing(family, mu, start=1.0)

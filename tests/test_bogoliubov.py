@@ -253,7 +253,7 @@ def test_conjugacy_rejects_non_unitary_dilation():
 
 def test_factored_criteria_need_a_shared_permutation():
     model = _models(FAM3)[64]
-    with pytest.raises(ValueError, match="permutation"):
+    with pytest.raises(ValueError, match="different rotations"):
         bogoliubov.conjugacy_criterion(
             0.25,
             lambda t, n: model.shift_dilation(0.25),
@@ -261,7 +261,7 @@ def test_factored_criteria_need_a_shared_permutation():
             [0.25],
             [64],
         )
-    with pytest.raises(ValueError, match="permutation"):
+    with pytest.raises(ValueError, match="different rotations"):
         bogoliubov.approximation_check(
             lambda t: model.shift_dilation(0.25),
             lambda t: model.flow_dilation(0.5),

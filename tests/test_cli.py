@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carshift import cli
+from carshift import cli, modular
 
 
 def write_config(tmp_path, kind, params=None, seed=11):
@@ -356,14 +356,40 @@ def test_doubled_representation_beyond_six_modes_is_an_error(tmp_path, capsys, k
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.filterwarnings("error")
 def test_modular_verify_at_the_trace(tmp_path):
-    # nu = 1/2, the II_1 case: Delta = 1, so every eigenvalue is the 0th power
-    # of the ratio nu/(1-nu) = 1 and no logarithm of the ratio is taken
+    # nu = 1/2, the II_1 case: Delta = 1 on every charge sector, the 0th
+    # power of the ratio nu/(1-nu) = 1
     config = write_config(tmp_path, "modular-verify", {"modes": 2, "nu": 0.5})
     assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "modular-verify.json").read_text())
     assert report["verdicts"]["delta_spectrum"]["value"] <= 1e-12
+
+
+def test_modular_verify_at_small_nu(tmp_path):
+    # the eigenvalues of Delta span ((1 - nu)/nu)^(+-5) ~ 1e(+-10): an absolute
+    # residual reads the rounding of the largest; a relative one per sector does not
+    config = write_config(tmp_path, "modular-verify", {"modes": 5, "nu": 0.01})
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "modular-verify.json").read_text())
+    assert report["verdicts"]["delta_spectrum"]["value"] <= 1e-12
+
+
+def test_delta_spectrum_fails_when_two_sectors_exchange_eigenvalues(tmp_path, monkeypatch):
+    # sectors 1 and -1 hold ratio and 1/ratio: the same multiset of powers of
+    # the ratio, so only a check per sector sees the exchange
+    solve = modular.tomita_operator
+
+    def exchanged(rep):
+        data = solve(rep)
+        w = data.delta_eigenvalues
+        w[1], w[-1] = w[-1], w[1]
+        return data
+
+    monkeypatch.setattr(modular, "tomita_operator", exchanged)
+    config = write_config(tmp_path, "modular-verify", {"modes": 3})
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 1
+    verdicts = json.loads((tmp_path / "modular-verify.json").read_text())["verdicts"]
+    assert [name for name, v in verdicts.items() if not v["pass"]] == ["delta_spectrum"]
 
 
 def _conjugacy_values(tmp_path, step):

@@ -28,27 +28,14 @@ import carshift
 SRC = Path(carshift.__file__).parent
 ROOT = SRC.parent.parent
 
-# qualified name -> why it stays although nothing in src/ names it: the test it
-# is an oracle for, the acceptance criterion that calls it or the perfbench
-# metric that reads it
+# qualified name -> why it stays although nothing in src/ names it: the
+# acceptance criterion that calls it or the perfbench metric that reads it.
+# Test oracles live in tests/ (oracles.py, dense_modular.py), not here.
 KEEP = {
     "fock.mode_annihilator": "perfbench metric fock.mode_annihilator.calls",
-    "fock.second_quantized": (
-        "oracle of Delta = Gamma(h) (x) Gamma(h^-1) (test_delta_matches_closed_form)"
-    ),
     "quasifree.purification_projection": (
         "acceptance criterion 3 (test_criterion_03_purification); "
         "perfbench metric quasifree.purification_projection.s"
-    ),
-    "expcalc.ExpCombo.backshift": (
-        "oracle of backward_shift_matrix (test_backward_shift_matrix_matches_combo_action)"
-    ),
-    "expcalc.ExpCombo.evaluate": (
-        "oracle of the closed-form inner products (test_inner_matches_quadrature)"
-    ),
-    "hardyshift.FlowData.apply_combo": (
-        "oracle of defect_hs_norm and defect_increment_hs "
-        "(test_defect_closed_form_against_combo_oracle, test_defect_increment_closed_form)"
     ),
     "hardyshift.defect_increment_hs": "acceptance criterion 8 (test_criterion_08_defect_slope)",
     "hardyshift.estimate_inequalities": (
@@ -57,13 +44,7 @@ KEEP = {
     "hardyshift.laplace_pairing": (
         "acceptance criterion 10 (test_criterion_10_window_defect_and_laplace_identity)"
     ),
-    "hardyshift.GridModel.flow_matrix": (
-        "oracle of flow_dilation's compression (test_dilation_compresses_to_the_grid_flow)"
-    ),
-    "hardyshift.DilationOperator.to_dense": (
-        "perfbench metric hardyshift.to_dense.s; "
-        "oracle of the factored norms (test_factored_residuals_match_dense)"
-    ),
+    "hardyshift.DilationOperator.to_dense": "perfbench metric hardyshift.to_dense.s",
 }
 
 # method named like an np.ndarray attribute -> the reads in src/ that reach it
@@ -170,6 +151,12 @@ def _surface():
 def test_every_public_name_has_a_caller_or_a_reason():
     unused = _unused(_surface())
     assert unused == [], "delete these or give them a KEEP or SHARED entry: %s" % unused
+
+
+def test_keep_reasons_name_an_acceptance_criterion_or_a_perfbench_metric():
+    # a test oracle belongs in tests/, so "oracle of ..." is no reason to stay
+    assert [name for name, reason in KEEP.items()
+            if "acceptance criterion" not in reason and "perfbench metric" not in reason] == []
 
 
 def test_keep_names_only_definitions_that_exist():
