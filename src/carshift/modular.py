@@ -7,13 +7,16 @@ solved from the normal-ordered monomial basis and polar-decomposed into
 ``S = J Delta^{1/2}``.  The state is gauge invariant, so the monomial
 ``a*(I) a(J) vac`` lies in the charge sector ``Q = |I| - |J|``, ``S`` and ``J``
 map sector ``q`` onto ``-q`` and ``Delta`` is block diagonal (Araki, Publ. RIMS
-6 (1970) 385-442).  Everything here stays in those blocks: the monomial
-columns are built sector by sector, the solve and the polar decomposition run
-per sector, :class:`ModularData` holds one block per sector, the closed-form
-involution is a signed permutation and :func:`conjugate_by` returns the
-blocks of ``J x J``.  No ``dim x dim`` matrix is formed.  Only the ``4^n``
-monomials ``x`` are multiplied out: every ``x* vac`` is a signed copy of one
-of their columns, half of the vectors the system holds.
+6 (1970) 385-442).  For a diagonal ``R`` the same holds for every mode's
+charge ``q_i = N_1i - N_2i`` on its own, so the sectors are those of the
+vector ``(q_1, .., q_n)``; the representation's ``labels`` say which grading
+holds.  Everything here stays in those blocks: the monomial columns are
+sparse, the blocks are stacked by size and each stack is solved and
+polar-decomposed by one batched LAPACK call, :class:`ModularData` holds the
+stacks, the closed-form involution is a signed permutation and
+:func:`conjugate_by` returns the blocks of ``J x J``.  No ``dim x dim``
+matrix is formed.  Only the ``4^n`` monomials ``x`` are multiplied out:
+every ``x* vac`` is a signed copy of one of their columns.
 
 The commutant is generated by ``b(f) = (Gamma (x) Gamma) pi(a(0 (+) f))``;
 its adjoint is ``b(f)* = pi(a*(0 (+) f)) (Gamma (x) Gamma)``.
@@ -25,7 +28,7 @@ import numpy as np
 from scipy import sparse
 
 from . import fock
-from .opalg import RANK_TOL, hs_norm, inner, polar_antilinear, sector_blocks
+from .opalg import RANK_TOL, inner, polar_antilinear, sector_blocks, sector_positions
 
 
 def monomial_indices(n):
@@ -38,131 +41,190 @@ def monomial_indices(n):
     return [(i_set, j_set) for i_set in subsets for j_set in subsets]
 
 
-def _sectors(charge):
-    """``q -> `` the basis indices of charge ``q``, ascending, for ascending ``q``."""
-    return {q: np.flatnonzero(charge == q) for q in np.unique(charge).tolist()}
-
-
-def _monomial_columns(rep, sectors):
-    """Columns ``pi(x) vac`` and ``pi(x*) vac`` of the monomials, per charge sector.
+def _monomial_columns(rep):
+    """The monomials' labels and adjoints, and the columns ``pi(x) vac``.
 
     ``x = prod_{i in I} a*(e_i) prod_{j in J} a(e_j)`` with both products in
-    increasing index order.  Returns two dicts ``q -> block``: the ``x vac``
-    of the monomials of charge ``q = |I| - |J|`` restricted to sector ``q``,
-    and their ``x* vac`` restricted to sector ``-q``, columns in the order of
-    :func:`monomial_indices`.  Raises ``ValueError`` if a column has a
-    nonzero entry outside its sector.
+    increasing index order.  Returns ``(labels, adjoint, signs, columns)``,
+    the first three indexed by the monomials in the order of
+    :func:`monomial_indices`: the label ``sum_{i in I} w_i - sum_{j in J}
+    w_j`` of each monomial, ``w = rep.mode_weights``; the index of the
+    monomial ``(J, I)`` and the sign with ``x* = sign (J, I)``, so that
+    ``pi(x*) vac`` is ``signs[k]`` times the column of monomial
+    ``adjoint[k]``.  The creators anticommute, and so do the annihilators,
+    so ``x* = a*(e_J reversed) a(e_I reversed)`` has the sign
+    ``(-1)^{|I|(|I|-1)/2 + |J|(|J|-1)/2}``: only the 4^n vectors ``x vac``
+    are multiplied out.  ``columns`` yields their entries as ``(rows,
+    monomials, values)``, one monomial length ``0, 1, .., 2n`` at a time,
+    and raises ``ValueError`` if a column has a nonzero entry outside the
+    sector of its label.
 
-    Only the 4^n vectors ``x vac`` are multiplied out.  A monomial
-    ``(A, B)``'s vector is one factor applied to that of a shorter monomial:
-    ``a*(e_A[0]) (A[1:], B) vac``, or ``a(e_B[0]) ((), B[1:]) vac`` when
-    ``A`` is empty.  One sparse product per first factor and sector of the
-    shorter monomials builds them: first those with empty ``A`` from charge
-    0 down, then the others from the lowest charge up, so every shorter
-    monomial is built before it is used.  The creators anticommute, and so
-    do the annihilators, so ``x* = a*(e_J reversed) a(e_I reversed)`` is
-    ``(-1)^{|I|(|I|-1)/2 + |J|(|J|-1)/2}`` times the monomial ``(J, I)``:
-    every ``x*`` block is a signed column copy of an ``x`` block.
+    A monomial ``(A, B)``'s vector is one factor applied to that of a
+    monomial one shorter: ``a*(e_A[0]) (A[1:], B) vac``, or ``a(e_B[0]) ((),
+    B[1:]) vac`` when ``A`` is empty.  The columns of one length are one
+    sparse product: the rows ``(x vac)^T`` of the shorter monomials, each
+    shifted into the block of its factor, times the stacked transposes of
+    the ``2n`` factors.
     """
     n = rep.n
-    # monomial -> (charge, column of the charge's block)
-    column, counts = {}, {}
-    for a, b in monomial_indices(n):
-        q = len(a) - len(b)
-        column[a, b] = (q, counts.get(q, 0))
-        counts[q] = column[a, b][1] + 1
-    x_cols = {q: np.empty((len(sectors.get(q, ())), k), complex) for q, k in counts.items()}
-    groups, flips = {}, {}
-    for (a, b), (q, col) in column.items():
-        if a or b:
-            step, mode, rest = (1, a[0], (a[1:], b)) if a else (-1, b[0], ((), b[1:]))
-            members = groups.setdefault((step, q - step, mode), ([], []))
-            members[0].append(col)
-            members[1].append(column[rest][1])
-        # x* = (-1)^{|I|(|I|-1)/2 + |J|(|J|-1)/2} times the monomial (J, I)
-        members = flips.setdefault(q, ([], []))
-        members[0].append(column[b, a][1])
-        members[1].append((-1) ** (len(a) * (len(a) - 1) // 2 + len(b) * (len(b) - 1) // 2))
+    # each subset of modes as a bitmask, in the order of monomial_indices; the
+    # monomial (A, B) has index rank[A] * 2^n + rank[B]
+    masks = np.array([sum(1 << j for j in b) for _, b in monomial_indices(n)[: 1 << n]])
+    rank = np.empty(1 << n, dtype=np.intp)
+    rank[masks] = np.arange(1 << n)
+    a, b = np.repeat(masks, 1 << n), np.tile(masks, 1 << n)
+    count = fock.particle_numbers(rep.factor)
+    weight = (np.arange(1 << n)[:, None] >> np.arange(n) & 1) @ rep.mode_weights
+    labels = weight[a] - weight[b]
+    adjoint = rank[b] * (1 << n) + rank[a]
+    signs = 1 - 2 * ((count[a] * (count[a] - 1) // 2 + count[b] * (count[b] - 1) // 2) & 1)
+    # the first factor, a*(e_A[0]) if A is nonempty, else a(e_B[0]), as the
+    # index `factor` into a(e_0), .., a(e_{n-1}), a*(e_0), .., a*(e_{n-1})
+    creates = a != 0
+    first = np.where(creates, a & -a, b & -b)
+    rest_a, rest_b = a & ~np.where(creates, first, 0), b & ~np.where(creates, 0, first)
+    rest = rank[rest_a] * (1 << n) + rank[rest_b]
+    factor = np.where(creates, n, 0) + np.log2(np.maximum(first, 1)).astype(np.intp)
+    length = count[a] + count[b]
 
-    def store(full, target, cols):
-        rows = sectors.get(target, np.empty(0, dtype=int))
-        inside = full[rows]
-        full[rows] = 0.0
-        if np.any(full):
-            raise ValueError("monomial columns leave their charge sectors")
-        x_cols[target][:, cols] = inside
+    def columns():
+        dim = rep.dim
+        stack = sparse.vstack(
+            [(rep.field if i < n else rep.field_star)(np.eye(n)[i % n]).T for i in range(2 * n)],
+            format="csr",
+        )
+        # place[k]: the row of monomial k in `words`, the x vac of its length
+        place = np.zeros(len(a), dtype=np.intp)
+        words, built = sparse.csr_array(rep.vacuum[None, :]), np.zeros(1, dtype=np.intp)
+        for level in range(2 * n + 1):
+            if level:
+                built = np.flatnonzero(length == level)
+                starts = words.indptr[place[rest[built]]]
+                sizes = words.indptr[place[rest[built]] + 1] - starts
+                indptr = np.concatenate([[0], np.cumsum(sizes)])
+                taken = np.repeat(starts - indptr[:-1], sizes) + np.arange(indptr[-1])
+                shifted = words.indices[taken] + np.repeat(factor[built] * dim, sizes)
+                shorter = sparse.csr_array(
+                    (words.data[taken], shifted, indptr), shape=(len(built), 2 * n * dim)
+                )
+                words = shorter @ stack
+                place[built] = np.arange(len(built))
+            monomials = np.repeat(built, np.diff(words.indptr))
+            if np.any((rep.labels[words.indices] != labels[monomials]) & (words.data != 0)):
+                raise ValueError("monomial columns leave their charge sectors")
+            yield words.indices, monomials, words.data
 
-    store(rep.vacuum[:, None].copy(), 0, [column[(), ()][1]])
-    factors = {}
-    for step, source, mode in sorted(groups, key=lambda g: (g[0], g[0] * g[1])):
-        cols, rest = groups[step, source, mode]
-        if (step, mode) not in factors:
-            factor = rep.field_star if step == 1 else rep.field
-            factors[step, mode] = factor(np.eye(n)[mode]).tocsc()
-        op = factors[step, mode][:, sectors[source]]
-        store(op @ x_cols[source][:, rest], source + step, cols)
-    xstar_cols = {}
-    for q, (cols, signs) in flips.items():
-        xstar_cols[q] = x_cols[-q][:, cols]
-        xstar_cols[q] *= signs
-    return x_cols, xstar_cols
+    return labels, adjoint, signs, columns()
+
+
+class SectorStack:
+    """The blocks of the sectors of one size ``m``, stacked along a first axis.
+
+    ``labels[k]`` is the label of the ``k``-th sector and ``rows[k]`` its
+    basis indices, ascending.  ``s[k]``, ``j[k]`` and ``delta[k]`` are that
+    sector's ``m x m`` blocks (see :class:`ModularData`), and
+    ``eigenvalues[k]`` the eigenvalues of ``delta[k]``, ascending.
+    """
+
+    def __init__(self, labels, rows, s, j, delta, eigenvalues):
+        self.labels = labels
+        self.rows = rows
+        self.s = s
+        self.j = j
+        self.delta = delta
+        self.eigenvalues = eigenvalues
 
 
 class ModularData:
     """The Tomita operator and its polar parts, one block per charge sector.
 
-    ``sectors[q]`` holds the basis indices of charge ``q`` in ascending order.
-    ``s[q]`` and ``j[q]`` are the matrices of the antilinear blocks from
-    sector ``q`` to sector ``-q``: for ``v`` supported on sector ``q``,
-    ``(S v)[sectors[-q]] = s[q] @ conj(v[sectors[q]])``.  ``delta[q]`` is the
-    positive definite block of ``Delta`` on sector ``q``, and
-    ``delta_eigenvalues[q]`` its eigenvalues, ascending.
+    ``labels[k]`` is the sector of basis vector ``k`` and ``sectors[q]`` the
+    basis indices of sector ``q`` in ascending order.  ``s[q]`` and ``j[q]``
+    are the matrices of the antilinear blocks from sector ``q`` to sector
+    ``-q``: for ``v`` supported on sector ``q``, ``(S v)[sectors[-q]] =
+    s[q] @ conj(v[sectors[q]])``.  ``delta[q]`` is the positive definite
+    block of ``Delta`` on sector ``q``, and ``delta_eigenvalues[q]`` its
+    eigenvalues, ascending.  These dicts, in ascending label order, hold
+    views into ``stacks``, one :class:`SectorStack` per sector size.
     """
 
-    def __init__(self, charge, sectors, s, j, delta, delta_eigenvalues, solve_residual):
-        self.charge = charge
-        self.sectors = sectors
-        self.s = s
-        self.j = j
-        self.delta = delta
-        self.delta_eigenvalues = delta_eigenvalues
+    def __init__(self, labels, stacks, solve_residual):
+        self.labels = labels
+        self.stacks = stacks
         self.solve_residual = solve_residual
+        where = sorted((q, st, k) for st in stacks for k, q in enumerate(st.labels.tolist()))
+        self.sectors = {q: st.rows[k] for q, st, k in where}
+        self.s = {q: st.s[k] for q, st, k in where}
+        self.j = {q: st.j[k] for q, st, k in where}
+        self.delta = {q: st.delta[k] for q, st, k in where}
+        self.delta_eigenvalues = {q: st.eigenvalues[k] for q, st, k in where}
 
 
 def tomita_operator(rep):
     """Build ``S``, ``J`` and ``Delta`` for the vacuum of a doubled representation.
 
-    The monomial system is solved, and ``S`` polar-decomposed, per charge
-    sector.  The condition number is the largest singular value of the
-    monomial blocks over the smallest, the same as for the full monomial
-    matrix, and must stay below ``1 / RANK_TOL``; the ``RANK_TOL`` cutoff of
-    the polar decomposition is relative to each sector's largest eigenvalue
-    of ``Delta``.  Raises if the monomial columns fail to span (vacuum not
-    cyclic at the working precision) or leave their charge sectors.
+    The monomial system is solved, and ``S`` polar-decomposed, per sector of
+    ``rep.labels``, with the sectors of one size stacked.  The condition
+    number is the largest singular value of the monomial blocks over the
+    smallest, the same as for the full monomial matrix, and must stay below
+    ``1 / RANK_TOL``.  Raises if the monomial columns fail to span (vacuum
+    not cyclic at the working precision) or leave their charge sectors.
     """
-    sectors = _sectors(rep.charge)
-    x_cols, xstar_cols = _monomial_columns(rep, sectors)
-    # Antilinear S with block matrix M: M conj(x_cols) = xstar_cols.
-    for xq in x_cols.values():
-        np.conj(xq, out=xq)
-    sv = np.concatenate([np.linalg.svd(xc, compute_uv=False) for xc in x_cols.values()])
+    labels, adjoint, signs, columns = _monomial_columns(rep)
+    names, sector = np.unique(rep.labels, return_inverse=True)
+    sizes = np.bincount(sector)
+    column_sector = np.searchsorted(names, labels)
+    if not np.array_equal(np.bincount(column_sector, minlength=len(names)), sizes):
+        raise ValueError("monomial columns leave their charge sectors")
+    position = sector_positions(sector, sizes)
+    column_position = sector_positions(column_sector, sizes)
+    # sectors of one size form a group; slot: a sector's place in its group
+    block_sizes, group = np.unique(sizes, return_inverse=True)
+    counts = np.bincount(group)
+    slot = sector_positions(group, counts)
+    # Antilinear S with block matrix M: M conj(x_block) = xstar_block, where
+    # column j of block k is the j-th monomial of the k-th sector of a group,
+    # on the rows of the sector its entries lie in
+    x_blocks = [np.zeros((k, m, m), dtype=complex) for k, m in zip(counts, block_sizes)]
+    xstar_blocks = [np.zeros_like(xb) for xb in x_blocks]
+
+    def scatter(blocks, basis, monomials, values):
+        source = column_sector[monomials]
+        for h, block in enumerate(blocks):
+            mine = group[source] == h
+            block[slot[source[mine]], position[basis[mine]], column_position[monomials[mine]]] = (
+                values[mine]
+            )
+
+    for basis, monomials, values in columns:
+        scatter(x_blocks, basis, monomials, values)
+        scatter(xstar_blocks, basis, adjoint[monomials], signs[monomials] * values)
+    for xb in x_blocks:
+        np.conj(xb, out=xb)
+    sv = np.concatenate([np.linalg.svd(xb, compute_uv=False).ravel() for xb in x_blocks])
     cond = sv.max() / sv.min() if sv.min() > 0 else np.inf
     if not np.isfinite(cond) or cond > 1.0 / RANK_TOL:
         raise ValueError(
             f"vacuum not cyclic/separating at tolerance {RANK_TOL:g} "
             f"(monomial matrix condition {cond:.3e})"
         )
-    scale = np.sqrt(sum(hs_norm(y) ** 2 for y in xstar_cols.values()))
-    s, j, delta, eigenvalues = {}, {}, {}, {}
+    scale = np.sqrt(sum(np.linalg.norm(y) ** 2 for y in xstar_blocks))
+    stacks = []
     misfit = 0.0
-    for q in sorted(x_cols):
-        xc, y = x_cols.pop(q), xstar_cols.pop(q)
-        s[q] = np.linalg.solve(xc.T, y.T).T
-        misfit += hs_norm(s[q] @ xc - y) ** 2
-        del xc, y
-        j[q], delta[q], eigenvalues[q] = polar_antilinear(s[q])
+    for h, m in enumerate(block_sizes):
+        xb, y = x_blocks[h], xstar_blocks[h]
+        s = np.swapaxes(np.linalg.solve(np.swapaxes(xb, 1, 2), np.swapaxes(y, 1, 2)), 1, 2)
+        misfit += np.linalg.norm(s @ xb - y) ** 2
+        x_blocks[h] = xstar_blocks[h] = xb = y = None
+        j, delta, eigenvalues = polar_antilinear(s)
+        stack_labels = np.empty(counts[h], dtype=names.dtype)
+        stack_labels[slot[group == h]] = names[group == h]
+        rows = np.empty((counts[h], m), dtype=np.intp)
+        mine = group[sector] == h
+        rows[slot[sector[mine]], position[mine]] = np.flatnonzero(mine)
+        stacks.append(SectorStack(stack_labels, rows, s, j, delta, eigenvalues))
     residual = np.sqrt(misfit) / max(scale, 1e-300)
-    return ModularData(rep.charge, sectors, s, j, delta, eigenvalues, float(residual))
+    return ModularData(rep.labels, stacks, float(residual))
 
 
 def modular_involution_formula(rep):
@@ -188,10 +250,10 @@ def involution_blocks(data, perm, signs):
     signed permutation matrix; ``ValueError`` unless it maps each sector
     ``q`` onto ``-q``."""
     matrix = sparse.csr_array((signs, perm, np.arange(len(perm) + 1)), shape=(len(perm),) * 2)
-    blocks = sector_blocks(matrix, data.charge)
-    if {q: target for q, (target, _) in blocks.items()} != {q: -q for q in data.sectors}:
+    blocks = sector_blocks(matrix, data.labels)
+    if set(blocks) != {(q, -q) for q in data.sectors}:
         raise ValueError("the involution does not map charge sector q onto -q")
-    return {q: block for q, (_, block) in blocks.items()}
+    return {q: block for (q, _), block in blocks.items()}
 
 
 def commutant_generator(rep, f):
@@ -201,28 +263,27 @@ def commutant_generator(rep, f):
 
 def conjugate_by(data, x):
     """The blocks of ``J x J`` for the modular conjugation ``J`` of ``data``
-    and a matrix ``x`` that maps each charge sector into one sector (a field
-    lowers the charge by one), as ``{source: (target, block)}`` in the
-    layout of :func:`carshift.opalg.sector_blocks`.
+    and a matrix ``x``, as ``{(source, target): block}`` in the layout of
+    :func:`carshift.opalg.sector_blocks`.
 
     The block ``x_{s -> t}`` gives ``(J x J)_{-s -> -t} = J_t conj(x_{s -> t})
-    conj(J_{-s})``; for a field, ``(J x J)_{q -> q+1} = J_{-q-1}
-    conj(x_{-q -> -q-1}) conj(J_q)``.
+    conj(J_{-s})``; for a field that lowers the charge by one,
+    ``(J x J)_{q -> q+1} = J_{-q-1} conj(x_{-q -> -q-1}) conj(J_q)``.
     """
     return {
-        -source: (-target, data.j[target] @ np.conj(block) @ np.conj(data.j[-source]))
-        for source, (target, block) in sector_blocks(x, data.charge).items()
+        (-source, -target): data.j[target] @ np.conj(block) @ np.conj(data.j[-source])
+        for (source, target), block in sector_blocks(x, data.labels).items()
     }
 
 
 def kms_residual(rep, data, ops_x, ops_y):
     """Residual of ``<vac, x y vac> = <vac, y Delta x vac>`` for x, y in ``M``,
-    with ``Delta`` applied block by block."""
+    with ``Delta`` applied as one batched product per stack of sector blocks."""
     vac = rep.vacuum
     xv = ops_x @ vac
     delta_xv = np.zeros_like(xv)
-    for q, rows in data.sectors.items():
-        delta_xv[rows] = data.delta[q] @ xv[rows]
+    for st in data.stacks:
+        delta_xv[st.rows] = (st.delta @ xv[st.rows][..., None])[..., 0]
     lhs = inner(vac, ops_x @ (ops_y @ vac))
     rhs = inner(vac, ops_y @ delta_xv)
     return abs(lhs - rhs)

@@ -37,18 +37,16 @@ def operator_norm(a):
 
 
 def sector_blocks(op, labels):
-    """The blocks of a matrix that maps each label sector into one sector.
+    """The blocks of a matrix between label sectors.
 
-    ``labels[k]`` is the sector of basis vector ``k``.  When the columns of
-    each sector have nonzero entries in the rows of a single sector, a
-    different one for each source sector (a shift of the particle number, or
-    the charge flip ``q -> -q``), the matrix is a permuted block diagonal.
-    Returns ``{source: (target, block)}`` with the dense ``block`` of rows
-    ``labels == target`` and columns ``labels == source``, for each source
-    sector with a nonzero entry.  Raises ``ValueError`` when an entry outside
-    those blocks is nonzero.  ``op`` may be dense or ``scipy.sparse``; only
-    its nonzero entries are read (a stored exact zero counts as zero), and
-    each block is one scatter of them.
+    ``labels[k]`` is the sector of basis vector ``k``.  Returns
+    ``{(source, target): block}`` with the dense ``block`` of rows
+    ``labels == target`` and columns ``labels == source``, for each pair of
+    sectors with a nonzero entry there; a source may map into several
+    targets (a field ``pi(a(f))`` with ``f`` spread over several modes lowers
+    one mode's charge or another's).  ``op`` may be dense or
+    ``scipy.sparse``; only its nonzero entries are read (a stored exact zero
+    counts as zero), and each block is one scatter of them.
     """
     labels = np.asarray(labels)
     op = op if sparse.issparse(op) else np.asarray(op)
@@ -63,30 +61,56 @@ def sector_blocks(op, labels):
     rows, cols, vals = rows[nonzero], entries.indices[nonzero], entries.data[nonzero]
     names, sector = np.unique(labels, return_inverse=True)
     sizes = np.bincount(sector, minlength=len(names))
-    # position[k]: the index of basis vector k within its sector
-    by_sector = np.argsort(sector, kind="stable")
-    position = np.empty(len(labels), dtype=np.intp)
-    position[by_sector] = np.arange(len(labels)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    pairs, inverse, counts = np.unique(
-        sector[cols] * len(names) + sector[rows], return_inverse=True, return_counts=True
-    )
+    position = sector_positions(sector, sizes)
+    pairs, inverse = np.unique(sector[cols] * len(names) + sector[rows], return_inverse=True)
     sources, targets = np.divmod(pairs, len(names))
-    if len(np.unique(sources)) < len(pairs) or len(np.unique(targets)) < len(pairs):
-        raise ValueError("matrix does not map each sector into a sector of its own")
-    by_pair = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
+    # the blocks of one shape are scattered into one stack
+    shapes, shape = np.unique(sizes[targets] * (sizes.max() + 1) + sizes[sources],
+                              return_inverse=True)
+    slot = sector_positions(shape, np.bincount(shape))
+    entry_shape = shape[inverse]
     blocks = {}
-    for source, target, run in zip(sources, targets, by_pair):
-        block = np.zeros((sizes[target], sizes[source]), dtype=vals.dtype)
-        block[position[rows[run]], position[cols[run]]] = vals[run]
-        blocks[names[source]] = (names[target], block)
+    for h, code in enumerate(shapes.tolist()):
+        mine = np.flatnonzero(shape == h)
+        stack = np.zeros((len(mine), *divmod(code, sizes.max() + 1)), dtype=vals.dtype)
+        run = entry_shape == h
+        stack[slot[inverse[run]], position[rows[run]], position[cols[run]]] = vals[run]
+        pair_names = zip(names[sources[mine]].tolist(), names[targets[mine]].tolist())
+        blocks.update(zip(pair_names, stack))
     return blocks
 
 
+def sector_positions(sector, sizes):
+    """The index of each basis vector within its sector, counted in
+    ascending order: ``sector[k]`` is the sector of vector ``k`` (an index
+    into ``sizes``, the sector sizes)."""
+    by_sector = np.argsort(sector, kind="stable")
+    position = np.empty(len(sector), dtype=np.intp)
+    position[by_sector] = np.arange(len(sector)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return position
+
+
+def largest_operator_norm(blocks):
+    """The largest operator norm of some matrices (0 if there are none), from
+    one stacked singular value decomposition per matrix shape."""
+    by_shape = {}
+    for block in blocks:
+        by_shape.setdefault(block.shape, []).append(block)
+    norms = (np.linalg.svd(np.stack(same), compute_uv=False).max() for same in by_shape.values())
+    return float(max(norms, default=0.0))
+
+
 def sector_operator_norm(op, labels):
-    """Operator norm of a matrix that maps each label sector into one sector:
-    the largest norm of its :func:`sector_blocks` (0 for a zero matrix)."""
-    blocks = sector_blocks(op, labels).values()
-    return max((operator_norm(block) for _, block in blocks), default=0.0)
+    """Operator norm of a matrix that maps each label sector into one sector,
+    a different one for each source sector (a shift of the particle number,
+    or the charge flip ``q -> -q``): the largest norm of its
+    :func:`sector_blocks` (0 for a zero matrix).  Raises ``ValueError`` when
+    a sector maps into two, or two into one."""
+    blocks = sector_blocks(op, labels)
+    sources, targets = {source for source, _ in blocks}, {target for _, target in blocks}
+    if len(sources) < len(blocks) or len(targets) < len(blocks):
+        raise ValueError("matrix does not map each sector into a sector of its own")
+    return largest_operator_norm(blocks.values())
 
 
 def lowrank_hs_norm(a, b):
@@ -128,25 +152,23 @@ def anticommutator(a, b):
 
 def polar_antilinear(m):
     """Polar decomposition ``S = J Delta^{1/2}`` of the antilinear map
-    ``S v = m @ conj(v)``.
+    ``S v = m @ conj(v)``, for one square matrix ``m`` or a stack of them
+    (shape ``(..., k, k)``), each decomposed on its own.
 
     Returns ``(j, delta, eigenvalues)``: the matrix ``j`` of the antiunitary
-    ``J v = j @ conj(v)``, the positive semidefinite ``delta`` with
+    ``J v = j @ conj(v)``, the positive semidefinite ``delta = S* S`` with
     ``S v = J (delta^{1/2} v)``, and the eigenvalues of ``delta``, ascending.
-    Eigenvalues of ``delta`` below ``RANK_TOL * max(eig)`` are treated as
-    zero (pseudo-inverted away).
+    All three come from the singular value decomposition
+    ``conj(m) = U s V*``: ``j = conj(U V*)``, ``delta = V s^2 V*`` and the
+    eigenvalues are ``s^2``.  Forming ``m* m`` would square the condition
+    number of ``m`` before ``J`` is read off.
     """
-    m = as_operator(m)
-    mc = np.conj(m)
-    delta = adjoint(mc) @ mc          # = (S* S) as a linear matrix
-    delta = 0.5 * (delta + adjoint(delta))
-    w, vecs = np.linalg.eigh(delta)
-    w = np.clip(w, 0.0, None)
-    cutoff = RANK_TOL * max(w.max(), 1e-300)
-    inv_sqrt = np.where(w > cutoff, 1.0 / np.sqrt(np.where(w > cutoff, w, 1.0)), 0.0)
-    delta_inv_sqrt = (vecs * inv_sqrt) @ adjoint(vecs)
-    # J = S o delta^{-1/2}: its matrix is m @ conj(delta^{-1/2}).
-    return m @ np.conj(delta_inv_sqrt), delta, w
+    m = np.asarray(m)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {m.shape}")
+    u, s, vh = np.linalg.svd(np.conj(m))
+    v = np.conj(np.swapaxes(vh, -1, -2))
+    return np.conj(u @ vh), (v * s[..., None, :] ** 2) @ vh, s[..., ::-1] ** 2
 
 
 def psd_sqrt(a):

@@ -20,7 +20,9 @@ their tables once into a cached CSR pattern (and a transposed one for the
 creation fields, see :func:`carshift.fock.csr_pattern`), so every field is
 one gather of its ``2n`` coefficients into a ``scipy.sparse`` CSR array.  A
 gauge-invariant state makes the charge ``Q = N_1 - N_2`` a grading:
-``pi(a(f (+) g))`` lowers it by one.
+``pi(a(f (+) g))`` lowers it by one.  A diagonal ``R`` conserves each mode's
+charge ``q_i = N_1i - N_2i`` on its own: ``pi(a(e_i (+) 0))`` lowers ``q_i``
+by one and leaves the other modes' charges alone.
 """
 
 import numpy as np
@@ -104,7 +106,13 @@ def quasifree_expectation(state, fs, gs):
 class DoubledRepresentation:
     """GNS representation of the CAR algebra over ``K (+) K`` on ``F(K) (x) F(K)``.
 
-    ``charge[k]`` is ``Q = N_1 - N_2`` of basis vector ``k``.
+    ``charge[k]`` is ``Q = N_1 - N_2`` of basis vector ``k``.  ``labels[k]``
+    is its sector in the finest charge grading the fields conserve,
+    ``sum_i mode_weights[i] q_i``.  The weights are ``3^i`` when the square
+    roots of ``R`` that the fields use are diagonal (``R`` has exact zeros
+    off the diagonal), which labels the per-mode charges ``q_i`` in balanced
+    ternary, and all ones otherwise, which labels ``Q``.  Either way the
+    label of ``-q`` is minus that of ``q``.
     """
 
     def __init__(self, state):
@@ -122,6 +130,11 @@ class DoubledRepresentation:
         numbers = fock.particle_numbers(self.factor)
         ones = np.ones_like(numbers)
         self.charge = tensor(numbers, ones) - tensor(ones, numbers)
+        diagonal = not any(np.any(m - np.diag(np.diag(m))) for m in (self._a, self._b))
+        self.mode_weights = 3 ** np.arange(self.n) if diagonal else np.ones(self.n, dtype=int)
+        bits = np.arange(self.factor.dim)[:, None] >> np.arange(self.n) & 1
+        weights = bits @ self.mode_weights
+        self.labels = tensor(weights, ones) - tensor(ones, weights)
         gamma = fock.parity(self.factor)
         self.gamma_gamma = sparse.csr_array(
             (tensor(gamma, gamma).astype(complex), np.arange(self.dim), np.arange(self.dim + 1)),

@@ -5,7 +5,7 @@ import numpy as np
 
 
 def _assemble(data, blocks, flip):
-    dim = len(data.charge)
+    dim = len(data.labels)
     out = np.zeros((dim, dim), dtype=complex)
     for q, block in blocks.items():
         out[np.ix_(data.sectors[-q if flip else q], data.sectors[q])] = block
@@ -27,9 +27,9 @@ def dense_delta(data):
 
 
 def dense_blocks(data, blocks):
-    """The matrix with the blocks ``{source: (target, block)}`` of ``conjugate_by``."""
-    out = np.zeros((len(data.charge),) * 2, dtype=complex)
-    for source, (target, block) in blocks.items():
+    """The matrix with the blocks ``{(source, target): block}`` of ``conjugate_by``."""
+    out = np.zeros((len(data.labels),) * 2, dtype=complex)
+    for (source, target), block in blocks.items():
         out[np.ix_(data.sectors[target], data.sectors[source])] = block
     return out
 

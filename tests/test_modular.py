@@ -92,8 +92,9 @@ def test_kms_residual_of_modular_verify_fails_without_delta():
     g = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     x, y = rep.field_star(f), rep.field(g)
     assert modular.kms_residual(rep, data, x, y) <= 1e-14
-    identity = copy.copy(data)
-    identity.delta = {q: np.eye(len(block)) for q, block in data.delta.items()}
+    identity = copy.deepcopy(data)
+    for stack in identity.stacks:
+        stack.delta[:] = np.eye(stack.delta.shape[-1])
     assert modular.kms_residual(rep, identity, x, y) > 1e-2 * np.linalg.norm(f) * np.linalg.norm(g)
 
 
@@ -165,9 +166,9 @@ def test_sector_solve_matches_dense_solve(modes):
     x_cols, xstar_cols = _dense_monomial_columns(rep)
     m = np.linalg.solve(np.conj(x_cols).T, xstar_cols.T).T
     _, delta, eigenvalues = polar_antilinear(m)
-    # J from the SVD conj(m) = U s V*, J = conj(U V*): the eigh of Delta in
-    # polar_antilinear squares the condition number of the full matrix and
-    # is 1.2e-12 off the wedge formula at 4 modes, the SVD 1.8e-14
+    # J from the SVD conj(m) = U s V*, J = conj(U V*), taken here apart from
+    # polar_antilinear; an eigh of Delta = m* m would square the condition
+    # number of the full matrix
     u, _, vh = np.linalg.svd(np.conj(m))
     assert operator_norm(dense_s(data) - m) <= 1e-12 * operator_norm(m)
     assert operator_norm(dense_j(data) - np.conj(u @ vh)) <= 1e-12
@@ -176,20 +177,71 @@ def test_sector_solve_matches_dense_solve(modes):
     assert np.max(np.abs(sector_eigenvalues - eigenvalues)) <= 1e-12 * eigenvalues[-1]
 
 
+def diagonal_rep(modes):
+    """Doubled representation of a diagonal, non-isotropic covariance."""
+    r = np.diag([0.1, 0.3, 0.6, 0.8][:modes])
+    return quasifree.doubled_representation(quasifree.CovarianceState(r))
+
+
+def _check_columns_against_the_multiplied_out_ones(rep):
+    modes = rep.n
+    labels, adjoint, signs, columns = modular._monomial_columns(rep)
+    x = np.zeros((rep.dim, 4**modes), dtype=complex)
+    for basis, monomials, values in columns:
+        x[basis, monomials] = values
+    x_cols, xstar_cols = _dense_monomial_columns(rep)
+    assert np.allclose(x, x_cols, rtol=0, atol=1e-14)
+    assert np.allclose(x[:, adjoint] * signs, xstar_cols, rtol=0, atol=1e-14)
+    w = rep.mode_weights
+    want = [sum(w[list(i)]) - sum(w[list(j)]) for i, j in modular.monomial_indices(modes)]
+    assert np.array_equal(labels, want)
+    for cols, sector in ((x_cols, labels), (xstar_cols, -labels)):
+        rows, k = np.nonzero(cols)
+        assert np.array_equal(rep.labels[rows], sector[k])
+
+
 @pytest.mark.parametrize("modes", [2, 3, 4])
 def test_sector_columns_match_the_multiplied_out_columns(modes):
-    rep = random_rep(modes, seed=20 + modes)
-    sectors = modular._sectors(rep.charge)
-    x_blocks, xstar_blocks = modular._monomial_columns(rep, sectors)
+    _check_columns_against_the_multiplied_out_ones(random_rep(modes, seed=20 + modes))
+
+
+@pytest.mark.parametrize("modes", [2, 3, 4])
+def test_per_mode_sector_columns_match_the_multiplied_out_columns(modes):
+    _check_columns_against_the_multiplied_out_ones(diagonal_rep(modes))
+
+
+def test_diagonal_covariance_grades_by_the_charge_of_every_mode():
+    # q_i = N_1i - N_2i of each mode, labelled sum_i q_i 3^i; a general R
+    # keeps only the total charge Q = N_1 - N_2
+    rep = diagonal_rep(3)
+    assert rep.mode_weights.tolist() == [1, 3, 9]
+    assert sorted(set(rep.labels)) == list(range(-13, 14))
+    assert np.array_equal(random_rep(3, seed=1).labels, rep.charge)
+    data = modular.tomita_operator(rep)
+    assert len(data.sectors) == 27 and max(len(rows) for rows in data.sectors.values()) == 8
+
+
+@pytest.mark.parametrize("modes", [2, 3, 4])
+def test_diagonal_covariance_matches_the_dense_solve(modes):
+    # the per-mode sectors against the full monomial system solved as one matrix
+    rep = diagonal_rep(modes)
+    data = modular.tomita_operator(rep)
     x_cols, xstar_cols = _dense_monomial_columns(rep)
-    charge = np.array([len(i) - len(j) for i, j in modular.monomial_indices(modes)])
-    for q, rows in sectors.items():
-        cols = np.flatnonzero(charge == q)
-        assert np.allclose(x_blocks[q], x_cols[np.ix_(rows, cols)], rtol=0, atol=1e-14)
-        image = sectors[-q]
-        assert np.allclose(xstar_blocks[q], xstar_cols[np.ix_(image, cols)], rtol=0, atol=1e-14)
-        outside = np.setdiff1d(np.arange(rep.dim), rows)
-        assert not np.any(x_cols[np.ix_(outside, cols)])
+    m = np.linalg.solve(np.conj(x_cols).T, xstar_cols.T).T
+    _, delta, _ = polar_antilinear(m)
+    assert operator_norm(dense_s(data) - m) <= 1e-12 * operator_norm(m)
+    assert operator_norm(dense_delta(data) - delta) <= 1e-12 * operator_norm(delta)
+    formula = dense_involution(*modular.modular_involution_formula(rep))
+    assert operator_norm(dense_j(data) - formula) <= 1e-12
+
+
+def test_polar_j_of_a_general_state_matches_the_wedge_formula():
+    # J read off the SVD of each sector's S is 8.8e-15 off here; read off an
+    # eigh of S* S, which squares the condition number, it is 7.6e-13 off
+    rep = random_rep(4, seed=14)
+    data = modular.tomita_operator(rep)
+    formula = dense_involution(*modular.modular_involution_formula(rep))
+    assert operator_norm(dense_j(data) - formula) <= 5e-14
 
 
 @pytest.mark.parametrize("modes", [2, 3])
@@ -238,19 +290,34 @@ def test_tomita_operator_stays_below_one_dense_operator():
 
 
 def test_monomial_columns_hold_one_word_family():
-    # the x blocks and their signed copies, the x* blocks, are two block sets
-    # of C(4n, 2n) complex entries; a second family of word vectors, the x*
-    # multiplied out on their own, would push the peak past three
+    # under the total charge of a general R the x vac fill blocks of C(4n, 2n)
+    # complex entries in all; they come one monomial length at a time, and
+    # the x* are signed copies of them, so no second family of word vectors,
+    # the x* multiplied out on their own, is built
     modes = 5
-    rep = quasifree.doubled_representation(quasifree.CovarianceState.isotropic(0.25, modes))
-    sectors = modular._sectors(rep.charge)
+    rep = random_rep(modes, seed=25)
     tracemalloc.start()
     try:
-        modular._monomial_columns(rep, sectors)
+        for _ in modular._monomial_columns(rep)[3]:
+            pass
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 3 * math.comb(4 * modes, 2 * modes) * 16
+
+
+def test_tomita_operator_at_six_modes_stays_below_one_total_charge_block():
+    # the total charge's sector Q = 0 at 6 modes holds C(12, 6) = 924 basis
+    # vectors, and its block of S alone is 924^2 complex entries (13.7 MB);
+    # the per-mode sectors of the isotropic state hold at most 2^6
+    rep = quasifree.doubled_representation(quasifree.CovarianceState.isotropic(0.25, 6))
+    tracemalloc.start()
+    try:
+        modular.tomita_operator(rep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < math.comb(12, 6) ** 2 * 16
 
 
 def test_strongly_mixed_state_keeps_j_antiunitary():
@@ -287,6 +354,6 @@ def test_involution_formula_matches_the_loop_definition(modes):
 
 def test_columns_outside_their_charge_sector_rejected():
     rep = quasifree.doubled_representation(quasifree.CovarianceState.isotropic(0.25, 2))
-    rep.charge = rep.charge[::-1].copy()
+    rep.labels = rep.labels[::-1].copy()
     with pytest.raises(ValueError, match="charge"):
         modular.tomita_operator(rep)

@@ -136,9 +136,8 @@ def test_sector_blocks_read_sparse_entries_as_the_dense_matrix():
     dense = opalg.sector_blocks(op, labels)
     stored = opalg.sector_blocks(sparse.csr_array(op), labels)
     assert sorted(dense) == sorted(stored)
-    for source, (target, block) in dense.items():
-        assert stored[source][0] == target
-        assert np.array_equal(stored[source][1], block)
+    for (source, target), block in dense.items():
+        assert np.array_equal(stored[source, target], block)
         rows, cols = np.flatnonzero(labels == target), np.flatnonzero(labels == source)
         assert np.array_equal(block, op[np.ix_(rows, cols)])
 
@@ -151,5 +150,5 @@ def test_sector_blocks_count_a_stored_zero_as_zero():
     # the stored zero at (0, 3) would send sector 2 to sector 0
     assert op.nnz == 3
     blocks = opalg.sector_blocks(op, labels)
-    assert sorted(blocks) == [0, 1]
+    assert sorted(blocks) == [(0, 1), (1, 2)]
     assert opalg.sector_operator_norm(op, labels) == 2.0
