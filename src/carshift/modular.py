@@ -12,11 +12,12 @@ charge ``q_i = N_1i - N_2i`` on its own, so the sectors are those of the
 vector ``(q_1, .., q_n)``; the representation's ``labels`` say which grading
 holds.  Everything here stays in those blocks: the monomial columns are
 sparse, the blocks are stacked by size and each stack is solved and
-polar-decomposed by one batched LAPACK call, :class:`ModularData` holds the
-stacks, the closed-form involution is a signed permutation and
-:func:`conjugate_by` returns the blocks of ``J x J``.  No ``dim x dim``
-matrix is formed.  Only the ``4^n`` monomials ``x`` are multiplied out:
-every ``x* vac`` is a signed copy of one of their columns.
+polar-decomposed by one batched LAPACK call.  :class:`ModularData` holds
+``S``, ``J`` and ``Delta`` as ``scipy.sparse`` CSR matrices that store each
+sector's block whole, and the closed-form involution is a signed permutation
+matrix.  No dense ``dim x dim`` matrix is formed.  Only the ``4^n`` monomials
+``x`` are multiplied out: every ``x* vac`` is a signed copy of one of their
+columns.
 
 The commutant is generated by ``b(f) = (Gamma (x) Gamma) pi(a(0 (+) f))``;
 its adjoint is ``b(f)* = pi(a*(0 (+) f)) (Gamma (x) Gamma)``.
@@ -28,7 +29,7 @@ import numpy as np
 from scipy import sparse
 
 from . import fock
-from .opalg import RANK_TOL, inner, polar_antilinear, sector_blocks, sector_positions
+from .opalg import RANK_TOL, inner, polar_antilinear, sector_positions
 
 
 def monomial_indices(n):
@@ -117,58 +118,40 @@ def _monomial_columns(rep):
     return labels, adjoint, signs, columns()
 
 
-class SectorStack:
-    """The blocks of the sectors of one size ``m``, stacked along a first axis.
+class ModularData:
+    """The Tomita operator and its polar parts as sparse matrices on the doubled basis.
 
-    ``labels[k]`` is the label of the ``k``-th sector and ``rows[k]`` its
-    basis indices, ascending.  ``s[k]``, ``j[k]`` and ``delta[k]`` are that
-    sector's ``m x m`` blocks (see :class:`ModularData`), and
-    ``eigenvalues[k]`` the eigenvalues of ``delta[k]``, ascending.
+    ``labels[k]`` is the sector of basis vector ``k``.  ``s`` and ``j`` are the
+    ``scipy.sparse`` CSR matrices of the antilinear ``S v = s @ conj(v)`` and
+    ``J v = j @ conj(v)``; both map sector ``q`` onto ``-q``, so a row of
+    sector ``t`` holds the columns of sector ``-t``, and they share one
+    pattern.  ``delta`` is the CSR matrix of ``Delta``, block diagonal.  Each
+    sector's block is stored whole, so every matrix holds the sum of the
+    squared sector sizes as entries.  ``delta_eigenvalues`` holds each
+    sector's eigenvalues of ``Delta``, ascending, on that sector's basis
+    indices.
     """
 
-    def __init__(self, labels, rows, s, j, delta, eigenvalues):
+    def __init__(self, labels, s, j, delta, delta_eigenvalues, solve_residual):
         self.labels = labels
-        self.rows = rows
         self.s = s
         self.j = j
         self.delta = delta
-        self.eigenvalues = eigenvalues
-
-
-class ModularData:
-    """The Tomita operator and its polar parts, one block per charge sector.
-
-    ``labels[k]`` is the sector of basis vector ``k`` and ``sectors[q]`` the
-    basis indices of sector ``q`` in ascending order.  ``s[q]`` and ``j[q]``
-    are the matrices of the antilinear blocks from sector ``q`` to sector
-    ``-q``: for ``v`` supported on sector ``q``, ``(S v)[sectors[-q]] =
-    s[q] @ conj(v[sectors[q]])``.  ``delta[q]`` is the positive definite
-    block of ``Delta`` on sector ``q``, and ``delta_eigenvalues[q]`` its
-    eigenvalues, ascending.  These dicts, in ascending label order, hold
-    views into ``stacks``, one :class:`SectorStack` per sector size.
-    """
-
-    def __init__(self, labels, stacks, solve_residual):
-        self.labels = labels
-        self.stacks = stacks
+        self.delta_eigenvalues = delta_eigenvalues
         self.solve_residual = solve_residual
-        where = sorted((q, st, k) for st in stacks for k, q in enumerate(st.labels.tolist()))
-        self.sectors = {q: st.rows[k] for q, st, k in where}
-        self.s = {q: st.s[k] for q, st, k in where}
-        self.j = {q: st.j[k] for q, st, k in where}
-        self.delta = {q: st.delta[k] for q, st, k in where}
-        self.delta_eigenvalues = {q: st.eigenvalues[k] for q, st, k in where}
 
 
 def tomita_operator(rep):
     """Build ``S``, ``J`` and ``Delta`` for the vacuum of a doubled representation.
 
     The monomial system is solved, and ``S`` polar-decomposed, per sector of
-    ``rep.labels``, with the sectors of one size stacked.  The condition
-    number is the largest singular value of the monomial blocks over the
-    smallest, the same as for the full monomial matrix, and must stay below
-    ``1 / RANK_TOL``.  Raises if the monomial columns fail to span (vacuum
-    not cyclic at the working precision) or leave their charge sectors.
+    ``rep.labels``, with the sectors of one size stacked; the stacks are then
+    written once into the CSR matrices of :class:`ModularData`.  The
+    condition number is the largest singular value of the monomial blocks
+    over the smallest, the same as for the full monomial matrix, and must
+    stay below ``1 / RANK_TOL``.  Raises if the monomial columns fail to span
+    (vacuum not cyclic at the working precision) or leave their charge
+    sectors.
     """
     labels, adjoint, signs, columns = _monomial_columns(rep)
     names, sector = np.unique(rep.labels, return_inverse=True)
@@ -209,7 +192,16 @@ def tomita_operator(rep):
             f"(monomial matrix condition {cond:.3e})"
         )
     scale = np.sqrt(sum(np.linalg.norm(y) ** 2 for y in xstar_blocks))
-    stacks = []
+    # the basis indices of sector k are by_sector[starts[k]:starts[k] + sizes[k]],
+    # ascending, and names[flip[k]] is -names[k]
+    by_sector = np.argsort(sector, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    flip = np.searchsorted(names, -names)
+    # per group: the basis indices of its sectors (own) and of their images
+    # under q -> -q (image), one row per sector in slot order
+    own, image = [], []
+    s_stacks, j_stacks, delta_stacks = [], [], []
+    delta_eigenvalues = np.empty(rep.dim)
     misfit = 0.0
     for h, m in enumerate(block_sizes):
         xb, y = x_blocks[h], xstar_blocks[h]
@@ -217,14 +209,41 @@ def tomita_operator(rep):
         misfit += np.linalg.norm(s @ xb - y) ** 2
         x_blocks[h] = xstar_blocks[h] = xb = y = None
         j, delta, eigenvalues = polar_antilinear(s)
-        stack_labels = np.empty(counts[h], dtype=names.dtype)
-        stack_labels[slot[group == h]] = names[group == h]
-        rows = np.empty((counts[h], m), dtype=np.intp)
-        mine = group[sector] == h
-        rows[slot[sector[mine]], position[mine]] = np.flatnonzero(mine)
-        stacks.append(SectorStack(stack_labels, rows, s, j, delta, eigenvalues))
+        members = np.flatnonzero(group == h)
+        own.append(by_sector[starts[members][:, None] + np.arange(m)])
+        image.append(by_sector[starts[flip[members]][:, None] + np.arange(m)])
+        delta_eigenvalues[own[h]] = eigenvalues
+        s_stacks.append(s)
+        j_stacks.append(j)
+        delta_stacks.append(delta)
     residual = np.sqrt(misfit) / max(scale, 1e-300)
-    return ModularData(rep.labels, stacks, float(residual))
+    # the lists alone now hold the stacks, so _entries frees each once written
+    del s, j, delta
+    # CSR rows: a row of sector t holds the sizes[t] columns of sector t
+    # (Delta) or -t (S, J), ascending.  Offsets and column indices are int32,
+    # as scipy would pick them: there are at most dim^2 <= 2^(2
+    # fock.MAX_MODES) < 2^31 entries
+    indptr = np.concatenate([[0], np.cumsum(sizes[sector])]).astype(np.int32)
+    shape = (rep.dim, rep.dim)
+    flipped = _entries([col[:, None, :] for col in own], image, indptr, np.int32)
+    s = sparse.csr_array((_entries(s_stacks, image, indptr), flipped, indptr), shape=shape)
+    j = sparse.csr_array((_entries(j_stacks, image, indptr), flipped, indptr), shape=shape)
+    straight = _entries([col[:, None, :] for col in own], own, indptr, np.int32)
+    delta = sparse.csr_array((_entries(delta_stacks, own, indptr), straight, indptr), shape=shape)
+    return ModularData(rep.labels, s, j, delta, delta_eigenvalues, float(residual))
+
+
+def _entries(stacks, rows, indptr, dtype=complex):
+    """The entry array of a CSR matrix with offsets ``indptr``, filled from
+    one stack per group of equal-size sectors: entry ``(k, p, c)`` of
+    ``stacks[h]`` goes to offset ``indptr[rows[h][k, p]] + c``.  Each stack
+    is dropped from ``stacks`` once written, so only one matrix's entries
+    exist twice at a time."""
+    out = np.empty(indptr[-1], dtype=dtype)
+    for h, row in enumerate(rows):
+        out[indptr[row][..., None] + np.arange(row.shape[1])] = stacks[h]
+        stacks[h] = None
+    return out
 
 
 def modular_involution_formula(rep):
@@ -232,28 +251,19 @@ def modular_involution_formula(rep):
 
     ``J (f_1^..^f_k (x) g_1^..^g_m) = conj(g_m)^..^conj(g_1) (x)
     conj(f_k)^..^conj(f_1)``: swap the factors, reverse each wedge (sign
-    ``(-1)^{k(k-1)/2}``), conjugate entries.  Returned as ``(perm, signs)``
-    with ``(J v)[r] = signs[r] * conj(v[perm[r]])``: in the index convention
-    of :func:`carshift.quasifree.tensor`, ``perm`` sends ``b1 d + b2`` to
-    ``b2 d + b1``.
+    ``(-1)^{k(k-1)/2}``), conjugate entries.  Returned as the CSR matrix
+    ``M`` of ``J v = M @ conj(v)``, a signed permutation: in the index
+    convention of :func:`carshift.quasifree.tensor`, row ``b1 d + b2`` holds
+    its sign in column ``b2 d + b1``.
     """
     d = rep.factor.dim
     k = fock.particle_numbers(rep.factor)
     sign = 1.0 - 2.0 * ((k * (k - 1) // 2) & 1)
     rows = np.arange(d * d)
-    return (rows % d) * d + rows // d, np.outer(sign, sign).ravel()
-
-
-def involution_blocks(data, perm, signs):
-    """The antilinear ``v -> signs * conj(v[perm])`` in the block layout of
-    ``data.j``, read with :func:`carshift.opalg.sector_blocks` from the
-    signed permutation matrix; ``ValueError`` unless it maps each sector
-    ``q`` onto ``-q``."""
-    matrix = sparse.csr_array((signs, perm, np.arange(len(perm) + 1)), shape=(len(perm),) * 2)
-    blocks = sector_blocks(matrix, data.labels)
-    if set(blocks) != {(q, -q) for q in data.sectors}:
-        raise ValueError("the involution does not map charge sector q onto -q")
-    return {q: block for (q, _), block in blocks.items()}
+    return sparse.csr_array(
+        (np.outer(sign, sign).ravel(), (rows % d) * d + rows // d, np.arange(d * d + 1)),
+        shape=(d * d, d * d),
+    )
 
 
 def commutant_generator(rep, f):
@@ -262,28 +272,15 @@ def commutant_generator(rep, f):
 
 
 def conjugate_by(data, x):
-    """The blocks of ``J x J`` for the modular conjugation ``J`` of ``data``
-    and a matrix ``x``, as ``{(source, target): block}`` in the layout of
-    :func:`carshift.opalg.sector_blocks`.
-
-    The block ``x_{s -> t}`` gives ``(J x J)_{-s -> -t} = J_t conj(x_{s -> t})
-    conj(J_{-s})``; for a field that lowers the charge by one,
-    ``(J x J)_{q -> q+1} = J_{-q-1} conj(x_{-q -> -q-1}) conj(J_q)``.
-    """
-    return {
-        (-source, -target): data.j[target] @ np.conj(block) @ np.conj(data.j[-source])
-        for (source, target), block in sector_blocks(x, data.labels).items()
-    }
+    """``J x J`` for the modular conjugation ``J`` of ``data`` and a dense or
+    sparse matrix ``x``: ``J x J v = j conj(x) conj(j) v`` with ``J v = j @
+    conj(v)``."""
+    return data.j @ x.conj() @ data.j.conj()
 
 
 def kms_residual(rep, data, ops_x, ops_y):
-    """Residual of ``<vac, x y vac> = <vac, y Delta x vac>`` for x, y in ``M``,
-    with ``Delta`` applied as one batched product per stack of sector blocks."""
+    """Residual of ``<vac, x y vac> = <vac, y Delta x vac>`` for x, y in ``M``."""
     vac = rep.vacuum
-    xv = ops_x @ vac
-    delta_xv = np.zeros_like(xv)
-    for st in data.stacks:
-        delta_xv[st.rows] = (st.delta @ xv[st.rows][..., None])[..., 0]
     lhs = inner(vac, ops_x @ (ops_y @ vac))
-    rhs = inner(vac, ops_y @ delta_xv)
+    rhs = inner(vac, ops_y @ (data.delta @ (ops_x @ vac)))
     return abs(lhs - rhs)

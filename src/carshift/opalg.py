@@ -36,18 +36,16 @@ def operator_norm(a):
     return float(np.linalg.norm(np.asarray(a), ord=2))
 
 
-def sector_blocks(op, labels):
-    """The blocks of a matrix between label sectors.
-
-    ``labels[k]`` is the sector of basis vector ``k``.  Returns
-    ``{(source, target): block}`` with the dense ``block`` of rows
-    ``labels == target`` and columns ``labels == source``, for each pair of
-    sectors with a nonzero entry there; a source may map into several
-    targets (a field ``pi(a(f))`` with ``f`` spread over several modes lowers
-    one mode's charge or another's).  ``op`` may be dense or
-    ``scipy.sparse``; only its nonzero entries are read (a stored exact zero
-    counts as zero), and each block is one scatter of them.
-    """
+def sector_operator_norm(op, labels):
+    """Operator norm of a matrix that maps each label sector into one sector,
+    a different one for each source sector (a shift of the particle number,
+    or the charge flip ``q -> -q``): the largest norm of its blocks between
+    sectors (0 for a zero matrix).  ``labels[k]`` is the sector of basis
+    vector ``k``.  ``op`` may be dense or ``scipy.sparse``; only its nonzero
+    entries are read (a stored exact zero counts as zero).  The blocks of one
+    shape are one scatter of those entries into a stack and one stacked
+    singular value decomposition.  Raises ``ValueError`` when a sector maps
+    into two, or two into one."""
     labels = np.asarray(labels)
     op = op if sparse.issparse(op) else np.asarray(op)
     if op.shape != (len(labels), len(labels)):
@@ -64,20 +62,21 @@ def sector_blocks(op, labels):
     position = sector_positions(sector, sizes)
     pairs, inverse = np.unique(sector[cols] * len(names) + sector[rows], return_inverse=True)
     sources, targets = np.divmod(pairs, len(names))
-    # the blocks of one shape are scattered into one stack
-    shapes, shape = np.unique(sizes[targets] * (sizes.max() + 1) + sizes[sources],
-                              return_inverse=True)
-    slot = sector_positions(shape, np.bincount(shape))
+    if len(np.unique(sources)) < len(pairs) or len(np.unique(targets)) < len(pairs):
+        raise ValueError("matrix does not map each sector into a sector of its own")
+    # a block's shape as one integer, rows * base + columns
+    base = sizes.max() + 1
+    shapes, shape = np.unique(sizes[targets] * base + sizes[sources], return_inverse=True)
+    count = np.bincount(shape)
+    slot = sector_positions(shape, count)
     entry_shape = shape[inverse]
-    blocks = {}
+    norm = 0.0
     for h, code in enumerate(shapes.tolist()):
-        mine = np.flatnonzero(shape == h)
-        stack = np.zeros((len(mine), *divmod(code, sizes.max() + 1)), dtype=vals.dtype)
+        stack = np.zeros((count[h], *divmod(code, base)), dtype=vals.dtype)
         run = entry_shape == h
         stack[slot[inverse[run]], position[rows[run]], position[cols[run]]] = vals[run]
-        pair_names = zip(names[sources[mine]].tolist(), names[targets[mine]].tolist())
-        blocks.update(zip(pair_names, stack))
-    return blocks
+        norm = max(norm, np.linalg.svd(stack, compute_uv=False).max())
+    return float(norm)
 
 
 def sector_positions(sector, sizes):
@@ -88,29 +87,6 @@ def sector_positions(sector, sizes):
     position = np.empty(len(sector), dtype=np.intp)
     position[by_sector] = np.arange(len(sector)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     return position
-
-
-def largest_operator_norm(blocks):
-    """The largest operator norm of some matrices (0 if there are none), from
-    one stacked singular value decomposition per matrix shape."""
-    by_shape = {}
-    for block in blocks:
-        by_shape.setdefault(block.shape, []).append(block)
-    norms = (np.linalg.svd(np.stack(same), compute_uv=False).max() for same in by_shape.values())
-    return float(max(norms, default=0.0))
-
-
-def sector_operator_norm(op, labels):
-    """Operator norm of a matrix that maps each label sector into one sector,
-    a different one for each source sector (a shift of the particle number,
-    or the charge flip ``q -> -q``): the largest norm of its
-    :func:`sector_blocks` (0 for a zero matrix).  Raises ``ValueError`` when
-    a sector maps into two, or two into one."""
-    blocks = sector_blocks(op, labels)
-    sources, targets = {source for source, _ in blocks}, {target for _, target in blocks}
-    if len(sources) < len(blocks) or len(targets) < len(blocks):
-        raise ValueError("matrix does not map each sector into a sector of its own")
-    return largest_operator_norm(blocks.values())
 
 
 def lowrank_hs_norm(a, b):

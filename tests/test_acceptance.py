@@ -12,7 +12,6 @@ from scipy import integrate
 from carshift import bogoliubov, cli, expcalc, fock, hardyshift, modular, quasifree
 from carshift.expcalc import ExpCombo
 from carshift.opalg import adjoint, anticommutator, inner, operator_norm
-from dense_modular import dense_blocks, dense_delta, dense_involution, dense_j
 from oracles import evaluate
 
 
@@ -85,17 +84,17 @@ def test_criterion_04_modular_suite():
             quasifree.CovarianceState.isotropic(0.25, modes)
         )
         data = modular.tomita_operator(rep)
-        formula = dense_involution(*modular.modular_involution_formula(rep))
-        assert operator_norm(dense_j(data) - formula) <= 1e-9
+        formula = modular.modular_involution_formula(rep).toarray()
+        assert operator_norm(data.j.toarray() - formula) <= 1e-9
         # exactly one of J pi J = b(f) / -b*(f) holds; it is the starred one
         f = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
-        conj_f = dense_blocks(data, modular.conjugate_by(data, rep.field(f)))
+        conj_f = modular.conjugate_by(data, rep.field(f)).toarray()
         b = modular.commutant_generator(rep, f)
         starred = operator_norm(conj_f - (-adjoint(b)))
         plain = operator_norm(conj_f - b)
         assert starred <= 1e-10
         assert plain > 1e-2
-        eigs = np.linalg.eigvalsh(dense_delta(data))
+        eigs = np.linalg.eigvalsh(data.delta.toarray())
         eigs = eigs[eigs > 1e-12]
         powers = np.round(np.log(eigs) / np.log(1.0 / 3.0))
         assert np.max(np.abs(eigs - (1.0 / 3.0) ** powers)) <= 1e-8

@@ -337,14 +337,6 @@ def test_modular_verify_at_six_modes(tmp_path):
     assert header.endswith(",solve_residual,kms_residual")
 
 
-def test_block_differences_compare_a_block_on_one_side_with_zero():
-    a, b = np.ones((2, 3)), np.full((2, 3), 2.0)
-    lhs = {(0, 1): a, (2, 3): a}
-    rhs = {(0, 1): b, (4, 5): b}
-    got = cli._block_differences(lhs, rhs)
-    assert [d.tolist() for d in got] == [(a - b).tolist(), a.tolist(), (-b).tolist()]
-
-
 @pytest.mark.parametrize("kind", ["modular-verify", "quasifree-verify"])
 def test_doubled_representation_beyond_six_modes_is_an_error(tmp_path, capsys, kind):
     # 2 * 7 modes exceed fock.MAX_MODES = 12: refused before anything is built
@@ -379,8 +371,8 @@ def test_delta_spectrum_fails_when_two_sectors_exchange_eigenvalues(tmp_path, mo
 
     def exchanged(rep):
         data = solve(rep)
-        w = data.delta_eigenvalues
-        w[1], w[-1] = w[-1], w[1]
+        w, labels = data.delta_eigenvalues, data.labels
+        w[labels == 1], w[labels == -1] = w[labels == -1], w[labels == 1]
         return data
 
     monkeypatch.setattr(modular, "tomita_operator", exchanged)

@@ -4,10 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from carshift import modular, quasifree
-from carshift.opalg import adjoint, operator_norm, polar_antilinear
-from dense_modular import dense_blocks, dense_delta, dense_involution, dense_j, dense_s
+from carshift.opalg import adjoint, operator_norm, polar_antilinear, sector_operator_norm
 from oracles import second_quantized
 
 rng = np.random.default_rng(5)
@@ -44,31 +44,31 @@ def test_s_action_on_monomials(rep2, data2):
     e0 = np.array([1.0, 0.0])
     e1 = np.array([0.0, 1.0])
     x = rep2.field_star(e0) @ rep2.field(e1)
-    lhs = dense_s(data2) @ np.conj(x @ rep2.vacuum)
+    lhs = data2.s.toarray() @ np.conj(x @ rep2.vacuum)
     rhs = adjoint(x) @ rep2.vacuum
     assert np.linalg.norm(lhs - rhs) <= 1e-10
 
 
 def test_vacuum_fixed(rep2, data2):
     vac = rep2.vacuum
-    assert np.linalg.norm(dense_delta(data2) @ vac - vac) <= 1e-10
-    assert np.linalg.norm(dense_j(data2) @ np.conj(vac) - vac) <= 1e-10
+    assert np.linalg.norm(data2.delta.toarray() @ vac - vac) <= 1e-10
+    assert np.linalg.norm(data2.j.toarray() @ np.conj(vac) - vac) <= 1e-10
 
 
 def test_j_is_antiunitary_involution(data2):
-    j = dense_j(data2)
+    j = data2.j.toarray()
     assert np.linalg.norm(adjoint(j) @ j - np.eye(len(j))) <= 1e-9 * len(j)
     assert operator_norm(j @ np.conj(j) - np.eye(len(j))) <= 1e-9
 
 
 def test_polar_j_matches_wedge_formula(rep2, data2):
-    formula = dense_involution(*modular.modular_involution_formula(rep2))
-    assert operator_norm(dense_j(data2) - formula) <= 1e-9
+    formula = modular.modular_involution_formula(rep2).toarray()
+    assert operator_norm(data2.j.toarray() - formula) <= 1e-9
 
 
 def test_delta_spectrum_powers_of_ratio(data2):
     # nu = 1/4 gives ratio nu/(1-nu) = 1/3
-    eigs = np.linalg.eigvalsh(dense_delta(data2))
+    eigs = np.linalg.eigvalsh(data2.delta.toarray())
     eigs = eigs[eigs > 1e-12]
     powers = np.round(np.log(eigs) / np.log(1.0 / 3.0))
     assert np.max(np.abs(eigs - (1.0 / 3.0) ** powers)) <= 1e-8
@@ -92,9 +92,8 @@ def test_kms_residual_of_modular_verify_fails_without_delta():
     g = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     x, y = rep.field_star(f), rep.field(g)
     assert modular.kms_residual(rep, data, x, y) <= 1e-14
-    identity = copy.deepcopy(data)
-    for stack in identity.stacks:
-        stack.delta[:] = np.eye(stack.delta.shape[-1])
+    identity = copy.copy(data)
+    identity.delta = sparse.eye_array(rep.dim, format="csr")
     assert modular.kms_residual(rep, identity, x, y) > 1e-2 * np.linalg.norm(f) * np.linalg.norm(g)
 
 
@@ -109,7 +108,7 @@ def test_commutant_generators_commute(rep2):
 def test_j_conjugation_lands_in_commutant(rep2, data2):
     # J pi(a(f+0)) J = -b*(f); the sign is fixed by the polar J
     f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    lhs = dense_blocks(data2, modular.conjugate_by(data2, rep2.field(f)))
+    lhs = modular.conjugate_by(data2, rep2.field(f)).toarray()
     rhs = -adjoint(modular.commutant_generator(rep2, f)).toarray()
     assert operator_norm(lhs - rhs) <= 1e-10
 
@@ -135,7 +134,7 @@ def test_delta_matches_closed_form(modes):
     want = quasifree.tensor(
         second_quantized(rep.factor, h), second_quantized(rep.factor, np.linalg.inv(h))
     )
-    assert operator_norm(dense_delta(data) - want) <= 1e-12 * operator_norm(want)
+    assert operator_norm(data.delta.toarray() - want) <= 1e-12 * operator_norm(want)
 
 
 def _dense_monomial_columns(rep):
@@ -170,10 +169,10 @@ def test_sector_solve_matches_dense_solve(modes):
     # polar_antilinear; an eigh of Delta = m* m would square the condition
     # number of the full matrix
     u, _, vh = np.linalg.svd(np.conj(m))
-    assert operator_norm(dense_s(data) - m) <= 1e-12 * operator_norm(m)
-    assert operator_norm(dense_j(data) - np.conj(u @ vh)) <= 1e-12
-    assert operator_norm(dense_delta(data) - delta) <= 1e-12 * operator_norm(delta)
-    sector_eigenvalues = np.sort(np.concatenate(list(data.delta_eigenvalues.values())))
+    assert operator_norm(data.s.toarray() - m) <= 1e-12 * operator_norm(m)
+    assert operator_norm(data.j.toarray() - np.conj(u @ vh)) <= 1e-12
+    assert operator_norm(data.delta.toarray() - delta) <= 1e-12 * operator_norm(delta)
+    sector_eigenvalues = np.sort(data.delta_eigenvalues)
     assert np.max(np.abs(sector_eigenvalues - eigenvalues)) <= 1e-12 * eigenvalues[-1]
 
 
@@ -217,8 +216,8 @@ def test_diagonal_covariance_grades_by_the_charge_of_every_mode():
     assert rep.mode_weights.tolist() == [1, 3, 9]
     assert sorted(set(rep.labels)) == list(range(-13, 14))
     assert np.array_equal(random_rep(3, seed=1).labels, rep.charge)
-    data = modular.tomita_operator(rep)
-    assert len(data.sectors) == 27 and max(len(rows) for rows in data.sectors.values()) == 8
+    sizes = np.unique(modular.tomita_operator(rep).labels, return_counts=True)[1]
+    assert len(sizes) == 27 and sizes.max() == 8
 
 
 @pytest.mark.parametrize("modes", [2, 3, 4])
@@ -229,10 +228,10 @@ def test_diagonal_covariance_matches_the_dense_solve(modes):
     x_cols, xstar_cols = _dense_monomial_columns(rep)
     m = np.linalg.solve(np.conj(x_cols).T, xstar_cols.T).T
     _, delta, _ = polar_antilinear(m)
-    assert operator_norm(dense_s(data) - m) <= 1e-12 * operator_norm(m)
-    assert operator_norm(dense_delta(data) - delta) <= 1e-12 * operator_norm(delta)
-    formula = dense_involution(*modular.modular_involution_formula(rep))
-    assert operator_norm(dense_j(data) - formula) <= 1e-12
+    assert operator_norm(data.s.toarray() - m) <= 1e-12 * operator_norm(m)
+    assert operator_norm(data.delta.toarray() - delta) <= 1e-12 * operator_norm(delta)
+    formula = modular.modular_involution_formula(rep).toarray()
+    assert operator_norm(data.j.toarray() - formula) <= 1e-12
 
 
 def test_polar_j_of_a_general_state_matches_the_wedge_formula():
@@ -240,19 +239,19 @@ def test_polar_j_of_a_general_state_matches_the_wedge_formula():
     # eigh of S* S, which squares the condition number, it is 7.6e-13 off
     rep = random_rep(4, seed=14)
     data = modular.tomita_operator(rep)
-    formula = dense_involution(*modular.modular_involution_formula(rep))
-    assert operator_norm(dense_j(data) - formula) <= 5e-14
+    formula = modular.modular_involution_formula(rep).toarray()
+    assert operator_norm(data.j.toarray() - formula) <= 5e-14
 
 
 @pytest.mark.parametrize("modes", [2, 3])
 def test_conjugate_by_matches_the_dense_product(modes):
     rep = random_rep(modes, seed=30 + modes)
     data = modular.tomita_operator(rep)
-    j = dense_j(data)
+    j = data.j.toarray()
     f = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
     for x in (rep.field(f), rep.field_star(f), rep.field_star(f) @ rep.field(f)):
         want = j @ np.conj(x.toarray()) @ np.conj(j)
-        got = dense_blocks(data, modular.conjugate_by(data, x))
+        got = modular.conjugate_by(data, x).toarray()
         assert operator_norm(got - want) <= 1e-12 * max(operator_norm(want), 1.0)
 
 
@@ -270,11 +269,28 @@ def test_kms_condition_on_a_general_state():
         assert abs(np.vdot(vac, x @ (y @ vac)) - np.vdot(vac, y @ (x @ vac))) > 1e-3
 
 
-def test_involution_blocks_refuse_a_map_that_keeps_the_charge():
+def test_sector_norm_refuses_j_minus_a_map_that_keeps_the_charge():
+    # J maps sector q onto -q and the identity keeps it, so their difference
+    # sends each sector q != 0 into two sectors
     rep = quasifree.doubled_representation(quasifree.CovarianceState.isotropic(0.25, 2))
     data = modular.tomita_operator(rep)
     with pytest.raises(ValueError, match="sector"):
-        modular.involution_blocks(data, np.arange(rep.dim), np.ones(rep.dim))
+        sector_operator_norm(data.j - sparse.eye_array(rep.dim), rep.labels)
+
+
+@pytest.mark.parametrize("modes", [2, 3])
+def test_sparse_matrices_store_every_sector_block_whole(modes):
+    # the per-mode sectors of the isotropic state hold prod_i (1 + 4 + 1) =
+    # 6^n squared entries, the total-charge sectors of a general R sum_k
+    # C(2n, k)^2 = C(4n, 2n)
+    for rep, want in (
+        (quasifree.doubled_representation(quasifree.CovarianceState.isotropic(0.25, modes)),
+         6**modes),
+        (random_rep(modes, seed=50 + modes), math.comb(4 * modes, 2 * modes)),
+    ):
+        data = modular.tomita_operator(rep)
+        assert data.s.nnz == data.j.nnz == data.delta.nnz == want
+        assert np.array_equal(data.s.indices, data.j.indices)
 
 
 def test_tomita_operator_stays_below_one_dense_operator():
@@ -320,15 +336,32 @@ def test_tomita_operator_at_six_modes_stays_below_one_total_charge_block():
     assert peak < math.comb(12, 6) ** 2 * 16
 
 
+def test_tomita_operator_of_a_general_state_stays_below_eight_sets_of_blocks():
+    # the total-charge sectors of a general R at 5 modes hold C(20, 10)
+    # complex entries per set of blocks (3.0 MB).  The monomial blocks of x
+    # and x*, then the stacks of S, J and Delta, and the CSR entries of one
+    # matrix at a time beside them come to about five sets (13.7 MB
+    # measured), which leaves room for temporaries below eight
+    modes = 5
+    rep = random_rep(modes, seed=25)
+    tracemalloc.start()
+    try:
+        modular.tomita_operator(rep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * math.comb(4 * modes, 2 * modes) * 16
+
+
 def test_strongly_mixed_state_keeps_j_antiunitary():
     # nu = 0.01 at 3 modes: Delta spans 99^3 to 99^-3, wider than 1/rank_tol,
     # but within each charge sector Delta is the scalar 99^(-q)
     rep = quasifree.doubled_representation(quasifree.CovarianceState.isotropic(0.01, 3))
     data = modular.tomita_operator(rep)
-    j = dense_j(data)
+    j = data.j.toarray()
     assert np.linalg.norm(adjoint(j) @ j - np.eye(len(j))) <= 1e-9 * len(j)
-    formula = dense_involution(*modular.modular_involution_formula(rep))
-    assert operator_norm(dense_j(data) - formula) <= 1e-9
+    formula = modular.modular_involution_formula(rep).toarray()
+    assert operator_norm(data.j.toarray() - formula) <= 1e-9
 
 
 def _loop_involution_formula(rep):
@@ -348,7 +381,7 @@ def _loop_involution_formula(rep):
 @pytest.mark.parametrize("modes", [1, 2, 3, 4])
 def test_involution_formula_matches_the_loop_definition(modes):
     rep = quasifree.doubled_representation(quasifree.CovarianceState.isotropic(0.25, modes))
-    got = dense_involution(*modular.modular_involution_formula(rep))
+    got = modular.modular_involution_formula(rep).toarray()
     assert np.array_equal(got, _loop_involution_formula(rep))
 
 

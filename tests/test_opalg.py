@@ -126,29 +126,18 @@ def test_sector_operator_norm_takes_sparse_input():
     op = np.zeros((4, 4), dtype=complex)
     op[1:3, 0] = [1.0, 2.0j]
     op[3, 1:3] = [3.0, -1.0]
-    want = opalg.sector_operator_norm(op, labels)
-    assert opalg.sector_operator_norm(sparse.csr_array(op), labels) == want
+    flip_labels = rng.integers(-2, 3, size=24)
+    flip = graded_operator(flip_labels, {s: -s for s in range(-2, 3)})
+    for labels, op in ((labels, op), (flip_labels, flip)):
+        want = opalg.sector_operator_norm(op, labels)
+        assert opalg.sector_operator_norm(sparse.csr_array(op), labels) == want
 
 
-def test_sector_blocks_read_sparse_entries_as_the_dense_matrix():
-    labels = rng.integers(-2, 3, size=24)
-    op = graded_operator(labels, {s: -s for s in range(-2, 3)})
-    dense = opalg.sector_blocks(op, labels)
-    stored = opalg.sector_blocks(sparse.csr_array(op), labels)
-    assert sorted(dense) == sorted(stored)
-    for (source, target), block in dense.items():
-        assert np.array_equal(stored[source, target], block)
-        rows, cols = np.flatnonzero(labels == target), np.flatnonzero(labels == source)
-        assert np.array_equal(block, op[np.ix_(rows, cols)])
-
-
-def test_sector_blocks_count_a_stored_zero_as_zero():
+def test_sector_operator_norm_counts_a_stored_zero_as_zero():
     labels = np.array([0, 1, 1, 2])
     op = sparse.csr_array(
-        (np.array([1.0, 2.0, 0.0]), (np.array([1, 3, 0]), np.array([0, 1, 3]))), shape=(4, 4)
+        (np.array([1.0, 2.0, 0.0]), (np.array([1, 3, 3]), np.array([0, 1, 0]))), shape=(4, 4)
     )
-    # the stored zero at (0, 3) would send sector 2 to sector 0
+    # read, the stored zero at (3, 0) would send sector 0 to sectors 1 and 2
     assert op.nnz == 3
-    blocks = opalg.sector_blocks(op, labels)
-    assert sorted(blocks) == [(0, 1), (1, 2)]
     assert opalg.sector_operator_norm(op, labels) == 2.0

@@ -30,7 +30,7 @@ ROOT = SRC.parent.parent
 
 # qualified name -> why it stays although nothing in src/ names it: the
 # acceptance criterion that calls it or the perfbench metric that reads it.
-# Test oracles live in tests/ (oracles.py, dense_modular.py), not here.
+# Test oracles live in tests/ (oracles.py), not here.
 KEEP = {
     "fock.mode_annihilator": "perfbench metric fock.mode_annihilator.calls",
     "quasifree.purification_projection": (
@@ -151,6 +151,28 @@ def _surface():
 def test_every_public_name_has_a_caller_or_a_reason():
     unused = _unused(_surface())
     assert unused == [], "delete these or give them a KEEP or SHARED entry: %s" % unused
+
+
+def test_every_test_helper_function_is_called_from_a_test_module():
+    # the helper modules of tests/ (the oracles) hold no function that no
+    # test calls, so a wrapper left behind by an API change shows up here
+    tests = Path(__file__).parent
+    called = Counter(
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for path in tests.glob("test_*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    )
+    helpers = [path for path in tests.glob("*.py") if not path.name.startswith("test_")]
+    assert helpers
+    uncalled = [
+        f"{path.stem}.{node.name}"
+        for path in helpers
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and not called[node.name]
+    ]
+    assert uncalled == []
 
 
 def test_keep_reasons_name_an_acceptance_criterion_or_a_perfbench_metric():
