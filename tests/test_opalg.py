@@ -126,11 +126,24 @@ def test_sector_operator_norm_takes_sparse_input():
     op = np.zeros((4, 4), dtype=complex)
     op[1:3, 0] = [1.0, 2.0j]
     op[3, 1:3] = [3.0, -1.0]
-    flip_labels = rng.integers(-2, 3, size=24)
-    flip = graded_operator(flip_labels, {s: -s for s in range(-2, 3)})
-    for labels, op in ((labels, op), (flip_labels, flip)):
-        want = opalg.sector_operator_norm(op, labels)
-        assert opalg.sector_operator_norm(sparse.csr_array(op), labels) == want
+    want = opalg.sector_operator_norm(op, labels)
+    assert opalg.sector_operator_norm(sparse.csr_array(op), labels) == want
+
+
+def test_sector_blocks_read_sparse_entries_as_the_dense_matrix():
+    labels = rng.integers(-2, 3, size=24)
+    op = graded_operator(labels, {s: -s for s in range(-2, 3)})
+    want = opalg.sector_operator_norm(op, labels)
+    assert opalg.sector_operator_norm(sparse.csr_array(op), labels) == want
+    # each block alone: the sparse read gives the norm of the dense block
+    for source in np.unique(labels):
+        rows, cols = np.flatnonzero(labels == -source), np.flatnonzero(labels == source)
+        alone = np.zeros_like(op)
+        alone[:, cols] = op[:, cols]
+        block = op[np.ix_(rows, cols)]
+        assert opalg.sector_operator_norm(sparse.csr_array(alone), labels) == pytest.approx(
+            opalg.operator_norm(block), rel=0, abs=1e-13
+        )
 
 
 def test_sector_operator_norm_counts_a_stored_zero_as_zero():
