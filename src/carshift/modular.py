@@ -10,14 +10,15 @@ map sector ``q`` onto ``-q`` and ``Delta`` is block diagonal (Araki, Publ. RIMS
 6 (1970) 385-442).  For a diagonal ``R`` the same holds for every mode's
 charge ``q_i = N_1i - N_2i`` on its own, so the sectors are those of the
 vector ``(q_1, .., q_n)``; the representation's ``labels`` say which grading
-holds.  Everything here stays in those blocks: the monomial columns are
-sparse, the blocks are stacked by size and each stack is solved and
-polar-decomposed by one batched LAPACK call.  :class:`ModularData` holds
-``S``, ``J`` and ``Delta`` as ``scipy.sparse`` CSR matrices that store each
-sector's block whole, and the closed-form involution is a signed permutation
-matrix.  No dense ``dim x dim`` matrix is formed.  Only the ``4^n`` monomials
-``x`` are multiplied out: every ``x* vac`` is a signed copy of one of their
-columns.
+holds.  Everything here stays in those blocks, in the layout of
+:mod:`carshift.opalg`: the monomial columns form one sparse matrix, which
+``sector_stacks`` cuts into stacks of equal-size blocks; each stack is solved
+and polar-decomposed by one batched LAPACK call, and ``stacked_matrix``
+writes ``S``, ``J`` and ``Delta`` into the ``scipy.sparse`` CSR matrices of
+:class:`ModularData`, each sector's block whole.  The closed-form involution
+is a signed permutation matrix.  No dense ``dim x dim`` matrix is formed.
+Only the ``4^n`` monomials ``x`` are multiplied out: every ``x* vac`` is a
+signed copy of one of their columns.
 
 The commutant is generated by ``b(f) = (Gamma (x) Gamma) pi(a(0 (+) f))``;
 its adjoint is ``b(f)* = pi(a*(0 (+) f)) (Gamma (x) Gamma)``.
@@ -29,7 +30,7 @@ import numpy as np
 from scipy import sparse
 
 from . import fock
-from .opalg import RANK_TOL, inner, polar_antilinear, sector_positions
+from .opalg import RANK_TOL, inner, polar_antilinear, sector_stacks, stacked_matrix
 
 
 def monomial_indices(n):
@@ -126,10 +127,10 @@ class ModularData:
     ``J v = j @ conj(v)``; both map sector ``q`` onto ``-q``, so a row of
     sector ``t`` holds the columns of sector ``-t``, and they share one
     pattern.  ``delta`` is the CSR matrix of ``Delta``, block diagonal.  Each
-    sector's block is stored whole, so every matrix holds the sum of the
-    squared sector sizes as entries.  ``delta_eigenvalues`` holds each
-    sector's eigenvalues of ``Delta``, ascending, on that sector's basis
-    indices.
+    sector's block is stored whole (:func:`carshift.opalg.stacked_matrix`),
+    so every matrix holds the sum of the squared sector sizes as entries.
+    ``delta_eigenvalues`` holds each sector's eigenvalues of ``Delta``,
+    ascending, on that sector's basis indices.
     """
 
     def __init__(self, labels, s, j, delta, delta_eigenvalues, solve_residual):
@@ -144,106 +145,62 @@ class ModularData:
 def tomita_operator(rep):
     """Build ``S``, ``J`` and ``Delta`` for the vacuum of a doubled representation.
 
-    The monomial system is solved, and ``S`` polar-decomposed, per sector of
-    ``rep.labels``, with the sectors of one size stacked; the stacks are then
-    written once into the CSR matrices of :class:`ModularData`.  The
-    condition number is the largest singular value of the monomial blocks
-    over the smallest, the same as for the full monomial matrix, and must
-    stay below ``1 / RANK_TOL``.  Raises if the monomial columns fail to span
-    (vacuum not cyclic at the working precision) or leave their charge
-    sectors.
+    The ``x vac`` are the columns of one CSR matrix ``X``, the ``i``-th
+    monomial of a label on the ``i``-th basis vector of that label's sector,
+    and ``X* = X F`` with ``F`` the signed permutation from each monomial to
+    its adjoint.  ``S conj(X) = X*`` is solved, and ``S`` polar-decomposed,
+    on the stacks of :func:`carshift.opalg.sector_stacks`, and the solved
+    stacks are written out by :func:`carshift.opalg.stacked_matrix`.  The
+    condition number, the largest singular value of the monomial blocks over
+    the smallest, must stay below ``1 / RANK_TOL``.  Raises if the monomial
+    columns fail to span (vacuum not cyclic at the working precision) or
+    leave their charge sectors.
     """
     labels, adjoint, signs, columns = _monomial_columns(rep)
-    names, sector = np.unique(rep.labels, return_inverse=True)
-    sizes = np.bincount(sector)
-    column_sector = np.searchsorted(names, labels)
-    if not np.array_equal(np.bincount(column_sector, minlength=len(names)), sizes):
+    by_label, by_sector = np.argsort(labels, kind="stable"), np.argsort(rep.labels, kind="stable")
+    if not np.array_equal(labels[by_label], rep.labels[by_sector]):
         raise ValueError("monomial columns leave their charge sectors")
-    position = sector_positions(sector, sizes)
-    column_position = sector_positions(column_sector, sizes)
-    # sectors of one size form a group; slot: a sector's place in its group
-    block_sizes, group = np.unique(sizes, return_inverse=True)
-    counts = np.bincount(group)
-    slot = sector_positions(group, counts)
-    # Antilinear S with block matrix M: M conj(x_block) = xstar_block, where
-    # column j of block k is the j-th monomial of the k-th sector of a group,
-    # on the rows of the sector its entries lie in
-    x_blocks = [np.zeros((k, m, m), dtype=complex) for k, m in zip(counts, block_sizes)]
-    xstar_blocks = [np.zeros_like(xb) for xb in x_blocks]
-
-    def scatter(blocks, basis, monomials, values):
-        source = column_sector[monomials]
-        for h, block in enumerate(blocks):
-            mine = group[source] == h
-            block[slot[source[mine]], position[basis[mine]], column_position[monomials[mine]]] = (
-                values[mine]
-            )
-
-    for basis, monomials, values in columns:
-        scatter(x_blocks, basis, monomials, values)
-        scatter(xstar_blocks, basis, adjoint[monomials], signs[monomials] * values)
-    for xb in x_blocks:
+    column = np.empty(rep.dim, dtype=np.intp)  # the basis vector monomial k stands on
+    column[by_label] = by_sector
+    basis, monomials, values = (np.concatenate(part) for part in zip(*columns))
+    x = sparse.csr_array((values, (basis, column[monomials])), shape=(rep.dim, rep.dim))
+    del basis, monomials, values
+    xstar = x @ sparse.csr_array((signs, (column[adjoint], column)), shape=x.shape)
+    xstar.sort_indices()  # in place: sector_stacks copies a matrix that is not canonical
+    # each matrix is dropped once its stacks are read
+    x_stacks = sector_stacks(x, rep.labels)
+    del x
+    # stack h of X* maps the sectors q of stack h of X, in the same order, into -q
+    xstar_stacks = sector_stacks(xstar, rep.labels)
+    del xstar
+    for _, _, xb in x_stacks:
         np.conj(xb, out=xb)
-    sv = np.concatenate([np.linalg.svd(xb, compute_uv=False).ravel() for xb in x_blocks])
-    cond = sv.max() / sv.min() if sv.min() > 0 else np.inf
+    sv = np.concatenate([np.linalg.svd(xb, compute_uv=False).ravel() for _, _, xb in x_stacks])
+    cond = sv.max() / sv.min() if len(sv) == rep.dim and sv.min() > 0 else np.inf
     if not np.isfinite(cond) or cond > 1.0 / RANK_TOL:
         raise ValueError(
             f"vacuum not cyclic/separating at tolerance {RANK_TOL:g} "
             f"(monomial matrix condition {cond:.3e})"
         )
-    scale = np.sqrt(sum(np.linalg.norm(y) ** 2 for y in xstar_blocks))
-    # the basis indices of sector k are by_sector[starts[k]:starts[k] + sizes[k]],
-    # ascending, and names[flip[k]] is -names[k]
-    by_sector = np.argsort(sector, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    flip = np.searchsorted(names, -names)
-    # per group: the basis indices of its sectors (own) and of their images
-    # under q -> -q (image), one row per sector in slot order
-    own, image = [], []
-    s_stacks, j_stacks, delta_stacks = [], [], []
+    scale = np.sqrt(sum(np.linalg.norm(y) ** 2 for _, _, y in xstar_stacks))
+    s_blocks, j_blocks, delta_blocks = [], [], []
     delta_eigenvalues = np.empty(rep.dim)
     misfit = 0.0
-    for h, m in enumerate(block_sizes):
-        xb, y = x_blocks[h], xstar_blocks[h]
+    for h in range(len(x_stacks)):
+        (at_q, _, xb), (at_minus_q, _, y) = x_stacks[h], xstar_stacks[h]
         s = np.swapaxes(np.linalg.solve(np.swapaxes(xb, 1, 2), np.swapaxes(y, 1, 2)), 1, 2)
         misfit += np.linalg.norm(s @ xb - y) ** 2
-        x_blocks[h] = xstar_blocks[h] = xb = y = None
+        x_stacks[h] = xstar_stacks[h] = xb = y = None
         j, delta, eigenvalues = polar_antilinear(s)
-        members = np.flatnonzero(group == h)
-        own.append(by_sector[starts[members][:, None] + np.arange(m)])
-        image.append(by_sector[starts[flip[members]][:, None] + np.arange(m)])
-        delta_eigenvalues[own[h]] = eigenvalues
-        s_stacks.append(s)
-        j_stacks.append(j)
-        delta_stacks.append(delta)
+        delta_eigenvalues[at_q] = eigenvalues
+        s_blocks.append((at_minus_q, at_q, s))
+        j_blocks.append((at_minus_q, at_q, j))
+        delta_blocks.append((at_q, at_q, delta))
     residual = np.sqrt(misfit) / max(scale, 1e-300)
-    # the lists alone now hold the stacks, so _entries frees each once written
+    # the lists alone now hold the stacks, so stacked_matrix frees each once written
     del s, j, delta
-    # CSR rows: a row of sector t holds the sizes[t] columns of sector t
-    # (Delta) or -t (S, J), ascending.  Offsets and column indices are int32,
-    # as scipy would pick them: there are at most dim^2 <= 2^(2
-    # fock.MAX_MODES) < 2^31 entries
-    indptr = np.concatenate([[0], np.cumsum(sizes[sector])]).astype(np.int32)
-    shape = (rep.dim, rep.dim)
-    flipped = _entries([col[:, None, :] for col in own], image, indptr, np.int32)
-    s = sparse.csr_array((_entries(s_stacks, image, indptr), flipped, indptr), shape=shape)
-    j = sparse.csr_array((_entries(j_stacks, image, indptr), flipped, indptr), shape=shape)
-    straight = _entries([col[:, None, :] for col in own], own, indptr, np.int32)
-    delta = sparse.csr_array((_entries(delta_stacks, own, indptr), straight, indptr), shape=shape)
+    s, j, delta = (stacked_matrix(b, rep.dim) for b in (s_blocks, j_blocks, delta_blocks))
     return ModularData(rep.labels, s, j, delta, delta_eigenvalues, float(residual))
-
-
-def _entries(stacks, rows, indptr, dtype=complex):
-    """The entry array of a CSR matrix with offsets ``indptr``, filled from
-    one stack per group of equal-size sectors: entry ``(k, p, c)`` of
-    ``stacks[h]`` goes to offset ``indptr[rows[h][k, p]] + c``.  Each stack
-    is dropped from ``stacks`` once written, so only one matrix's entries
-    exist twice at a time."""
-    out = np.empty(indptr[-1], dtype=dtype)
-    for h, row in enumerate(rows):
-        out[indptr[row][..., None] + np.arange(row.shape[1])] = stacks[h]
-        stacks[h] = None
-    return out
 
 
 def modular_involution_formula(rep):

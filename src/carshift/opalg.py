@@ -1,6 +1,8 @@
 """Complex operator helpers: norms (dense, of low-rank products ``a b*`` from
-their factors, and of operators graded by a sector label) and the polar
-decomposition of an antilinear map given by its matrix.
+their factors, and of operators graded by a sector label), the one layout of
+sector blocks (:func:`sector_stacks` reads a graded matrix into stacks of
+equal-shape blocks, :func:`stacked_matrix` writes such stacks into CSR) and
+the polar decomposition of an antilinear map given by its matrix.
 
 Inner products are antilinear in the first argument throughout the package
 (``inner(u, v) == np.vdot(u, v)``).
@@ -37,56 +39,88 @@ def operator_norm(a):
 
 
 def sector_operator_norm(op, labels):
-    """Operator norm of a matrix that maps each label sector into one sector,
-    a different one for each source sector (a shift of the particle number,
-    or the charge flip ``q -> -q``): the largest norm of its blocks between
-    sectors (0 for a zero matrix).  ``labels[k]`` is the sector of basis
-    vector ``k``.  ``op`` may be dense or ``scipy.sparse``; only its nonzero
-    entries are read (a stored exact zero counts as zero).  The blocks of one
-    shape are one scatter of those entries into a stack and one stacked
-    singular value decomposition.  Raises ``ValueError`` when a sector maps
-    into two, or two into one."""
+    """Operator norm of a matrix as :func:`sector_stacks` reads it: the largest
+    singular value of its blocks between sectors (0 for a zero matrix)."""
+    stacks = sector_stacks(op, labels)
+    return float(max((np.linalg.svd(b, compute_uv=False).max() for _, _, b in stacks), default=0))
+
+
+def sector_stacks(op, labels):
+    """The blocks between sectors of a dense or ``scipy.sparse`` matrix that
+    maps each sector into one sector, a different one for each source sector
+    (a shift of the particle number, or the charge flip ``q -> -q``), stacked
+    by shape.  ``labels[k]`` is the sector of basis vector ``k``.  Only
+    nonzero entries are read: a stored zero counts as zero, and a zero block
+    is left out.  Returns one ``(rows, cols, stack)`` per shape ``(m, n)``,
+    ascending: ``stack[k] == op[rows[k][:, None], cols[k]]``, with the
+    ascending basis indices of the target sector in ``rows[k]`` and of the
+    source sector in ``cols[k]``, the blocks in ascending order of their
+    source sector.  Raises ``ValueError`` when a sector maps into two
+    sectors, or two into one."""
     labels = np.asarray(labels)
     op = op if sparse.issparse(op) else np.asarray(op)
     if op.shape != (len(labels), len(labels)):
         raise ValueError(f"expected a {len(labels)}x{len(labels)} matrix, got {op.shape}")
     entries = sparse.csr_array(op)
-    if not entries.has_canonical_format:
+    if not entries.has_canonical_format or not entries.data.all():
         entries = entries.copy()
         entries.sum_duplicates()
-    rows = np.repeat(np.arange(len(labels)), np.diff(entries.indptr))
-    nonzero = entries.data != 0
-    rows, cols, vals = rows[nonzero], entries.indices[nonzero], entries.data[nonzero]
+        entries.eliminate_zeros()
     names, sector = np.unique(labels, return_inverse=True)
     sizes = np.bincount(sector, minlength=len(names))
-    position = sector_positions(sector, sizes)
-    pairs, inverse = np.unique(sector[cols] * len(names) + sector[rows], return_inverse=True)
-    sources, targets = np.divmod(pairs, len(names))
-    if len(np.unique(sources)) < len(pairs) or len(np.unique(targets)) < len(pairs):
-        raise ValueError("matrix does not map each sector into a sector of its own")
-    # a block's shape as one integer, rows * base + columns
-    base = sizes.max() + 1
-    shapes, shape = np.unique(sizes[targets] * base + sizes[sources], return_inverse=True)
-    count = np.bincount(shape)
-    slot = sector_positions(shape, count)
-    entry_shape = shape[inverse]
-    norm = 0.0
-    for h, code in enumerate(shapes.tolist()):
-        stack = np.zeros((count[h], *divmod(code, base)), dtype=vals.dtype)
-        run = entry_shape == h
-        stack[slot[inverse[run]], position[rows[run]], position[cols[run]]] = vals[run]
-        norm = max(norm, np.linalg.svd(stack, compute_uv=False).max())
-    return float(norm)
-
-
-def sector_positions(sector, sizes):
-    """The index of each basis vector within its sector, counted in
-    ascending order: ``sector[k]`` is the sector of vector ``k`` (an index
-    into ``sizes``, the sector sizes)."""
+    # the basis indices of sector s are by_sector[starts[s]:starts[s] + sizes[s]]
     by_sector = np.argsort(sector, kind="stable")
-    position = np.empty(len(sector), dtype=np.intp)
-    position[by_sector] = np.arange(len(sector)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    return position
+    starts = np.cumsum(sizes) - sizes
+    position = np.empty(len(labels), dtype=np.intp)
+    position[by_sector] = np.arange(len(labels)) - np.repeat(starts, sizes)
+    # target[s]: the sector that sector s maps into, -1 if none
+    counts = np.diff(entries.indptr)
+    source = sector[entries.indices]
+    row_sector = np.repeat(sector, counts)
+    target = np.full(len(names), -1)
+    target[source] = row_sector
+    mapped = np.flatnonzero(target >= 0)
+    if np.any(target[source] != row_sector) or len(np.unique(target[mapped])) < len(mapped):
+        raise ValueError("matrix does not map each sector into a sector of its own")
+    # a block's shape as one integer, rows * base + columns; group[s] is the
+    # stack of sector s's block, offset[s] where it starts in the flat stack
+    base = sizes.max() + 1
+    shapes, shape = np.unique(sizes[target[mapped]] * base + sizes[mapped], return_inverse=True)
+    members = [mapped[shape == h] for h in range(len(shapes))]
+    group, offset = np.zeros(len(names), dtype=np.intp), np.zeros(len(names), dtype=np.intp)
+    for h, code in enumerate(shapes.tolist()):
+        group[members[h]] = h
+        offset[members[h]] = np.arange(len(members[h])) * (code // base) * (code % base)
+    flat = np.repeat(position, counts) * sizes[source]
+    flat += position[entries.indices] + offset[source]
+    blocks = []
+    for h, code in enumerate(shapes.tolist()):
+        m, n = divmod(code, base)
+        stack = np.zeros((len(members[h]), m, n), dtype=entries.dtype)
+        run = group[source] == h
+        stack.reshape(-1)[flat[run]] = entries.data[run]
+        rows = by_sector[starts[target[members[h]]][:, None] + np.arange(m)]
+        blocks.append((rows, by_sector[starts[members[h]][:, None] + np.arange(n)], stack))
+    return blocks
+
+
+def stacked_matrix(blocks, dim):
+    """The ``dim x dim`` CSR array of the blocks ``(rows, cols, stack)`` that
+    :func:`sector_stacks` returns, zero outside them.  Each stack is dropped
+    from the list ``blocks`` once written, so only one exists twice at a
+    time; offsets and indices are int32, as scipy picks them below ``2^31``."""
+    lengths = np.zeros(dim, dtype=np.int32)
+    for rows, cols, _ in blocks:
+        lengths[rows] = cols.shape[1]
+    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int32)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1], dtype=np.result_type(float, *(b[2].dtype for b in blocks)))
+    for h, (rows, cols, stack) in enumerate(blocks):
+        offsets = indptr[rows][..., None] + np.arange(cols.shape[1], dtype=np.int32)
+        indices[offsets] = cols[:, None, :]
+        data[offsets] = stack
+        blocks[h] = None
+    return sparse.csr_array((data, indices, indptr), shape=(dim, dim))
 
 
 def lowrank_hs_norm(a, b):

@@ -51,6 +51,8 @@ class CovarianceState:
 
     def __init__(self, r):
         r = as_operator(r)
+        if not np.all(np.isfinite(r)):
+            raise ValueError("covariance must have finite entries")
         if np.max(np.abs(r.imag)) > 0:
             raise ValueError("covariance must be real-entried")
         r = r.real
@@ -68,7 +70,7 @@ class CovarianceState:
     @classmethod
     def isotropic(cls, nu, dim):
         """The nu-state covariance ``R = nu * I``."""
-        return cls(float(nu) * np.eye(dim))
+        return cls(np.diag(np.full(dim, float(nu))))
 
     @property
     def sqrt_r(self):

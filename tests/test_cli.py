@@ -84,12 +84,17 @@ def test_family_failing_condition_1_is_a_config_error(tmp_path, capsys):
     assert "config error: parameter 'family': condition (1)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind", ["innerness", "conjugacy"])
-def test_scalar_nu_outside_unit_interval_is_an_error(tmp_path, kind):
-    params = {"family": write_family(tmp_path, [-1.0 + 0.0j]), "nu": 1.5}
+@pytest.mark.parametrize("kind", ["innerness", "conjugacy", "modular-verify"])
+def test_scalar_nu_outside_unit_interval_is_an_error(tmp_path, kind, capsys):
+    # modular-verify takes nu = nan, which the covariance check must refuse
+    # before LAPACK fails on it
+    nu, error = (("nan", "covariance must have finite entries") if kind == "modular-verify"
+                 else (1.5, "nu must lie in (0, 1)"))
+    params = {"family": write_family(tmp_path, [-1.0 + 0.0j]), "nu": nu}
     config = write_config(tmp_path, kind, params)
     assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 2
     assert not (tmp_path / f"{kind}.csv").exists()
+    assert error in capsys.readouterr().err
 
 
 def test_malformed_family_file(tmp_path):

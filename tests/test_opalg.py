@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from carshift import opalg
+from carshift import opalg, quasifree
 
 rng = np.random.default_rng(101)
 
@@ -144,6 +144,54 @@ def test_sector_blocks_read_sparse_entries_as_the_dense_matrix():
         assert opalg.sector_operator_norm(sparse.csr_array(alone), labels) == pytest.approx(
             opalg.operator_norm(block), rel=0, abs=1e-13
         )
+
+
+def per_mode_labels(modes):
+    """The per-mode charge labels of the doubled representation of a diagonal covariance."""
+    r = np.diag(np.linspace(0.2, 0.7, modes))
+    return quasifree.doubled_representation(quasifree.CovarianceState(r)).labels
+
+
+@pytest.mark.parametrize("case", ["charge-flip", "per-mode"])
+@pytest.mark.parametrize("form", [np.asarray, sparse.csr_array], ids=["dense", "sparse"])
+def test_stacked_matrix_of_the_sector_stacks_gives_the_matrix_back(case, form):
+    if case == "charge-flip":
+        labels = rng.integers(-2, 3, size=24)
+        op = graded_operator(labels, {s: -s for s in range(-2, 3)})
+    else:
+        labels = per_mode_labels(2)
+        op = graded_operator(labels, {s: -s for s in np.unique(labels).tolist()})
+    blocks = opalg.sector_stacks(form(op), labels)
+    for rows, cols, stack in blocks:
+        assert np.array_equal(stack, op[rows[:, :, None], cols[:, None, :]])
+    back = opalg.stacked_matrix(blocks, len(labels))
+    assert blocks == [None] * len(blocks)  # each stack is dropped once written
+    assert back.indptr.dtype == back.indices.dtype == np.int32
+    assert back.has_canonical_format
+    assert np.array_equal(back.toarray(), op)
+
+
+def test_sector_stacks_come_by_shape_and_their_blocks_by_source_sector():
+    # tomita_operator pairs the blocks of X and X* by this order
+    labels = per_mode_labels(3)
+    op = graded_operator(labels, {s: -s for s in np.unique(labels).tolist()})
+    blocks = opalg.sector_stacks(sparse.csr_array(op), labels)
+    shapes = [stack.shape[1:] for _, _, stack in blocks]
+    assert shapes == sorted(set(shapes))
+    assert sum(len(stack) for _, _, stack in blocks) == len(np.unique(labels))
+    for rows, cols, _ in blocks:
+        sources = labels[cols]
+        assert np.all(sources == sources[:, :1]) and np.all(labels[rows] == -sources[:, :1])
+        assert np.all(np.diff(sources[:, 0]) > 0)
+        assert np.all(np.diff(rows) > 0) and np.all(np.diff(cols) > 0)
+
+
+def test_zero_matrix_has_no_sector_stacks():
+    labels = np.repeat([0, 1, 2], 4)
+    for op in (np.zeros((12, 12)), sparse.csr_array((12, 12))):
+        assert opalg.sector_stacks(op, labels) == []
+        assert opalg.sector_operator_norm(op, labels) == 0.0
+    assert opalg.stacked_matrix([], 12).nnz == 0
 
 
 def test_sector_operator_norm_counts_a_stored_zero_as_zero():

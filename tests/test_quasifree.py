@@ -216,6 +216,17 @@ def test_isotropic_guard():
         quasifree.CovarianceState.isotropic(1.0, 2)
 
 
+def test_non_finite_covariance_is_rejected():
+    # every comparison with NaN is False, so only an explicit check catches
+    # it; isotropic keeps its off-diagonal zeros exact, where inf * 0 would warn
+    for r in (np.full((2, 2), np.nan), np.diag([0.5, np.inf]), np.array([[0.5, np.nan], [0.0, 0.5]])):
+        with pytest.raises(ValueError, match="covariance must have finite entries"):
+            quasifree.CovarianceState(r)
+    for nu in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="covariance must have finite entries"):
+            quasifree.CovarianceState.isotropic(nu, 2)
+
+
 def test_size_guard():
     big = quasifree.CovarianceState.isotropic(0.3, fock.MAX_MODES // 2 + 1)
     with pytest.raises(ValueError):
