@@ -60,7 +60,11 @@ def load_lambda_file(path, base_dir):
             parts = body.split()
             if len(parts) != 2:
                 raise ConfigError("%s:%d: expected 'Re Im', got %r" % (full, line_no, body))
-            lambdas.append(complex(float(parts[0]), float(parts[1])))
+            lam = complex(float(parts[0]), float(parts[1]))
+            # condition (1) lets NaN (every comparison with it is False) and infinities through
+            if not np.isfinite(lam):
+                raise ConfigError("%s:%d: exponent must be finite, got %r" % (full, line_no, body))
+            lambdas.append(lam)
     if not lambdas:
         raise ConfigError("lambda file %s contains no entries" % full)
     return lambdas

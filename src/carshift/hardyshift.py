@@ -22,7 +22,7 @@ from scipy.linalg import solve_triangular
 
 from . import expcalc
 from .expcalc import ExpCombo
-from .opalg import RANK_TOL, adjoint, lowrank_hs_norm, operator_norm
+from .opalg import RANK_TOL, adjoint, lowrank_hs_norm, operator_norm, triangular_factor
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +313,14 @@ class DilationOperator:
         ``span[X, Y]``.  With the triangular factor ``[Rx, Ry]`` of one
         reduced QR of ``[X, Y]`` (``X = Q Rx``, ``Y = Q Ry``) it is
         ``Q (M*M - 1) Q*`` with ``M = 1 + Rx Ry*``, so the norm is that of
-        the small matrix ``M*M - 1``.
+        the small matrix ``M*M - 1``.  The factor comes from
+        :func:`opalg.triangular_factor`; a unitary diagonal ``D`` on it turns
+        ``M*M - 1`` into ``D (M*M - 1) D*``, of the same norm.
         """
         k = self.x.shape[1]
         if k == 0:
             return 0.0
-        r = np.linalg.qr(np.hstack([self.x, self.y]), mode="r")
+        r = triangular_factor(np.hstack([self.x, self.y]))
         m = np.eye(r.shape[0]) + r[:, :k] @ adjoint(r[:, k:])
         return operator_norm(adjoint(m) @ m - np.eye(r.shape[0]))
 
@@ -326,12 +328,13 @@ class DilationOperator:
         """Operator norm of ``(S' U* - 1)`` restricted to the second summand.
 
         That is ``(P Y) (P X)*`` on the columns ``k_dim..``; the triangular
-        factor of ``Y = Q R`` is one of ``P Y = (P Q) R`` too, so the norm
-        is that of ``R`` times those rows of ``P X``.
+        factor of ``Y = Q R`` (from :func:`opalg.triangular_factor`) is one of
+        ``P Y = (P Q) R`` too, so the norm is that of ``R`` times those rows
+        of ``P X``.
         """
         if self.x.shape[1] == 0:
             return 0.0
-        r1 = np.linalg.qr(self.y, mode="r")
+        r1 = triangular_factor(self.y)
         small = r1 @ adjoint(_rotated_rows(self.x, self.shift, self.k_dim, self.dim))
         return float(operator_norm(small))
 

@@ -72,3 +72,30 @@ def flow_matrix(model, t):
     """The dense grid ``V_t = S_t + X Y*`` of :meth:`GridModel.flow_lowrank`."""
     x, y = model.flow_lowrank(t)
     return np.eye(model.n, k=-model.steps_of(t), dtype=complex) + x @ y.conj().T
+
+
+def direct_unitarity_residual(dil):
+    """``DilationOperator.unitarity_residual`` with one direct QR of ``[X, Y]``."""
+    k = dil.x.shape[1]
+    r = np.linalg.qr(np.hstack([dil.x, dil.y]), mode="r")
+    m = np.eye(r.shape[0]) + r[:, :k] @ r[:, k:].conj().T
+    return np.linalg.norm(m.conj().T @ m - np.eye(r.shape[0]), 2)
+
+
+def direct_offspace_deviation(dil):
+    """``DilationOperator.offspace_deviation`` with one direct QR of ``Y``."""
+    r = np.linalg.qr(dil.y, mode="r")
+    rotated = np.roll(dil.x, dil.shift, axis=0)
+    return np.linalg.norm(r @ rotated[dil.k_dim :].conj().T, 2)
+
+
+def direct_approximation_deviation(u, v):
+    """``approximation_check``'s deviation of ``U V*`` from the identity on
+    ``K' (-) K``, its two block norms each from direct QRs of the factors."""
+    l, r = u.product_defect_factors(v)
+
+    def norm(a, b):
+        return np.linalg.norm(np.linalg.qr(a, mode="r") @ np.linalg.qr(b, mode="r").conj().T, 2)
+
+    k = u.k_dim
+    return max(norm(l[k:], r[k:]), norm(l[:k], r[k:]))

@@ -103,6 +103,19 @@ def test_malformed_family_file(tmp_path):
     assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("entry", ["nan 0.0", "-1.0 inf", "-inf 0.5"])
+def test_non_finite_exponent_in_a_family_file_is_a_config_error(tmp_path, capsys, entry):
+    # every comparison with NaN is False, so condition (1) alone lets nan through
+    # to LAPACK; the loader names the file and the line instead
+    (tmp_path / "family.txt").write_text(f"-1.0 0.0\n{entry}\n")
+    config = write_config(tmp_path, "blaschke", {"family": "family.txt", "samples": 10})
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "blaschke.csv").exists()
+    err = capsys.readouterr().err
+    assert f"family.txt:2: exponent must be finite, got '{entry}'" in err
+    assert "SVD" not in err
+
+
 def test_car_check_passes_and_writes_reports(tmp_path):
     config = write_config(tmp_path, "car-check", {"modes": 3, "trials": 20})
     assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 0

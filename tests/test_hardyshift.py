@@ -4,10 +4,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from carshift import bogoliubov
 from carshift import hardyshift as hs
 from carshift.expcalc import ExpCombo, theta_apply
 from carshift.opalg import adjoint, operator_norm
-from oracles import apply_flow, backshift, flow_matrix, quad_inner
+from oracles import (
+    apply_flow,
+    backshift,
+    direct_approximation_deviation,
+    direct_offspace_deviation,
+    direct_unitarity_residual,
+    flow_matrix,
+    quad_inner,
+)
 
 FAMILY_ONE = [-1.0 + 0.0j]
 FAMILY_TWO = [-1.0 + 0.0j, -2.0 + 0.5j]
@@ -500,3 +509,58 @@ def test_compression_residual_reads_the_given_dilation(model_one):
     n = model_one.n
     want = np.linalg.norm(doubled.to_dense()[:n, :n] - flow_matrix(model_one, t))
     assert model_one.compression_residual(t, doubled) == pytest.approx(want, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the residuals above the block threshold of opalg.triangular_factor
+
+
+@pytest.fixture(scope="module")
+def fam3_fine():
+    """fam3 on the dilation-check benchmark grid: horizon 32, step 2^-11,
+    dimension 131072, 32 QR blocks per summand."""
+    return hs.GridModel(hs.orthogonalize(hs.ExponentialFamily(FAMILY_THREE)), 32.0, 2.0**-11)
+
+
+@pytest.fixture(scope="module")
+def fam3_fine_flow(fam3_fine):
+    return fam3_fine.flow_dilation(0.25)
+
+
+def test_residuals_above_the_block_threshold_match_one_qr(fam3_fine_flow):
+    dil = fam3_fine_flow
+    assert dil.dim == 131072
+    assert dil.unitarity_residual() == pytest.approx(
+        direct_unitarity_residual(dil), rel=0, abs=1e-13
+    )
+    assert dil.offspace_deviation() == pytest.approx(
+        direct_offspace_deviation(dil), rel=0, abs=1e-13
+    )
+    assert dil.offspace_deviation() > 1e-8
+
+
+def test_blocked_unitarity_residual_sees_a_scaled_factor(fam3_fine_flow):
+    dil = fam3_fine_flow
+    scaled = hs.DilationOperator(dil.shift, dil.x, (1 + 1e-6) * dil.y, dil.k_dim)
+    assert scaled.unitarity_residual() > 1e-7
+    assert scaled.unitarity_residual() == pytest.approx(
+        direct_unitarity_residual(scaled), rel=0, abs=1e-13
+    )
+
+
+@pytest.mark.parametrize(
+    "horizon, step", [(32.0, 2.0**-11), (20.0, 2.0**-8)], ids=["dim131072", "dim10240"]
+)
+def test_approximation_check_above_the_block_threshold_matches_one_qr(fam3_fine, horizon, step):
+    # at dimension 10240 each summand has 5120 rows: two blocks and 1024 left over
+    fam3 = fam3_fine if step == fam3_fine.step else hs.GridModel(fam3_fine.basis, horizon, step)
+    fam1 = hs.GridModel(hs.orthogonalize(hs.ExponentialFamily(FAMILY_ONE)), horizon, step)
+    t_grid = [0.25, 0.5]
+    flows = {t: fam3.flow_dilation(t) for t in t_grid}
+    for first in (fam3.shift_dilation, fam1.flow_dilation):
+        firsts = {t: first(t) for t in t_grid}
+        got = bogoliubov.approximation_check(firsts.get, flows.get, t_grid)
+        for row, t in zip(got["rows"], t_grid):
+            want = direct_approximation_deviation(firsts[t], flows[t])
+            assert want > 1e-8
+            assert row["offspace_deviation"] == pytest.approx(want, rel=0, abs=1e-13)

@@ -121,6 +121,69 @@ def test_lowrank_hs_norm_accuracy_on_a_cancelling_product(delta):
     assert opalg.lowrank_operator_norm(a, b) == pytest.approx(want, rel=1e-6)
 
 
+BLOCK = opalg._QR_BLOCK_ROWS
+
+
+def tall(rows, cols, dtype=complex):
+    a = rng.standard_normal((rows, cols))
+    return a + 1j * rng.standard_normal((rows, cols)) if dtype is complex else a
+
+
+def assert_same_triangular_factor(a):
+    """``triangular_factor(a)`` against one QR of ``a``: upper triangular, the
+    same ``R*R`` to ``1e-13 ||a||^2`` and the same ``|diag R|``."""
+    got, want = opalg.triangular_factor(a), np.linalg.qr(a, mode="r")
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, np.triu(got))
+    scale = np.linalg.norm(a) ** 2
+    gram = opalg.adjoint(got) @ got - opalg.adjoint(want) @ want
+    assert np.linalg.norm(gram) <= 1e-13 * scale
+    assert np.allclose(
+        np.abs(np.diag(got)), np.abs(np.diag(want)), rtol=0, atol=1e-13 * np.sqrt(scale)
+    )
+    return got, want
+
+
+@pytest.mark.parametrize(
+    "rows", [2 * BLOCK, 2 * BLOCK + 357, 5 * BLOCK + 1], ids=["two", "two-and-357", "five-and-1"]
+)
+def test_triangular_factor_of_whole_and_partial_blocks(rows):
+    got, want = assert_same_triangular_factor(tall(rows, 7))
+    # the blocked route: equal up to a unitary diagonal, not bit for bit
+    assert not np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("rows", [0, 5, BLOCK, 2 * BLOCK - 1])
+def test_triangular_factor_below_two_blocks_is_one_qr(rows):
+    a = tall(rows, 6)
+    assert np.array_equal(opalg.triangular_factor(a), np.linalg.qr(a, mode="r"))
+
+
+def test_triangular_factor_of_no_columns():
+    for rows in (3, 3 * BLOCK + 11):
+        assert opalg.triangular_factor(np.zeros((rows, 0), dtype=complex)).shape == (0, 0)
+
+
+def test_triangular_factor_of_duplicated_columns():
+    # [X, -X] with a repeated column, as [X, Y] with X holding -q and Y holding q
+    x = tall(3 * BLOCK + 11, 4)
+    a = np.hstack([x, x[:, :1], -x])
+    got, _ = assert_same_triangular_factor(a)
+    assert np.sum(np.abs(np.diag(got)) > 1e-10 * np.linalg.norm(a)) == 4
+
+
+def test_triangular_factor_of_a_real_matrix_is_real():
+    got, _ = assert_same_triangular_factor(tall(2 * BLOCK + 5, 5, dtype=float))
+    assert got.dtype == np.float64
+
+
+def test_triangular_factor_of_non_contiguous_input():
+    wide = tall(3 * BLOCK + 100, 10)
+    assert_same_triangular_factor(wide[:, ::2])
+    assert_same_triangular_factor(wide[:, 3:8])
+    assert_same_triangular_factor(np.asfortranarray(wide))
+
+
 def test_sector_operator_norm_takes_sparse_input():
     labels = np.array([0, 1, 1, 2])
     op = np.zeros((4, 4), dtype=complex)
