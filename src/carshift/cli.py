@@ -136,8 +136,9 @@ def parse_params(spec, params, base_dir):
 
 # ---------------------------------------------------------------------------
 # experiment bodies.  Each takes the seed and its parameters as keywords and
-# returns (columns, rows, verdicts, extra) where rows is a list of tuples
-# matching columns and verdicts maps name -> (ok, value).
+# returns (table, verdicts, extra): table maps each CSV header name, in
+# header order, to its column (a list or a 1-D array, all of one length), and
+# verdicts maps name -> (ok, value).
 
 
 def _run_car_check(seed, modes, trials):
@@ -145,38 +146,37 @@ def _run_car_check(seed, modes, trials):
     space = fock.FockSpace(modes)
     numbers = fock.particle_numbers(space)
     eye = sparse.eye_array(space.dim)
-    rows = []
-    worst_car = 0.0
-    worst_norm = 0.0
-    for trial in range(trials):
+    ff, star, norm = [], [], []
+    for _ in range(trials):
         f = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
         g = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
         # a(f) comes from fock.annihilator, whose calls perfbench's tracer counts;
         # the CSR copies make the anticommutators sparse products
         af = sparse.csr_array(fock.annihilator(space, f))
         ag = sparse.csr_array(fock.annihilator(space, g))
-        r1 = opalg.sector_operator_norm(opalg.anticommutator(af, ag), numbers)
-        r2 = opalg.sector_operator_norm(
+        ff.append(opalg.sector_operator_norm(opalg.anticommutator(af, ag), numbers))
+        star.append(opalg.sector_operator_norm(
             opalg.anticommutator(opalg.adjoint(af), ag) - np.vdot(g, f) * eye, numbers
-        )
-        r3 = abs(opalg.sector_operator_norm(af, numbers) - np.linalg.norm(f))
-        worst_car = max(worst_car, r1, r2)
-        worst_norm = max(worst_norm, r3)
-        rows.append((trial, r1, r2, r3))
+        ))
+        norm.append(abs(opalg.sector_operator_norm(af, numbers) - np.linalg.norm(f)))
+    worst_car = max(max(ff), max(star))
+    worst_norm = max(norm)
     verdicts = {
         "car_identities": (worst_car <= 1e-12, worst_car),
         "norm_identity": (worst_norm <= 1e-10, worst_norm),
     }
-    return ["trial", "anticomm_ff", "anticomm_star", "norm_residual"], rows, verdicts, {}
+    table = {
+        "trial": list(range(trials)), "anticomm_ff": ff, "anticomm_star": star, "norm_residual": norm
+    }
+    return table, verdicts, {}
 
 
 def _run_quasifree_verify(seed, modes, degree, trials):
     if degree <= 0 or degree % 2:
         raise ConfigError("degree must be a positive even integer, got %d" % degree)
     rng = np.random.default_rng(seed)
-    rows = []
-    worst = 0.0
-    for trial in range(trials):
+    table = {"trial": list(range(trials)), "determinant": [], "gns_value": [], "residual": []}
+    for _ in range(trials):
         a = rng.standard_normal((modes, modes))
         sym = a + a.T
         w, v = np.linalg.eigh(sym)
@@ -190,11 +190,12 @@ def _run_quasifree_verify(seed, modes, degree, trials):
         ops = [rep.field_star(f, None) for f in reversed(fs)]
         ops += [rep.field(g, None) for g in gs]
         got = rep.vacuum_expectation(ops)
-        resid = abs(want - got)
-        worst = max(worst, resid)
-        rows.append((trial, want.real, got.real, resid))
+        table["determinant"].append(want.real)
+        table["gns_value"].append(got.real)
+        table["residual"].append(abs(want - got))
+    worst = max(table["residual"])
     verdicts = {"det_vs_gns": (worst <= 1e-9, worst)}
-    return ["trial", "determinant", "gns_value", "residual"], rows, verdicts, {}
+    return table, verdicts, {}
 
 
 def _run_modular_verify(seed, modes, nu):
@@ -221,16 +222,18 @@ def _run_modular_verify(seed, modes, nu):
     f = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
     g = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
     kms = modular.kms_residual(rep, data, rep.field_star(f), rep.field(g))
-    rows = [(modes, nu, j_resid, b_resid, spec_resid, data.solve_residual, kms)]
+    table = {
+        "modes": [modes], "nu": [nu], "j_residual": [j_resid], "b_residual": [b_resid],
+        "spectrum_residual": [spec_resid], "solve_residual": [data.solve_residual],
+        "kms_residual": [kms],
+    }
     verdicts = {
         "involution_formula": (j_resid <= 1e-9, j_resid),
         "commutant_identity": (b_resid <= 1e-10, b_resid),
         "delta_spectrum": (spec_resid <= 1e-8, spec_resid),
         "kms_condition": (kms <= 1e-10, kms),
     }
-    cols = ["modes", "nu", "j_residual", "b_residual", "spectrum_residual", "solve_residual",
-            "kms_residual"]
-    return cols, rows, verdicts, {"identity": "J pi(a(e_i+0)) J = -b*(e_i)"}
+    return table, verdicts, {"identity": "J pi(a(e_i+0)) J = -b*(e_i)"}
 
 
 def _minus_identity(n):
@@ -255,21 +258,20 @@ _EXTENSION_CASES = {
 
 def _run_innerness(seed, nu, sizes, case):
     report = bogoliubov.innerness_norm(nu, _INNERNESS_CASES[case], sizes)
-    rows = list(zip(report.sizes, report.values))
     verdicts = {"innerness": (report.verdict in ("converges", "diverges"), report.values[-1])}
     extra = {"verdict": report.verdict, "case": case, "nu": nu}
-    return ["size", "hs_norm"], rows, verdicts, extra
+    return {"size": report.sizes, "hs_norm": report.values}, verdicts, extra
 
 
 def _run_extension(seed, nu, sizes, case):
     v_of, w_of = _EXTENSION_CASES[case]
     ext = bogoliubov.extension_criterion(nu, v_of, w_of, sizes)
     araki = bogoliubov.araki_criterion(nu, v_of, w_of, sizes)
-    rows = list(zip(ext.sizes, ext.values, araki.values))
     agree = ext.verdict == araki.verdict
     verdicts = {"criteria_agree": (agree, ext.values[-1])}
     extra = {"extension_verdict": ext.verdict, "araki_verdict": araki.verdict, "case": case}
-    return ["size", "extension_hs", "araki_hs"], rows, verdicts, extra
+    table = {"size": ext.sizes, "extension_hs": ext.values, "araki_hs": araki.values}
+    return table, verdicts, extra
 
 
 _DILATION_T_GRID = [0.25, 0.5]  # times at which shift and flow dilations are compared
@@ -307,13 +309,14 @@ def _defect_slope(basis, t_grid):
 def _run_conjugacy(seed, nu, family, horizons, step, t_grid):
     basis = hardyshift.orthogonalize(family)
     _, verdict, per_t = _conjugacy(nu, basis, horizons, step, t_grid)
-    rows = []
+    table = {"t": [], "size": [], "weighted_hs": []}
     for t in t_grid:
         rep = per_t[t]
-        for n, val in zip(rep.sizes, rep.values):
-            rows.append((t, n, val))
-    verdicts = {"conjugacy": (verdict in ("converges", "diverges"), rows[-1][2])}
-    return ["t", "size", "weighted_hs"], rows, verdicts, {"verdict": verdict}
+        table["t"] += [t] * len(rep.sizes)
+        table["size"] += rep.sizes
+        table["weighted_hs"] += rep.values
+    verdicts = {"conjugacy": (verdict in ("converges", "diverges"), table["weighted_hs"][-1])}
+    return table, verdicts, {"verdict": verdict}
 
 
 def _run_blaschke(seed, family, samples):
@@ -322,48 +325,41 @@ def _run_blaschke(seed, family, samples):
     boundary = float(np.max(np.abs(vals - 1.0)))
     asym = hardyshift.blaschke_asymptotics(family)
     c3_err = abs(asym["c3"] - asym["two_s"]) / abs(asym["two_s"])
-    rows = list(zip(ys.tolist(), vals.tolist()))
     verdicts = {
         "boundary_modulus": (boundary <= 1e-12, boundary),
         "c3_matches_2s": (c3_err <= 0.01, asym["c3"]),
     }
-    return ["y", "abs_b"], rows, verdicts, {"two_s": asym["two_s"], "c3": asym["c3"]}
+    return {"y": ys, "abs_b": vals}, verdicts, {"two_s": asym["two_s"], "c3": asym["c3"]}
 
 
 def _run_approx(seed, family, t_grid):
     values, verdict = _defect_slope(hardyshift.orthogonalize(family), t_grid)
-    rows = list(zip(t_grid, values))
-    return ["t", "defect_hs"], rows, {"defect_slope": verdict}, {"slope": verdict[1]}
+    return {"t": t_grid, "defect_hs": values}, {"defect_slope": verdict}, {"slope": verdict[1]}
 
 
 def _run_prop2(seed, family, delta_grid, k_max):
-    rows = []
-    values = []
+    table = {"delta": delta_grid, "hs_estimate": [], "tail_sq": []}
     for delta in delta_grid:
         rep = hardyshift.prop2_defect(family, delta, k_max)
-        values.append(rep["value"])
-        rows.append((delta, rep["value"], rep["tail_estimate_sq"]))
-    slope = hardyshift.fit_power(delta_grid, values)
+        table["hs_estimate"].append(rep["value"])
+        table["tail_sq"].append(rep["tail_estimate_sq"])
+    slope = hardyshift.fit_power(delta_grid, table["hs_estimate"])
     verdicts = {"defect_slope": (abs(slope - 0.5) <= 0.15, slope)}
-    return ["delta", "hs_estimate", "tail_sq"], rows, verdicts, {"slope": slope}
+    return table, verdicts, {"slope": slope}
 
 
 def _run_dilation_check(seed, family, step, horizon, t):
     model = hardyshift.GridModel(hardyshift.orthogonalize(family), horizon, step)
     shift = model.shift_dilation(t)
     flow = model.flow_dilation(t)
-    rows = [
-        ("shift", shift.unitarity_residual(), 0.0, 0.0),
-        (
-            "flow",
-            flow.unitarity_residual(),
-            model.compression_residual(t, flow),
-            flow.offspace_deviation(),
-        ),
-    ]
-    worst = max(rows[0][1], rows[1][1])
+    table = {
+        "operator": ["shift", "flow"],
+        "unitarity_residual": [shift.unitarity_residual(), flow.unitarity_residual()],
+        "compression_residual": [0.0, model.compression_residual(t, flow)],
+        "offspace_deviation": [0.0, flow.offspace_deviation()],
+    }
+    worst = max(table["unitarity_residual"])
     verdicts = {"unitarity": (worst <= 1e-8, worst)}
-    cols = ["operator", "unitarity_residual", "compression_residual", "offspace_deviation"]
     extra = {
         "step": step,
         "horizon": horizon,
@@ -371,7 +367,7 @@ def _run_dilation_check(seed, family, step, horizon, t):
         "dim": flow.dim,
         "factor_columns": flow.x.shape[1],
     }
-    return cols, rows, verdicts, extra
+    return table, verdicts, extra
 
 
 def _run_pipeline(seed, family, nu, step, horizons):
@@ -390,7 +386,7 @@ def _run_pipeline(seed, family, nu, step, horizons):
     }
 
     # stage 1: condition (1) on the family, checked when it was loaded
-    rows = [("condition-1", 1.0)]
+    values = [1.0]
     verdicts = {"condition-1": (True, float(family.size))}
 
     # stage 2: norm continuity of the perturbed semigroup on a dyadic grid
@@ -399,12 +395,12 @@ def _run_pipeline(seed, family, nu, step, horizons):
         lambda t: hardyshift.backward_shift_matrix(basis, t).conj().T,
         [k / 64.0 for k in range(33)],
     )
-    rows.append(("condition-n", float(max(cont["moduli"]))))
+    values.append(float(max(cont["moduli"])))
     verdicts["condition-n"] = (cont["pass"], float(max(cont["moduli"])))
 
     # stage 3: defect slope of V_t against the shift
     _, (ok, slope) = _defect_slope(basis, _DEFECT_T_GRID)
-    rows.append(("defect-slope", slope))
+    values.append(slope)
     verdicts["defect-slope"] = (ok, slope)
 
     # stages 4 and 5: unitary dilations, the approximation check on the
@@ -415,13 +411,14 @@ def _run_pipeline(seed, family, nu, step, horizons):
         largest.shift_dilation, largest.flow_dilation, _DILATION_T_GRID
     )
     worst_dev = max(row["offspace_deviation"] for row in approx["rows"])
-    rows.append(("approximation", float(worst_dev)))
+    values.append(float(worst_dev))
     verdicts["approximation"] = (approx["pass"], float(worst_dev))
     last = per_t[_DILATION_T_GRID[-1]].values[-1]
-    rows.append(("conjugacy", float(last)))
+    values.append(float(last))
     verdicts["conjugacy"] = (verdict != "diverges", float(last))
 
-    return ["stage", "value"], rows, verdicts, extra
+    # one CSV row per stage, named as its verdict
+    return {"stage": list(verdicts), "value": values}, verdicts, extra
 
 
 _FAMILY = ("family", FAMILY, REQUIRED)
@@ -485,23 +482,46 @@ def _fmt(value):
     return text
 
 
-def _column_text(cells):
-    """``_fmt`` of every cell of one column."""
-    if all(isinstance(x, float) for x in cells):
-        # float.__repr__ reads a numpy float64 as the double it holds
-        return list(map(float.__repr__, cells))
-    return list(map(_fmt, cells))
+def _column_ranks(column):
+    """The distinct cell texts of one column as an object array in string
+    order, and the rank of each cell's text among them."""
+    if (isinstance(column, np.ndarray) and column.dtype == np.float64) or all(
+        isinstance(x, float) for x in column
+    ):
+        values = np.asarray(column, dtype=np.float64)
+        # every NaN prints as "nan": one bit pattern stands for all of them
+        bits = np.where(np.isnan(values), np.nan, values).view(np.int64)
+        distinct, ranks = np.unique(bits, return_inverse=True)
+        texts = list(map(float.__repr__, distinct.view(np.float64).tolist()))
+        order = np.array(sorted(range(len(texts)), key=texts.__getitem__), dtype=np.intp)
+        rank_of = np.empty(len(order), np.intp)
+        rank_of[order] = np.arange(len(order))
+        return np.array(texts, dtype=object)[order], rank_of[ranks]
+    cells = list(map(_fmt, column))
+    texts = sorted(set(cells))
+    index = dict(zip(texts, range(len(texts))))
+    ranks = np.fromiter(map(index.__getitem__, cells), np.intp, len(cells))
+    return np.array(texts, dtype=object), ranks
 
 
-def write_reports(out_dir, config, columns, rows, verdicts, extra, elapsed):
+def write_reports(out_dir, config, table, verdicts, extra, elapsed):
     """Write ``<kind>.csv`` and ``<kind>.json`` into ``out_dir``; return the report.
 
-    The CSV holds the header ``columns`` and one comma-separated line per row.
-    A float cell (Python or numpy) is written as ``repr(float(x))``, anything
-    else as ``str(x)``; a cell holding a comma, a quote or a line break is
-    put in quotes, with its quotes doubled.  Rows are sorted by the text of
-    their cells, compared column by column, so the same rows give the same
-    bytes in any order.  Each cell is formatted once, a column at a time.
+    ``table`` maps each header name to its column, a list or a 1-D array;
+    columns of unequal length are a ``ValueError``, raised before anything
+    is written.  The CSV holds the header and one comma-separated line per
+    row.  A float cell (Python or numpy) is written as ``repr(float(x))``,
+    anything else as ``str(x)``; a cell holding a comma, a quote or a line
+    break is put in quotes, with its quotes doubled.  Rows are sorted by the
+    text of their cells, compared column by column, so the same rows give
+    the same bytes in any order.
+
+    Each distinct text is made once: a float column (a float64 array, or a
+    list of floats) is reduced to its distinct doubles, all NaNs counting as
+    one, and any other column goes through ``_fmt`` a cell at a time.  The
+    rows are ordered by ``np.lexsort`` of the ranks of their texts in string
+    order, the first column leading, which is the order of sorting the
+    tuples of texts; rows of equal ranks are equal lines.
 
     For every cell type the bodies emit (Python and numpy ints and float64s,
     strings) the text equals ``str(x)``, so the order is that of sorting rows
@@ -509,20 +529,23 @@ def write_reports(out_dir, config, columns, rows, verdicts, extra, elapsed):
     equality: ``str`` gives its shortest float32 digits, ``repr(float(x))``
     those of the double.
     """
+    lengths = {name: len(column) for name, column in table.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError("table columns differ in length: %s" % lengths)
+    ranked = [_column_ranks(column) for column in table.values()]
+    order = np.lexsort([ranks for _, ranks in reversed(ranked)])
+    ordered = [texts[ranks[order]].tolist() for texts, ranks in ranked]
     os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(out_dir, config["kind"])
-    text_rows = sorted(zip(*[_column_text(cells) for cells in zip(*rows)]))
-    line = ",".join(["%s"] * len(columns)) + "\n"
     with open(base + ".csv", "w") as fh:
-        fh.write(line % tuple(map(_fmt, columns)))
-        fh.writelines(map(line.__mod__, text_rows))
+        fh.write("\n".join([",".join(map(_fmt, table)), *map(",".join, zip(*ordered))]) + "\n")
     report = {
         "kind": config["kind"],
         "seed": config["seed"],
         "params": config["params"],
         "verdicts": {name: {"pass": bool(ok), "value": val} for name, (ok, val) in verdicts.items()},
         "extra": extra,
-        "rows": len(rows),
+        "rows": len(order),
         "elapsed_seconds": elapsed,
     }
     with open(base + ".json", "w") as fh:
@@ -535,8 +558,8 @@ def run(config, out_dir):
     body, spec = EXPERIMENTS[config["kind"]]
     start = time.perf_counter()
     params = parse_params(spec, config["params"], os.path.dirname(config["path"]))
-    columns, rows, verdicts, extra = body(config["seed"], **params)
-    report = write_reports(out_dir, config, columns, rows, verdicts, extra, time.perf_counter() - start)
+    table, verdicts, extra = body(config["seed"], **params)
+    report = write_reports(out_dir, config, table, verdicts, extra, time.perf_counter() - start)
     return report
 
 

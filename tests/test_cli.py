@@ -190,10 +190,23 @@ def reference_csv(columns, rows):
     return buf.getvalue().encode()
 
 
-def written_csv(out_dir, columns, rows):
+def written_csv(out_dir, table):
     config = {"kind": "table", "seed": 0, "params": {}}
-    cli.write_reports(str(out_dir), config, columns, rows, {}, {}, 0.0)
+    cli.write_reports(str(out_dir), config, table, {}, {}, 0.0)
     return (out_dir / "table.csv").read_bytes()
+
+
+def table_of(columns, rows):
+    """The column table of ``rows``, one list per name in ``columns``."""
+    return {name: [row[k] for row in rows] for k, name in enumerate(columns)}
+
+
+def assert_matches_reference(out_dir, table):
+    """The writer's bytes for ``table`` equal the row-at-a-time oracle's;
+    returns them."""
+    text = written_csv(out_dir, table)
+    assert text == reference_csv(list(table), zip(*table.values()))
+    return text
 
 
 @pytest.mark.parametrize("kind", sorted(cli.EXPERIMENTS))
@@ -202,8 +215,8 @@ def test_csv_matches_the_row_at_a_time_writer(tmp_path, kind):
     fam3 = [-1.0 + 0.0j, -2.0 + 0.5j, -0.5 + 1.0j]
     raw = {"family": write_family(tmp_path, fam3), **SMALL_PARAMS[kind]}
     params = cli.parse_params(spec, {key: str(val) for key, val in raw.items()}, str(tmp_path))
-    columns, rows, _, _ = body(11, **params)
-    assert written_csv(tmp_path, columns, rows) == reference_csv(columns, rows)
+    table, _, _ = body(11, **params)
+    assert_matches_reference(tmp_path, table)
 
 
 def test_csv_matches_the_row_at_a_time_writer_on_edge_values(tmp_path):
@@ -214,16 +227,14 @@ def test_csv_matches_the_row_at_a_time_writer_on_edge_values(tmp_path):
     ]
     rows += rows[:4] + [("condition-1", np.int64(7), 7, np.nan, np.float64(1e16), 1)] * 2
     columns = ["stage", "int", "np_int", "float", "np_float", "mixed"]
-    text = written_csv(tmp_path, columns, rows)
-    assert text == reference_csv(columns, rows)
+    text = assert_matches_reference(tmp_path, table_of(columns, rows))
     assert {line.rsplit(b",", 1)[1] for line in text.splitlines()[1:]} == {b"1", b"0.5"}
 
 
 def test_csv_quotes_cells_that_need_it(tmp_path):
     rows = [(2, 'say "hi"'), (1, "a,b"), (3, "two\nlines"), (4, "plain")]
     columns = ["n", "note, quoted"]
-    text = written_csv(tmp_path, columns, rows)
-    assert text == reference_csv(columns, rows)
+    text = assert_matches_reference(tmp_path, table_of(columns, rows))
     read = list(csv.reader(io.StringIO(text.decode())))
     assert read == [columns] + [[str(n), note] for n, note in sorted(rows)]
 
@@ -233,19 +244,64 @@ _NP_FLOATS = st.floats().map(np.float64)
 _PY_INTS = st.integers(-(10 ** 20), 10 ** 20)
 _NP_INTS = st.integers(-(2 ** 63), 2 ** 63 - 1).map(np.int64)
 _ANY_CELLS = st.one_of(_PY_FLOATS, _NP_FLOATS, _PY_INTS, _NP_INTS)
-_COLUMN_CELLS = [_PY_FLOATS, _NP_FLOATS, _PY_INTS, _NP_INTS, _ANY_CELLS]
+_FLOAT_ARRAY = object()  # floats handed over as one np.float64 array
+_COLUMN_CELLS = [_PY_FLOATS, _NP_FLOATS, _PY_INTS, _NP_INTS, _ANY_CELLS, _FLOAT_ARRAY]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_csv_matches_the_row_at_a_time_writer_on_random_rows(tmp_path_factory, data):
-    cells = data.draw(st.lists(st.sampled_from(_COLUMN_CELLS), min_size=1, max_size=4))
+    kinds = data.draw(st.lists(st.sampled_from(_COLUMN_CELLS), min_size=1, max_size=4))
+    cells = [_PY_FLOATS if c is _FLOAT_ARRAY else c for c in kinds]
     rows = [tuple(data.draw(c) for c in cells) for _ in range(data.draw(st.integers(0, 12)))]
     if rows:
         rows += data.draw(st.lists(st.sampled_from(rows), max_size=4))
-    columns = ["c%d" % i for i in range(len(cells))]
-    out_dir = tmp_path_factory.mktemp("csv")
-    assert written_csv(out_dir, columns, rows) == reference_csv(columns, rows)
+    table = table_of(["c%d" % i for i in range(len(cells))], rows)
+    for name, kind in zip(table, kinds):
+        if kind is _FLOAT_ARRAY:
+            table[name] = np.array(table[name], dtype=np.float64)
+    assert_matches_reference(tmp_path_factory.mktemp("csv"), table)
+
+
+def _float64(bits):
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+def test_csv_of_float_arrays_on_edge_values(tmp_path):
+    # NaNs of both signs and one with a payload all print as "nan"; -0.0 and
+    # 0.0 stay apart
+    nans = [_float64(0x7FF8000000000000), _float64(0xFFF8000000000000), _float64(0x7FF0000000000123)]
+    values = np.array([-0.0, 0.0, *nans, np.inf, -np.inf, 5e-324, 1e16, 1.0])
+    assert len({x.tobytes() for x in values}) == len(values)
+    first = np.tile(values, 3)
+    table = {"x": first, "y": np.roll(first, 6), "n": list(range(len(first)))[::-1]}
+    text = assert_matches_reference(tmp_path, table)
+    assert text.count(b"\nnan,") == 9 and b"\n-0.0," in text and b"\n0.0," in text
+
+
+def test_csv_of_a_long_column_with_three_distinct_values(tmp_path):
+    rng = np.random.default_rng(5)
+    table = {
+        "abs_b": rng.choice([1.0, 0.9999999999999999, 1.0000000000000002], 1000),
+        "k": rng.integers(0, 1000, 1000).tolist(),
+        "y": rng.standard_normal(1000),
+    }
+    text = assert_matches_reference(tmp_path, table)
+    assert len(text.splitlines()) == 1001
+
+
+def test_csv_of_a_table_with_zero_rows_is_the_header(tmp_path):
+    table = {"y": np.empty(0), "abs_b": [], "stage": np.array([], dtype=np.int64)}
+    assert assert_matches_reference(tmp_path, table) == b"y,abs_b,stage\n"
+    assert json.loads((tmp_path / "table.json").read_text())["rows"] == 0
+
+
+def test_columns_of_unequal_length_are_refused_before_writing(tmp_path):
+    # zip would have cut every column to the shortest
+    out_dir = tmp_path / "out"
+    with pytest.raises(ValueError, match="table columns differ in length"):
+        written_csv(out_dir, {"y": np.zeros(3), "abs_b": [1.0, 1.0]})
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(
