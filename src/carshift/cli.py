@@ -504,8 +504,11 @@ def _column_ranks(column):
     return np.array(texts, dtype=object), ranks
 
 
-def write_reports(out_dir, config, table, verdicts, extra, elapsed):
+def write_reports(out_dir, config, table, verdicts, extra, start):
     """Write ``<kind>.csv`` and ``<kind>.json`` into ``out_dir``; return the report.
+
+    The report's ``elapsed_seconds`` runs from ``start``, a
+    ``time.perf_counter()`` reading, to the end of the CSV write.
 
     ``table`` maps each header name to its column, a list or a 1-D array;
     columns of unequal length are a ``ValueError``, raised before anything
@@ -539,6 +542,7 @@ def write_reports(out_dir, config, table, verdicts, extra, elapsed):
     base = os.path.join(out_dir, config["kind"])
     with open(base + ".csv", "w") as fh:
         fh.write("\n".join([",".join(map(_fmt, table)), *map(",".join, zip(*ordered))]) + "\n")
+    elapsed = time.perf_counter() - start
     report = {
         "kind": config["kind"],
         "seed": config["seed"],
@@ -559,8 +563,7 @@ def run(config, out_dir):
     start = time.perf_counter()
     params = parse_params(spec, config["params"], os.path.dirname(config["path"]))
     table, verdicts, extra = body(config["seed"], **params)
-    report = write_reports(out_dir, config, table, verdicts, extra, time.perf_counter() - start)
-    return report
+    return write_reports(out_dir, config, table, verdicts, extra, start)
 
 
 def main(argv=None):

@@ -3,17 +3,15 @@
 The vacuum is cyclic and separating for the von Neumann algebra ``M`` generated
 by the first-component fields, so the closable map ``S: x vac -> x* vac``
 extends to an invertible antilinear operator on the whole doubled space.  It is
-solved from the normal-ordered monomial basis and polar-decomposed into
-``S = J Delta^{1/2}``.  The state is gauge invariant, so the monomial
-``a*(I) a(J) vac`` lies in the charge sector ``Q = |I| - |J|``, ``S`` and ``J``
-map sector ``q`` onto ``-q`` and ``Delta`` is block diagonal (Araki, Publ. RIMS
-6 (1970) 385-442).  For a diagonal ``R`` the same holds for every mode's
-charge ``q_i = N_1i - N_2i`` on its own, so the sectors are those of the
-vector ``(q_1, .., q_n)``; the representation's ``labels`` say which grading
-holds.  Everything here stays in those blocks, in the layout of
-:mod:`carshift.opalg`: the monomial columns form one sparse matrix, which
-``sector_stacks`` cuts into stacks of equal-size blocks; each stack is solved
-and polar-decomposed by one batched LAPACK call, and ``stacked_matrix``
+solved from the normal-ordered monomials of the eigenmodes ``U e_i`` of ``R``,
+in whose number basis the doubled space is written, and polar-decomposed into
+``S = J Delta^{1/2}``.  The monomial ``a*(U e_I) a(U e_J) vac`` lies in the
+sector of the per-mode charges ``q_i = N_1i - N_2i`` of ``e_I (x) e_J``; ``S``
+and ``J`` map sector ``q`` onto ``-q`` and ``Delta`` is block diagonal (Araki,
+Publ. RIMS 6 (1970) 385-442).  Everything here stays in those blocks, in the
+layout of :mod:`carshift.opalg`: the monomial columns form one sparse matrix,
+which ``sector_stacks`` cuts into stacks of equal-size blocks; each stack is
+solved and polar-decomposed by one batched LAPACK call, and ``stacked_matrix``
 writes ``S``, ``J`` and ``Delta`` into the ``scipy.sparse`` CSR matrices of
 :class:`ModularData`, each sector's block whole.  The closed-form involution
 is a signed permutation matrix.  No dense ``dim x dim`` matrix is formed.
@@ -46,15 +44,15 @@ def monomial_indices(n):
 def _monomial_columns(rep):
     """The monomials' labels and adjoints, and the columns ``pi(x) vac``.
 
-    ``x = prod_{i in I} a*(e_i) prod_{j in J} a(e_j)`` with both products in
-    increasing index order.  Returns ``(labels, adjoint, signs, columns)``,
-    the first three indexed by the monomials in the order of
-    :func:`monomial_indices`: the label ``sum_{i in I} w_i - sum_{j in J}
-    w_j`` of each monomial, ``w = rep.mode_weights``; the index of the
+    ``x = prod_{i in I} a*(U e_i) prod_{j in J} a(U e_j)`` with both products
+    in increasing index order, ``U e_i`` the eigenmodes of ``R``.  Returns
+    ``(labels, adjoint, signs, columns)``, the first three indexed by the
+    monomials in the order of :func:`monomial_indices`: the label ``sum_{i in
+    I} 3^i - sum_{j in J} 3^j`` of each monomial; the index of the
     monomial ``(J, I)`` and the sign with ``x* = sign (J, I)``, so that
     ``pi(x*) vac`` is ``signs[k]`` times the column of monomial
     ``adjoint[k]``.  The creators anticommute, and so do the annihilators,
-    so ``x* = a*(e_J reversed) a(e_I reversed)`` has the sign
+    so ``x* = a*(U e_J reversed) a(U e_I reversed)`` has the sign
     ``(-1)^{|I|(|I|-1)/2 + |J|(|J|-1)/2}``: only the 4^n vectors ``x vac``
     are multiplied out.  ``columns`` yields their entries as ``(rows,
     monomials, values)``, one monomial length ``0, 1, .., 2n`` at a time,
@@ -62,11 +60,11 @@ def _monomial_columns(rep):
     sector of its label.
 
     A monomial ``(A, B)``'s vector is one factor applied to that of a
-    monomial one shorter: ``a*(e_A[0]) (A[1:], B) vac``, or ``a(e_B[0]) ((),
-    B[1:]) vac`` when ``A`` is empty.  The columns of one length are one
+    monomial one shorter: ``a*(U e_A[0]) (A[1:], B) vac``, or ``a(U e_B[0])
+    ((), B[1:]) vac`` when ``A`` is empty.  The columns of one length are one
     sparse product: the rows ``(x vac)^T`` of the shorter monomials, each
     shifted into the block of its factor, times the stacked transposes of
-    the ``2n`` factors.
+    the ``2n`` factors of :meth:`DoubledRepresentation.mode_fields`.
     """
     n = rep.n
     # each subset of modes as a bitmask, in the order of monomial_indices; the
@@ -76,12 +74,11 @@ def _monomial_columns(rep):
     rank[masks] = np.arange(1 << n)
     a, b = np.repeat(masks, 1 << n), np.tile(masks, 1 << n)
     count = fock.particle_numbers(rep.factor)
-    weight = (np.arange(1 << n)[:, None] >> np.arange(n) & 1) @ rep.mode_weights
+    weight = (np.arange(1 << n)[:, None] >> np.arange(n) & 1) @ 3 ** np.arange(n)
     labels = weight[a] - weight[b]
     adjoint = rank[b] * (1 << n) + rank[a]
     signs = 1 - 2 * ((count[a] * (count[a] - 1) // 2 + count[b] * (count[b] - 1) // 2) & 1)
-    # the first factor, a*(e_A[0]) if A is nonempty, else a(e_B[0]), as the
-    # index `factor` into a(e_0), .., a(e_{n-1}), a*(e_0), .., a*(e_{n-1})
+    # the first factor, a*(U e_A[0]) if A is nonempty, else a(U e_B[0]), in mode_fields()
     creates = a != 0
     first = np.where(creates, a & -a, b & -b)
     rest_a, rest_b = a & ~np.where(creates, first, 0), b & ~np.where(creates, 0, first)
@@ -91,10 +88,11 @@ def _monomial_columns(rep):
 
     def columns():
         dim = rep.dim
-        stack = sparse.vstack(
-            [(rep.field if i < n else rep.field_star)(np.eye(n)[i % n]).T for i in range(2 * n)],
-            format="csr",
-        )
+        # the transposes, a(U e_i)^T = conj(a*(U e_i)) and a*(U e_i)^T = conj(a(U e_i))
+        fields = rep.mode_fields()
+        stack = sparse.vstack(fields[n:] + fields[:n], format="csr")
+        np.conj(stack.data, out=stack.data)
+        del fields
         # place[k]: the row of monomial k in `words`, the x vac of its length
         place = np.zeros(len(a), dtype=np.intp)
         words, built = sparse.csr_array(rep.vacuum[None, :]), np.zeros(1, dtype=np.intp)
@@ -122,13 +120,14 @@ def _monomial_columns(rep):
 class ModularData:
     """The Tomita operator and its polar parts as sparse matrices on the doubled basis.
 
-    ``labels[k]`` is the sector of basis vector ``k``.  ``s`` and ``j`` are the
+    The basis is the doubled number basis of the eigenmodes of ``R``, and
+    ``labels[k]`` the sector of basis vector ``k``.  ``s`` and ``j`` are the
     ``scipy.sparse`` CSR matrices of the antilinear ``S v = s @ conj(v)`` and
     ``J v = j @ conj(v)``; both map sector ``q`` onto ``-q``, so a row of
     sector ``t`` holds the columns of sector ``-t``, and they share one
     pattern.  ``delta`` is the CSR matrix of ``Delta``, block diagonal.  Each
     sector's block is stored whole (:func:`carshift.opalg.stacked_matrix`),
-    so every matrix holds the sum of the squared sector sizes as entries.
+    so every matrix holds the squared sector sizes, ``6^n`` entries in all.
     ``delta_eigenvalues`` holds each sector's eigenvalues of ``Delta``,
     ascending, on that sector's basis indices.
     """

@@ -4,12 +4,17 @@ A gauge-invariant quasifree state is given by a real symmetric covariance
 ``R`` with spectrum in the open interval (0, 1).  Expectations of normal
 ordered monomials reduce to determinants of ``(f_i, R g_j)`` Gram matrices.
 
-The GNS representation acts on a doubled Fock space ``F(K) (x) F(K)``:
+With ``R = U D U^T``, ``U`` real orthogonal, ``Gamma(U)`` carries the state of
+``D`` to that of ``R`` (Araki, Publ. RIMS 6 (1970) 385-442).  The GNS
+representation acts on ``F(K) (x) F(K)`` in the number basis of the eigenmodes
+``U e_i``; with ``f' = U^T f``, ``g' = U^T g`` and elementwise products,
 
-    pi(a(f (+) g)) = a((1-R)^{1/2} f - R^{1/2} g) (x) Gamma
-                     + 1 (x) a*(J(R^{1/2} f + (1-R)^{1/2} g))
+    pi(a(f (+) g)) = a((1-D)^{1/2} f' - D^{1/2} g') (x) Gamma
+                     + 1 (x) a*(J(D^{1/2} f' + (1-D)^{1/2} g'))
 
-with ``J`` entrywise conjugation and ``Gamma`` the parity grading.  The
+with ``J`` entrywise conjugation and ``Gamma`` the parity grading.  ``W =
+Gamma(U) (x) Gamma(U)`` maps this basis to the number basis of ``K``, where
+the square roots of ``R`` replace those of ``D``, and fixes the vacuum.  The
 creation operator in the second summand and the sign of the second-component
 embedding are fixed so that the vacuum two-point function reproduces the
 purification projection ``P = [[R, S], [S, 1-R]]``, ``S = (R(1-R))^{1/2}``.
@@ -18,11 +23,9 @@ The field is a sum of ``2n`` signed partial permutations, ``a_i (x) Gamma``
 and ``1 (x) a_i*``, whose entries do not overlap.  The representation merges
 their tables once into a cached CSR pattern (and a transposed one for the
 creation fields, see :func:`carshift.fock.csr_pattern`), so every field is
-one gather of its ``2n`` coefficients into a ``scipy.sparse`` CSR array.  A
-gauge-invariant state makes the charge ``Q = N_1 - N_2`` a grading:
-``pi(a(f (+) g))`` lowers it by one.  A diagonal ``R`` conserves each mode's
-charge ``q_i = N_1i - N_2i`` on its own: ``pi(a(e_i (+) 0))`` lowers ``q_i``
-by one and leaves the other modes' charges alone.
+one gather of its ``2n`` coefficients into a ``scipy.sparse`` CSR array.
+Each eigenmode's charge ``q_i = N_1i - N_2i`` is a grading: ``pi(a(U e_i (+)
+0))`` lowers ``q_i`` by one and keeps the others.
 """
 
 import numpy as np
@@ -46,7 +49,8 @@ class CovarianceState:
     """Covariance operator of a gauge-invariant quasifree state.
 
     ``R`` must be real symmetric with ``0 < spec(R) < 1`` (equivalently
-    ``ker R = ker(1-R) = 0``).
+    ``ker R = ker(1-R) = 0``).  ``R = U D U^T``: ``d`` holds the eigenvalues,
+    ascending, and ``u`` the real orthogonal ``U`` of eigenvectors.
     """
 
     def __init__(self, r):
@@ -58,27 +62,20 @@ class CovarianceState:
         r = r.real
         if np.max(np.abs(r - r.T)) > 1e-12 * max(1.0, np.max(np.abs(r))):
             raise ValueError("covariance must be symmetric")
-        w = np.linalg.eigvalsh(r)
-        if w.min() <= 0.0 or w.max() >= 1.0:
+        d, u = np.linalg.eigh(r)
+        if d.min() <= 0.0 or d.max() >= 1.0:
             raise ValueError(
                 "ker R = ker(1-R) = 0 violated: spectrum of R must lie in (0,1), "
-                f"got [{w.min():.3e}, {w.max():.3e}]"
+                f"got [{d.min():.3e}, {d.max():.3e}]"
             )
         self.r = r
         self.dim = r.shape[0]
+        self.d, self.u = d, u
 
     @classmethod
     def isotropic(cls, nu, dim):
         """The nu-state covariance ``R = nu * I``."""
         return cls(np.diag(np.full(dim, float(nu))))
-
-    @property
-    def sqrt_r(self):
-        return psd_sqrt(self.r)
-
-    @property
-    def sqrt_one_minus_r(self):
-        return psd_sqrt(np.eye(self.dim) - self.r)
 
     def __repr__(self):
         return f"CovarianceState(dim={self.dim})"
@@ -108,13 +105,10 @@ def quasifree_expectation(state, fs, gs):
 class DoubledRepresentation:
     """GNS representation of the CAR algebra over ``K (+) K`` on ``F(K) (x) F(K)``.
 
-    ``charge[k]`` is ``Q = N_1 - N_2`` of basis vector ``k``.  ``labels[k]``
-    is its sector in the finest charge grading the fields conserve,
-    ``sum_i mode_weights[i] q_i``.  The weights are ``3^i`` when the square
-    roots of ``R`` that the fields use are diagonal (``R`` has exact zeros
-    off the diagonal), which labels the per-mode charges ``q_i`` in balanced
-    ternary, and all ones otherwise, which labels ``Q``.  Either way the
-    label of ``-q`` is minus that of ``q``.
+    The basis is the doubled number basis of the eigenmodes of ``R``.  Basis
+    vector ``k`` has ``charge[k]``, ``Q = N_1 - N_2``, and ``labels[k]``, its
+    per-mode charges ``q_i = N_1i - N_2i`` in balanced ternary ``sum_i q_i 3^i``;
+    the fields conserve them, and the label of ``-q`` is minus that of ``q``.
     """
 
     def __init__(self, state):
@@ -126,16 +120,13 @@ class DoubledRepresentation:
         self.n = state.dim
         self.factor = fock.FockSpace(self.n)
         self.dim = self.factor.dim ** 2
-        self._a = state.sqrt_one_minus_r
-        self._b = state.sqrt_r
+        self._a, self._b = np.sqrt(1.0 - state.d), np.sqrt(state.d)
         self.vacuum = tensor(fock.vacuum(self.factor), fock.vacuum(self.factor))
         numbers = fock.particle_numbers(self.factor)
         ones = np.ones_like(numbers)
         self.charge = tensor(numbers, ones) - tensor(ones, numbers)
-        diagonal = not any(np.any(m - np.diag(np.diag(m))) for m in (self._a, self._b))
-        self.mode_weights = 3 ** np.arange(self.n) if diagonal else np.ones(self.n, dtype=int)
         bits = np.arange(self.factor.dim)[:, None] >> np.arange(self.n) & 1
-        weights = bits @ self.mode_weights
+        weights = bits @ 3 ** np.arange(self.n)
         self.labels = tensor(weights, ones) - tensor(ones, weights)
         gamma = fock.parity(self.factor)
         self.gamma_gamma = sparse.csr_array(
@@ -156,32 +147,42 @@ class DoubledRepresentation:
         self._pattern = fock.csr_pattern(tables, self.dim)
         self._star_pattern = fock.csr_pattern([(c, r, s) for r, c, s in tables], self.dim)
 
-    def _fill(self, pattern, f, g):
-        """``pattern`` filled with the ``2n`` coefficients of ``pi(a(f (+) g))``:
-        ``conj(u)`` on ``a_i (x) Gamma`` and ``w`` on ``1 (x) a_i*``.
+    def _eigen(self, f):
+        """``U^T f``, or zeros for ``None``."""
+        return np.zeros(self.n) if f is None else self.state.u.T @ np.asarray(f, dtype=complex)
+
+    def _fill(self, star, f, g):
+        """``pi(a(f (+) g))``, or ``pi(a*(f (+) g))`` if ``star``, for ``f`` and ``g``
+        in eigen coordinates: ``conj(u)`` on ``a_i (x) Gamma`` and ``w`` on ``1 (x)
+        a_i*`` (for ``star`` conjugated, on the transposed pattern), with
+        ``u = (1-D)^{1/2} f - D^{1/2} g``, ``w = conj(D^{1/2} f + (1-D)^{1/2} g)``.
 
         A coefficient times a sign of -1 can have a ``-0.0`` part; adding
         ``0.0`` stores every zero real or imaginary part as ``+0.0``, so the
         stored bits are those of a sparse sum of the field's terms.
         """
-        f = np.zeros(self.n) if f is None else np.asarray(f, dtype=complex)
-        g = np.zeros(self.n) if g is None else np.asarray(g, dtype=complex)
-        u = self._a @ f - self._b @ g
-        w = np.conj(self._b @ f + self._a @ g)
+        u = self._a * f - self._b * g
+        w = np.conj(self._b * f + self._a * g)
+        pattern = self._star_pattern if star else self._pattern
         op = fock.fill_pattern(pattern, np.concatenate([np.conj(u), w]), self.dim)
         op.data += 0.0
+        if star:
+            np.conj(op.data, out=op.data)
         return op
 
     def field(self, f, g=None):
         """The annihilation image ``pi(a(f (+) g))`` as a CSR array (``g`` defaults to 0)."""
-        return self._fill(self._pattern, f, g)
+        return self._fill(False, self._eigen(f), self._eigen(g))
 
     def field_star(self, f, g=None):
-        """The creation image ``pi(a*(f (+) g))``: the conjugate entries of the
-        field on the transposed pattern."""
-        op = self._fill(self._star_pattern, f, g)
-        np.conj(op.data, out=op.data)
-        return op
+        """The creation image ``pi(a*(f (+) g))``."""
+        return self._fill(True, self._eigen(f), self._eigen(g))
+
+    def mode_fields(self):
+        """``pi(a(U e_i (+) 0))`` for ``i < n``, then ``pi(a*(U e_i (+) 0))``, filled
+        from the eigen coordinates ``e_i``: each moves its own mode's charge alone."""
+        zero = np.zeros(self.n)
+        return [self._fill(star, e, zero) for star in (False, True) for e in np.eye(self.n)]
 
     def vacuum_expectation(self, ops):
         """``<vac, ops[0] ... ops[-1] vac>`` applied right to left."""

@@ -27,6 +27,15 @@ def second_quantized(space, v):
     return out
 
 
+def doubled_second_quantized(rep):
+    """``W = Gamma(U) (x) Gamma(U)`` for the real orthogonal eigenvectors ``U``
+    of the covariance of a doubled representation, as a real matrix: it maps
+    the representation's basis, the number basis of the eigenmodes, to the
+    number basis of ``K``."""
+    factor = second_quantized(rep.factor, rep.state.u).real
+    return np.kron(factor, factor)
+
+
 def evaluate(combo, x):
     """Pointwise values of an exponential combination."""
     x = np.asarray(x, dtype=float)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -125,6 +126,22 @@ def test_car_check_passes_and_writes_reports(tmp_path):
     assert header == "trial,anticomm_ff,anticomm_star,norm_residual"
 
 
+def test_elapsed_seconds_covers_the_csv_write(tmp_path, monkeypatch):
+    # a column formatting that sleeps makes the CSV write slow; the report's
+    # elapsed_seconds is read after the write, so it holds every sleep
+    ranks = cli._column_ranks
+
+    def slow_ranks(column):
+        time.sleep(0.05)
+        return ranks(column)
+
+    monkeypatch.setattr(cli, "_column_ranks", slow_ranks)
+    config = write_config(tmp_path, "car-check", {"modes": 2, "trials": 1})
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "car-check.json").read_text())
+    assert report["elapsed_seconds"] >= 4 * 0.05  # one sleep per column
+
+
 def test_csv_bytes_deterministic(tmp_path):
     fam = write_family(tmp_path, [-1.0 + 0.0j])
     runs = [
@@ -192,7 +209,7 @@ def reference_csv(columns, rows):
 
 def written_csv(out_dir, table):
     config = {"kind": "table", "seed": 0, "params": {}}
-    cli.write_reports(str(out_dir), config, table, {}, {}, 0.0)
+    cli.write_reports(str(out_dir), config, table, {}, {}, time.perf_counter())
     return (out_dir / "table.csv").read_bytes()
 
 

@@ -8,7 +8,7 @@ from scipy import sparse
 
 from carshift import modular, quasifree
 from carshift.opalg import adjoint, operator_norm, polar_antilinear, sector_operator_norm
-from oracles import second_quantized
+from oracles import doubled_second_quantized, second_quantized
 
 rng = np.random.default_rng(5)
 
@@ -126,7 +126,9 @@ def test_non_cyclic_vacuum_rejected():
 @pytest.mark.parametrize("modes", [2, 3])
 def test_delta_matches_closed_form(modes):
     # Delta = Gamma(h) (x) Gamma(h^{-1}) with h = R (1-R)^{-1}, Gamma the
-    # multiplicative second quantization (Peschel, J. Phys. A 36 (2003) L205)
+    # multiplicative second quantization (Peschel, J. Phys. A 36 (2003) L205),
+    # on the number basis of K; W = Gamma(U) (x) Gamma(U), real, maps the
+    # eigenmode basis of the representation onto it
     rep = random_rep(modes, seed=modes)
     data = modular.tomita_operator(rep)
     r = rep.state.r
@@ -134,41 +136,52 @@ def test_delta_matches_closed_form(modes):
     want = quasifree.tensor(
         second_quantized(rep.factor, h), second_quantized(rep.factor, np.linalg.inv(h))
     )
-    assert operator_norm(data.delta.toarray() - want) <= 1e-12 * operator_norm(want)
+    w = doubled_second_quantized(rep)
+    got = w @ data.delta.toarray() @ w.T
+    assert operator_norm(got - want) <= 1e-12 * operator_norm(want)
 
 
-@pytest.mark.parametrize("modes", [2, 3])
-def test_a_general_covariance_reduces_to_its_eigenvalues(modes):
-    # R = U D U^T with U real orthogonal: pi_R(a(f (+) g)) = W pi_D(a(U^T f (+)
-    # U^T g)) W* with W = Gamma(U) (x) Gamma(U), real, which fixes the vacuum,
-    # so S_R = W S_D W*, and s_R = W s_D W^T for S v = s conj(v).  R takes the
-    # total charge and D the per-mode charges.  Measured: J 5e-15 off, S 3e-15
-    # and Delta 5e-15 relative
-    gen = np.random.default_rng(60 + modes)
-    u = np.linalg.qr(gen.standard_normal((modes, modes)))[0]
-    d = np.linspace(0.15, 0.8, modes)
-    diagonal = quasifree.doubled_representation(quasifree.CovarianceState(np.diag(d)))
-    general = quasifree.doubled_representation(quasifree.CovarianceState((u * d) @ u.T))
-    assert len(np.unique(general.labels)) == 2 * modes + 1 < len(np.unique(diagonal.labels))
-    factor = second_quantized(diagonal.factor, u)
-    w = quasifree.tensor(factor, factor)
-    assert not np.any(w.imag)
-    w = w.real  # so W* = W^T
-    data_d, data_r = modular.tomita_operator(diagonal), modular.tomita_operator(general)
-    for got, want in (
-        (data_r.s, w @ data_d.s.toarray() @ w.T),
-        (data_r.j, w @ data_d.j.toarray() @ w.T),
-        (data_r.delta, w @ data_d.delta.toarray() @ w.T),
-    ):
+def _rotated(seed, d):
+    """``U diag(d) U^T`` for a random real orthogonal ``U``."""
+    u = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(d), len(d))))[0]
+    return (u * d) @ u.T
+
+
+@pytest.mark.parametrize(
+    "r",
+    [_rotated(62, [0.15, 0.8]), _rotated(63, [0.15, 0.5, 0.8]), np.diag([0.8, 0.15, 0.5])],
+    ids=["2", "3", "unsorted-diagonal"],
+)
+def test_a_general_covariance_reduces_to_its_eigenvalues(r):
+    # R = U D U^T: the representation works on the eigenmodes of R, so S, J
+    # and Delta of R are those of D, with no W between them, and pi_R(a(f (+)
+    # g)) = pi_D(a(U^T f (+) U^T g)).  The unsorted diagonal R has a
+    # permutation for U, as eigh sorts the eigenvalues
+    state = quasifree.CovarianceState(r)
+    modes = state.dim
+    general = quasifree.doubled_representation(state)
+    diagonal = quasifree.doubled_representation(quasifree.CovarianceState(np.diag(state.d)))
+    assert np.array_equal(general.labels, diagonal.labels)
+    data_r, data_d = modular.tomita_operator(general), modular.tomita_operator(diagonal)
+    for got, want in ((data_r.s, data_d.s), (data_r.j, data_d.j), (data_r.delta, data_d.delta)):
+        want = want.toarray()
         assert operator_norm(got.toarray() - want) <= 1e-12 * operator_norm(want)
+    gen = np.random.default_rng(64)
+    f = gen.standard_normal(modes) + 1j * gen.standard_normal(modes)
+    g = gen.standard_normal(modes) + 1j * gen.standard_normal(modes)
+    u = state.u
+    for build in ("field", "field_star"):
+        got = getattr(general, build)(f, g).toarray()
+        assert np.array_equal(got, getattr(diagonal, build)(u.T @ f, u.T @ g).toarray())
 
 
 def _dense_monomial_columns(rep):
-    # every column multiplied out factor by factor: x = a*(e_I) a(e_J), both
-    # products in increasing index order, and x* with the factors reversed
+    # every column multiplied out factor by factor: x = a*(U e_I) a(U e_J),
+    # both products in increasing index order, and x* with the factors
+    # reversed; U e_i goes through field and field_star like any vector
     n = rep.n
-    create = [rep.field_star(np.eye(n)[i]) for i in range(n)]
-    annihilate = [rep.field(np.eye(n)[i]) for i in range(n)]
+    create = [rep.field_star(m) for m in rep.state.u.T]
+    annihilate = [rep.field(m) for m in rep.state.u.T]
     pairs = modular.monomial_indices(n)
     x_cols = np.empty((rep.dim, len(pairs)), dtype=complex)
     xstar_cols = np.empty((rep.dim, len(pairs)), dtype=complex)
@@ -217,10 +230,13 @@ def _check_columns_against_the_multiplied_out_ones(rep):
     x_cols, xstar_cols = _dense_monomial_columns(rep)
     assert np.allclose(x, x_cols, rtol=0, atol=1e-14)
     assert np.allclose(x[:, adjoint] * signs, xstar_cols, rtol=0, atol=1e-14)
-    w = rep.mode_weights
+    w = 3 ** np.arange(modes)
     want = [sum(w[list(i)]) - sum(w[list(j)]) for i, j in modular.monomial_indices(modes)]
     assert np.array_equal(labels, want)
-    for cols, sector in ((x_cols, labels), (xstar_cols, -labels)):
+    # the multiplied-out columns of a general R have rounding-level entries
+    # outside their sectors; the columns built from the eigen coefficients
+    # have none
+    for cols, sector in ((x, labels), (x[:, adjoint] * signs, -labels)):
         rows, k = np.nonzero(cols)
         assert np.array_equal(rep.labels[rows], sector[k])
 
@@ -237,11 +253,10 @@ def test_per_mode_sector_columns_match_the_multiplied_out_columns(modes):
 
 def test_diagonal_covariance_grades_by_the_charge_of_every_mode():
     # q_i = N_1i - N_2i of each mode, labelled sum_i q_i 3^i; a general R
-    # keeps only the total charge Q = N_1 - N_2
+    # has the same labels, on the charges of its eigenmodes
     rep = diagonal_rep(3)
-    assert rep.mode_weights.tolist() == [1, 3, 9]
     assert sorted(set(rep.labels)) == list(range(-13, 14))
-    assert np.array_equal(random_rep(3, seed=1).labels, rep.charge)
+    assert np.array_equal(random_rep(3, seed=1).labels, rep.labels)
     sizes = np.unique(modular.tomita_operator(rep).labels, return_counts=True)[1]
     assert len(sizes) == 27 and sizes.max() == 8
 
@@ -306,16 +321,14 @@ def test_sector_norm_refuses_j_minus_a_map_that_keeps_the_charge():
 
 @pytest.mark.parametrize("modes", [2, 3])
 def test_sparse_matrices_store_every_sector_block_whole(modes):
-    # the per-mode sectors of the isotropic state hold prod_i (1 + 4 + 1) =
-    # 6^n squared entries, the total-charge sectors of a general R sum_k
-    # C(2n, k)^2 = C(4n, 2n)
-    for rep, want in (
-        (quasifree.doubled_representation(quasifree.CovarianceState.isotropic(0.25, modes)),
-         6**modes),
-        (random_rep(modes, seed=50 + modes), math.comb(4 * modes, 2 * modes)),
+    # the per-mode sectors hold prod_i (1 + 4 + 1) = 6^n squared entries, for
+    # the isotropic state and for a general R on its eigenmodes alike
+    for rep in (
+        quasifree.doubled_representation(quasifree.CovarianceState.isotropic(0.25, modes)),
+        random_rep(modes, seed=50 + modes),
     ):
         data = modular.tomita_operator(rep)
-        assert data.s.nnz == data.j.nnz == data.delta.nnz == want
+        assert data.s.nnz == data.j.nnz == data.delta.nnz == 6**modes
         assert np.array_equal(data.s.indices, data.j.indices)
 
 
@@ -332,10 +345,13 @@ def test_tomita_operator_stays_below_one_dense_operator():
 
 
 def test_monomial_columns_hold_one_word_family():
-    # under the total charge of a general R the x vac fill blocks of C(4n, 2n)
-    # complex entries in all; they come one monomial length at a time, and
-    # the x* are signed copies of them, so no second family of word vectors,
-    # the x* multiplied out on their own, is built
+    # the x vac of a general R fill the per-mode sector blocks, 6^n complex
+    # entries in all, and come one monomial length at a time; the 2n factors
+    # they are multiplied with hold 2n 4^n entries, and are held twice while
+    # they are stacked.  The x* are signed copies of the x vac, so no second
+    # family of word vectors, the x* multiplied out on their own, is built:
+    # the peak stays below two stacks of factors and three sets of blocks
+    # (measured 0.58 MB of 0.70 MB)
     modes = 5
     rep = random_rep(modes, seed=25)
     tracemalloc.start()
@@ -345,7 +361,7 @@ def test_monomial_columns_hold_one_word_family():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * math.comb(4 * modes, 2 * modes) * 16
+    assert peak < (2 * 2 * modes * rep.dim + 3 * 6**modes) * 16
 
 
 def test_tomita_operator_at_six_modes_stays_below_one_total_charge_block():
@@ -363,13 +379,12 @@ def test_tomita_operator_at_six_modes_stays_below_one_total_charge_block():
 
 
 def test_tomita_operator_of_a_general_state_stays_below_eight_sets_of_blocks():
-    # the total-charge sectors of a general R at 5 modes hold C(20, 10)
-    # complex entries per set of blocks (3.0 MB).  The CSR matrices X and X*
-    # come to two sets, read into two sets of stacks one matrix at a time;
-    # those are solved into the stacks of S, J and Delta, which are written
-    # into CSR matrices one at a time.  The last, Delta, is written beside S
-    # and J and its own stacks, about five sets (14.3 MB measured), which
-    # leaves room for temporaries below eight
+    # the per-mode sectors of a general R at 5 modes hold 6^5 complex entries
+    # per set of blocks (124 kB).  The CSR matrices X and X* come to two
+    # sets, read into two sets of stacks one matrix at a time; those are
+    # solved into the stacks of S, J and Delta, which are written into CSR
+    # matrices one at a time.  The 2n factor fields of the columns, 2n 4^n
+    # entries, come on top; 0.71 MB measured, below eight sets
     modes = 5
     rep = random_rep(modes, seed=25)
     tracemalloc.start()
@@ -378,7 +393,23 @@ def test_tomita_operator_of_a_general_state_stays_below_eight_sets_of_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * math.comb(4 * modes, 2 * modes) * 16
+    assert peak < 8 * 6**modes * 16
+
+
+def test_tomita_operator_of_a_general_state_at_six_modes_stays_below_one_total_charge_block():
+    # a general R is graded by the charges of its eigenmodes: 6^6 entries per
+    # matrix, where the total charge alone gave C(24, 12) = 2,704,156, and a
+    # peak below the isotropic state's bound, one block Q = 0 of C(12, 6)^2
+    # complex entries (13.7 MB); 4.1 MB measured
+    rep = random_rep(6, seed=26)
+    tracemalloc.start()
+    try:
+        data = modular.tomita_operator(rep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.s.nnz == data.j.nnz == data.delta.nnz == 6**6
+    assert peak < math.comb(12, 6) ** 2 * 16
 
 
 def test_strongly_mixed_state_keeps_j_antiunitary():

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from carshift import fock, quasifree
-from carshift.opalg import adjoint, anticommutator, inner, operator_norm
+from carshift.opalg import adjoint, anticommutator, inner, operator_norm, psd_sqrt
+from oracles import doubled_second_quantized
 
 rng = np.random.default_rng(77)
 
@@ -26,18 +27,37 @@ def test_tensor_convention():
     assert np.allclose(np.diag(t), [1.0, 2.0, 1.0, 2.0])
 
 
+def _kron(factor, u, w):
+    # a(u) (x) Gamma + 1 (x) a*(w), with the first factor on the low bits
+    gamma = sparse.csr_array(np.diag(fock.parity(factor)).astype(complex))
+    eye = sparse.csr_array(np.eye(factor.dim))
+    lowered = fock.sparse_annihilator(factor, u)
+    raised = fock.sparse_annihilator(factor, w).conj().T
+    return sparse.kron(gamma, lowered, format="csr") + sparse.kron(raised, eye, format="csr")
+
+
+def _eigen_kron_field(rep, f, g=None):
+    # pi(a(f (+) g)) multiplied out in the basis of the eigenmodes of R, with
+    # f' = U^T f and g' = U^T g: u = (1-D)^{1/2} f' - D^{1/2} g' and w =
+    # conj(D^{1/2} f' + (1-D)^{1/2} g'), elementwise
+    f, g = (np.zeros(rep.n) if v is None else rep.state.u.T @ np.asarray(v, dtype=complex)
+            for v in (f, g))
+    d = rep.state.d
+    u = np.sqrt(1.0 - d) * f - np.sqrt(d) * g
+    w = np.conj(np.sqrt(d) * f + np.sqrt(1.0 - d) * g)
+    return _kron(rep.factor, u, w)
+
+
 def _kron_field(rep, f, g=None):
-    # pi(a(f (+) g)) multiplied out as a_u (x) Gamma + 1 (x) a*_w, with the
-    # first factor on the low bits
+    # pi(a(f (+) g)) multiplied out in the number basis of K, with the square
+    # roots of R
     f = np.zeros(rep.n) if f is None else np.asarray(f, dtype=complex)
     g = np.zeros(rep.n) if g is None else np.asarray(g, dtype=complex)
-    u = rep.state.sqrt_one_minus_r @ f - rep.state.sqrt_r @ g
-    w = np.conj(rep.state.sqrt_r @ f + rep.state.sqrt_one_minus_r @ g)
-    gamma = sparse.csr_array(np.diag(fock.parity(rep.factor)).astype(complex))
-    eye = sparse.csr_array(np.eye(rep.factor.dim))
-    lowered = fock.sparse_annihilator(rep.factor, u)
-    raised = fock.sparse_annihilator(rep.factor, w).conj().T
-    return sparse.kron(gamma, lowered, format="csr") + sparse.kron(raised, eye, format="csr")
+    r = rep.state.r
+    a, b = psd_sqrt(np.eye(rep.n) - r), psd_sqrt(r)
+    u = a @ f - b @ g
+    w = np.conj(b @ f + a @ g)
+    return _kron(rep.factor, u, w)
 
 
 def _assert_same_csr(got, want):
@@ -64,9 +84,26 @@ def test_fields_equal_the_kron_construction_bit_for_bit(modes):
         (None, None),
     ]
     for f, g in pairs:
-        want = _kron_field(rep, f, g)
+        want = _eigen_kron_field(rep, f, g)
         _assert_same_csr(rep.field(f, g), want)
         _assert_same_csr(rep.field_star(f, g), adjoint(want).tocsr())
+
+
+@pytest.mark.parametrize("modes", [2, 3])
+def test_w_carries_the_fields_to_the_number_basis_of_k(modes):
+    # W = Gamma(U) (x) Gamma(U), real, maps the eigenmode basis of the
+    # representation to the number basis of K, where the field is the kron
+    # construction with the square roots of R; W fixes the vacuum
+    rep = quasifree.doubled_representation(random_covariance(modes))
+    w = doubled_second_quantized(rep)
+    assert np.allclose(w @ rep.vacuum, rep.vacuum, rtol=0, atol=1e-15)
+    for _ in range(3):
+        f = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
+        g = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
+        field = _kron_field(rep, f, g).toarray()
+        for got, want in ((rep.field(f, g), field), (rep.field_star(f, g), adjoint(field))):
+            got = w @ got.toarray() @ w.T
+            assert operator_norm(got - want) <= 1e-12 * operator_norm(want)
 
 
 def test_basis_vector_fields_drop_the_zero_coefficients():
@@ -76,7 +113,7 @@ def test_basis_vector_fields_drop_the_zero_coefficients():
     rep = quasifree.doubled_representation(quasifree.CovarianceState.isotropic(0.25, 3))
     e1 = np.eye(3)[1]
     for f, g in ((e1, None), (None, e1)):
-        want = _kron_field(rep, f, g)
+        want = _eigen_kron_field(rep, f, g)
         _assert_same_csr(rep.field(f, g), want)
         _assert_same_csr(rep.field_star(f, g), adjoint(want).tocsr())
         for field in (rep.field(f, g), rep.field_star(f, g)):
@@ -89,7 +126,7 @@ def test_commutant_generator_equals_the_kron_grading():
     rep = quasifree.doubled_representation(random_covariance(3))
     gamma = sparse.csr_array(np.diag(fock.parity(rep.factor)).astype(complex))
     f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    want = sparse.kron(gamma, gamma, format="csr") @ _kron_field(rep, None, f)
+    want = sparse.kron(gamma, gamma, format="csr") @ _eigen_kron_field(rep, None, f)
     _assert_same_csr(rep.gamma_gamma @ rep.field(None, f), want)
 
 
