@@ -20,15 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hardyshift import DilationOperator, fit_power
-from .opalg import (
-    adjoint,
-    hs_norm,
-    lowrank_hs_norm,
-    lowrank_operator_norm,
-    operator_norm,
-    psd_sqrt,
-)
+from .hardyshift import fit_power
+from .opalg import adjoint, hs_norm, lowrank_operator_norm, operator_norm, psd_sqrt
 from .quasifree import CovarianceState
 
 _STAB_TOL = 1e-12
@@ -107,44 +100,28 @@ def _weight(r):
 
 
 def weighted_hs_norm(r, x):
-    """``||R^{1/2}(1-R)^{1/2} X||_2``.
+    """``||R^{1/2}(1-R)^{1/2} X||_2`` of a dense matrix ``X``.
 
     ``r`` is an isotropic ``nu`` (a float in ``(0, 1)``; the weight stays
     the scalar ``sqrt(nu(1-nu))``) or a covariance matrix with spectrum in
     ``(0, 1)``; anything else is a ``ValueError``.
-    ``x`` is a dense matrix or a pair of factors ``(a, b)`` with ``X = a b*``;
-    the factored norm is ``sqrt(tr((a* W^2 a)(b* b)))``.
     """
     _, weight = _weight(r)
-    if isinstance(x, tuple):
-        a, b = x
-        return lowrank_hs_norm(np.dot(weight, a), b)
     return hs_norm(np.dot(weight, np.asarray(x, dtype=complex)))
 
 
-def _check_unitary(v, label):
-    """``v`` (a :class:`DilationOperator` or a dense matrix) if
-    ``||v*v - 1|| <= 1e-8``."""
-    if isinstance(v, DilationOperator):
-        resid = v.unitarity_residual()
-    else:
-        v = np.asarray(v, dtype=complex)
-        resid = operator_norm(adjoint(v) @ v - np.eye(v.shape[0]))
+def check_unitarity(resid, label):
+    """``ValueError`` unless ``resid``, the norm of ``v*v - 1`` for the
+    operator ``v`` named ``label``, is at most ``1e-8``."""
     if resid > _UNITARY_TOL:
         raise ValueError(f"{label} is not an isometry at tolerance {_UNITARY_TOL:g}")
+
+
+def _check_unitary(v, label):
+    """The dense matrix ``v`` if ``||v*v - 1|| <= 1e-8``."""
+    v = np.asarray(v, dtype=complex)
+    check_unitarity(operator_norm(adjoint(v) @ v - np.eye(v.shape[0])), label)
     return v
-
-
-def _difference(u, v):
-    """``u - v``: the factors ``(a, b)`` with ``u - v = a b*`` when both are
-    dilations (sharing a rotation), the dense matrix when both are dense;
-    mixing forms is an error."""
-    factored = [isinstance(op, DilationOperator) for op in (u, v)]
-    if factored[0] != factored[1]:
-        raise TypeError("operands must both be DilationOperators or both dense")
-    if factored[0]:
-        return u.difference_factors(v)
-    return np.asarray(u, dtype=complex) - np.asarray(v, dtype=complex)
 
 
 def innerness_norm(r, w, sizes):
@@ -161,13 +138,11 @@ def extension_criterion(r_prime, v_prime, w_prime, sizes):
     """Extension criterion on the enlarged space:
     ``||R'^{1/2}(1-R')^{1/2}(V' - W')||_2`` trend over truncations.
 
-    ``v_prime`` and ``w_prime`` are callables ``size -> operator``, both dense
-    matrices or both dilations (:class:`DilationOperator`) sharing a
-    rotation; dilations are never densified.
+    ``v_prime`` and ``w_prime`` are callables ``size -> matrix``.
     """
     return _trend(
         sizes,
-        lambda n: weighted_hs_norm(_covariance(r_prime, n), _difference(v_prime(n), w_prime(n))),
+        lambda n: weighted_hs_norm(_covariance(r_prime, n), np.subtract(v_prime(n), w_prime(n))),
     )
 
 
@@ -200,10 +175,10 @@ def conjugacy_criterion(r, u_path, v_path, t_grid, sizes):
     """Conjugacy criterion: for each ``t`` the :func:`extension_criterion`
     trend of ``||R^{1/2}(1-R)^{1/2}(U_t - V_t)||_2``.
 
-    ``u_path`` and ``v_path`` are callables ``(t, size) -> unitary``, where a
-    unitary is a dense matrix or a :class:`DilationOperator`; two dilations
-    must share their rotation and are never densified.  Returns an
-    overall verdict (worst case over the grid) plus per-t reports.
+    ``u_path`` and ``v_path`` are callables ``(t, size) -> unitary``, dense
+    matrices that are refused (``ValueError``) unless unitary to ``1e-8``.
+    Returns an overall verdict (worst case over the grid) plus per-t
+    reports.
     """
     per_t = {}
     order = {"converges": 0, "inconclusive": 1, "diverges": 2}
@@ -224,26 +199,25 @@ def approximation_check(u_dil, v_dil, t_grid):
     """Check the two approximation conditions for unitary dilations.
 
     ``u_dil``/``v_dil``: callables ``t -> unitary`` on the doubled grid space,
-    dilations (:class:`DilationOperator`) that share a rotation and the
-    dimension ``k_dim`` of the embedded subspace ``K`` (first block of
-    coordinates).  For each ``t`` reports the Hilbert-Schmidt norm of
-    ``U'_t - V'_t`` and the operator-norm deviation of ``U'_t V'_t*`` from
-    the identity on ``K' (-) K``: the larger of the norms of its diagonal
-    block minus 1 and of the mixed block ``K' -> K``.  Passes when all
-    deviations are below ``1e-6``; the HS norms are reported, not bounded.
+    factored dilations (as ``hardyshift.GridModel.flow_dilation`` builds
+    them) that share a rotation and the dimension ``k_dim`` of the embedded
+    subspace ``K`` (first block of coordinates).  For each ``t`` reports the
+    operator-norm deviation of ``U'_t V'_t*`` from the identity on
+    ``K' (-) K``: the larger of the norms of its diagonal block minus 1 and
+    of the mixed block ``K' -> K``.  Passes when all deviations are below
+    ``1e-6``.
     """
     rows = []
     ok = True
     for t in t_grid:
         ut, vt = u_dil(t), v_dil(t)
-        hs = lowrank_hs_norm(*ut.difference_factors(vt))
         # U V* - 1 = l r*, so each block is a product of row blocks
         l, r = ut.product_defect_factors(vt)
         k_dim = ut.k_dim
         block = lowrank_operator_norm(l[k_dim:], r[k_dim:])
         mixed = lowrank_operator_norm(l[:k_dim], r[k_dim:])
         dev = max(block, mixed)
-        rows.append({"t": float(t), "hs_norm": hs, "offspace_deviation": dev})
+        rows.append({"t": float(t), "offspace_deviation": dev})
         if dev > _APPROXIMATION_TOL:
             ok = False
     return {"pass": ok, "rows": rows}

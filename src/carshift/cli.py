@@ -280,7 +280,10 @@ _DEFECT_T_GRID = [2.0 ** -k for k in range(4, 13)]
 
 def _conjugacy(nu, basis, horizons, step, t_grid):
     """Grid models per horizon, keyed by the doubled-space dimension, and the
-    conjugacy criterion between their factored shift and flow dilations.
+    conjugacy criterion between their shift and flow dilations, taken as the
+    identity against the rotation of :meth:`GridModel.flow_frame`: the flow
+    dilation is the shift times that rotation, and the weight
+    ``sqrt(nu(1-nu))`` of the isotropic ``nu`` is a scalar.
 
     Returns ``(models, verdict, per_t)``.
     """
@@ -290,8 +293,8 @@ def _conjugacy(nu, basis, horizons, step, t_grid):
         models[2 * model.n] = model
     verdict, per_t = bogoliubov.conjugacy_criterion(
         nu,
-        lambda t, n: models[n].shift_dilation(t),
-        lambda t, n: models[n].flow_dilation(t),
+        lambda t, n: np.eye(2 * basis.family.size),
+        lambda t, n: models[n].flow_frame(t),
         t_grid,
         sorted(models),
     )
@@ -407,9 +410,10 @@ def _run_pipeline(seed, family, nu, step, horizons):
     # largest grid, and conjugacy-criterion weighted norms on the dilated pair
     models, verdict, per_t = _conjugacy(nu, basis, horizons, step, _DILATION_T_GRID)
     largest = models[max(models)]
-    approx = bogoliubov.approximation_check(
-        largest.shift_dilation, largest.flow_dilation, _DILATION_T_GRID
-    )
+    flows = {t: largest.flow_dilation(t) for t in _DILATION_T_GRID}
+    for t, flow in flows.items():
+        bogoliubov.check_unitarity(flow.unitarity_residual(), f"V'_{t}")
+    approx = bogoliubov.approximation_check(largest.shift_dilation, flows.get, _DILATION_T_GRID)
     worst_dev = max(row["offspace_deviation"] for row in approx["rows"])
     values.append(float(worst_dev))
     verdicts["approximation"] = (approx["pass"], float(worst_dev))

@@ -22,7 +22,9 @@ from scipy.linalg import solve_triangular
 
 from . import expcalc
 from .expcalc import ExpCombo
-from .opalg import RANK_TOL, adjoint, lowrank_hs_norm, operator_norm, triangular_factor
+from .opalg import (
+    RANK_TOL, adjoint, lowrank_hs_norm, lowrank_operator_norm, operator_norm, triangular_factor
+)
 
 
 # ---------------------------------------------------------------------------
@@ -327,26 +329,12 @@ class DilationOperator:
     def offspace_deviation(self):
         """Operator norm of ``(S' U* - 1)`` restricted to the second summand.
 
-        That is ``(P Y) (P X)*`` on the columns ``k_dim..``; the triangular
-        factor of ``Y = Q R`` (from :func:`opalg.triangular_factor`) is one of
-        ``P Y = (P Q) R`` too, so the norm is that of ``R`` times those rows
-        of ``P X``.
+        That is ``(P Y) (P X)*`` on the columns ``k_dim..``; ``P`` is unitary,
+        so the norm is that of ``Y`` times those rows of ``P X``, taken by
+        :func:`opalg.lowrank_operator_norm` from the factors.
         """
-        if self.x.shape[1] == 0:
-            return 0.0
-        r1 = triangular_factor(self.y)
-        small = r1 @ adjoint(_rotated_rows(self.x, self.shift, self.k_dim, self.dim))
-        return float(operator_norm(small))
-
-    def difference_factors(self, other):
-        """Factors ``(a, b)`` with ``self - other = a b*``.
-
-        Both operators must share the rotation ``P``; then
-        ``self - other = P [X_u, -X_v] [Y_u, Y_v]*``.
-        """
-        self._check_same_rotation(other)
-        a = _rotated_rows(np.hstack([self.x, -other.x]), self.shift, 0, self.dim)
-        return a, np.hstack([self.y, other.y])
+        rows = _rotated_rows(self.x, self.shift, self.k_dim, self.dim)
+        return lowrank_operator_norm(self.y, rows)
 
     def product_defect_factors(self, other):
         """Factors ``(l, r)`` with ``self other* - 1 = l r*``.
@@ -354,15 +342,12 @@ class DilationOperator:
         With a shared rotation ``P``,
         ``U V* - 1 = P [X_u, Y_v + X_u (Y_u* Y_v)] (P [Y_u, X_v])*``.
         """
-        self._check_same_rotation(other)
+        if (self.shift, self.dim, self.k_dim) != (other.shift, other.dim, other.k_dim):
+            raise ValueError("dilations with different rotations have no shared factored form")
         cross = other.y + self.x @ (self.y.conj().T @ other.y)
         l = _rotated_rows(np.hstack([self.x, cross]), self.shift, 0, self.dim)
         r = _rotated_rows(np.hstack([self.y, other.x]), self.shift, 0, self.dim)
         return l, r
-
-    def _check_same_rotation(self, other):
-        if (self.shift, self.dim, self.k_dim) != (other.shift, other.dim, other.k_dim):
-            raise ValueError("dilations with different rotations have no shared factored form")
 
 
 def _rotated_rows(block, shift, lo, hi):
@@ -497,6 +482,27 @@ class GridModel:
             x = np.hstack([c, -q])
             y = np.hstack([b, q])
         return DilationOperator(m, x, y, self.n)
+
+    def flow_frame(self, t):
+        """The rotation ``R`` of :meth:`flow_dilation` on ``E = span[b, c]``
+        as a ``2 nlam``-square unitary, in the frame of ``b`` and of
+        ``E (-) span b``.
+
+        With the SVD ``M = b* c = W Sigma Z*`` of the overlap and
+        ``S = (1 - Sigma^2)^{1/2}`` (the cosines and sines of the principal
+        angles between ``span b`` and ``span c``),
+        ``R = [[M, -W S Z*], [Z S Z*, Z Sigma Z*]]``: its second block column
+        is the minimal rotation of ``E (-) span b`` onto ``E (-) span c``.
+        ``R`` is 1 off ``E``, so ``||1 - R||_2`` here is ``||S'_t - V'_t||_2``
+        there, with no rank cutoff.
+        """
+        m = self.steps_of(t)
+        overlap = adjoint(self.ghat[: self.n - m]) @ self.ghat[m:] * self.basis.phases(t)
+        w, cos, zh = np.linalg.svd(overlap)
+        cos = np.minimum(cos, 1.0)
+        sin = np.sqrt((1.0 - cos) * (1.0 + cos))
+        z = adjoint(zh)
+        return np.block([[overlap, -(w * sin) @ zh], [(z * sin) @ zh, (z * cos) @ zh]])
 
     def compression_residual(self, t, dilation):
         """Frobenius distance between the compression of ``dilation`` (the

@@ -83,6 +83,13 @@ def flow_matrix(model, t):
     return np.eye(model.n, k=-model.steps_of(t), dtype=complex) + x @ y.conj().T
 
 
+def difference_factors(u, v):
+    """Factors ``(a, b)`` with ``u - v = a b*`` of two dilations that share
+    their rotation ``P``: ``u - v = P [X_u, -X_v] [Y_u, Y_v]*``."""
+    assert (u.shift, u.dim, u.k_dim) == (v.shift, v.dim, v.k_dim)
+    return np.roll(np.hstack([u.x, -v.x]), u.shift, axis=0), np.hstack([u.y, v.y])
+
+
 def direct_unitarity_residual(dil):
     """``DilationOperator.unitarity_residual`` with one direct QR of ``[X, Y]``."""
     k = dil.x.shape[1]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carshift import cli, modular
+from carshift import cli, hardyshift, modular
 
 
 def write_config(tmp_path, kind, params=None, seed=11):
@@ -566,6 +566,48 @@ def test_pipeline_default_horizons_unchanged_for_unit_decay(tmp_path):
     status, _, explicit = _pipeline(tmp_path, "fixed", [-1.0 + 0.0j], horizons="12 16 20")
     assert status == 0
     assert default == explicit
+
+
+def test_conjugacy_builds_no_dilation(tmp_path, monkeypatch):
+    def refuse(self, t):
+        raise AssertionError("a dilation was built")
+
+    monkeypatch.setattr(hardyshift.GridModel, "flow_dilation", refuse)
+    monkeypatch.setattr(hardyshift.GridModel, "shift_dilation", refuse)
+    fam = write_family(tmp_path, [-1.0 + 0.0j, -2.0 + 0.5j, -0.5 + 1.0j])
+    config = write_config(tmp_path, "conjugacy", {"family": fam, "horizons": "12 16"})
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 0
+
+
+def test_pipeline_refuses_a_flow_dilation_that_is_not_unitary(tmp_path, capsys, monkeypatch):
+    # the approximation stage checks both flow dilations it builds, as the
+    # conjugacy criterion checks its unitaries: exit 2 and no CSV
+    flow_dilation = hardyshift.GridModel.flow_dilation
+
+    def doubled(self, t):
+        dil = flow_dilation(self, t)
+        return hardyshift.DilationOperator(dil.shift, 2.0 * dil.x, dil.y, dil.k_dim)
+
+    monkeypatch.setattr(hardyshift.GridModel, "flow_dilation", doubled)
+    fam = write_family(tmp_path, [-1.0 + 0.0j])
+    config = write_config(tmp_path, "pipeline", {"family": fam})
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert "error: V'_0.25 is not an isometry at tolerance 1e-08" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "pipeline.csv").exists()
+
+
+def test_pipeline_builds_two_flow_dilations(tmp_path, monkeypatch):
+    flow_dilation = hardyshift.GridModel.flow_dilation
+    built = []
+
+    def counted(self, t):
+        built.append((2 * self.n, t))
+        return flow_dilation(self, t)
+
+    monkeypatch.setattr(hardyshift.GridModel, "flow_dilation", counted)
+    status, _, _ = _pipeline(tmp_path, "counted", [-1.0 + 0.0j])
+    assert status == 0
+    assert built == [(640, 0.25), (640, 0.5)]
 
 
 def test_comment_and_blank_lines_in_family(tmp_path):

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from carshift import bogoliubov
 from carshift import hardyshift as hs
 from carshift.expcalc import ExpCombo, theta_apply
-from carshift.opalg import adjoint, operator_norm
+from carshift.opalg import adjoint, hs_norm, lowrank_hs_norm, operator_norm
 from oracles import (
     apply_flow,
     backshift,
+    difference_factors,
     direct_approximation_deviation,
     direct_offspace_deviation,
     direct_unitarity_residual,
@@ -387,6 +388,28 @@ def test_offspace_deviation_needs_no_row_permutation(model_one):
     assert dil.offspace_deviation() == pytest.approx(want, rel=1e-12)
 
 
+def _frame_distance(frame):
+    """``||1 - R||_2`` of a frame rotation, after checking that it is unitary
+    to 1e-13."""
+    eye = np.eye(frame.shape[0])
+    assert operator_norm(adjoint(frame) @ frame - eye) <= 1e-13
+    return hs_norm(eye - frame)
+
+
+@pytest.mark.parametrize("lambdas", [FAMILY_ONE, FAMILY_THREE], ids=["fam1", "fam3"])
+def test_flow_frame_matches_the_dense_dilations(lambdas):
+    # ||1 - R_f||_2 in the frame of span[b, c] against ||S'_t - V'_t||_2 of the
+    # dense dilations, from one step (nearly parallel b, c) to one step short of
+    # the horizon (one row of overlap)
+    step, horizon = 1.0 / 64, 8.0
+    model = hs.GridModel(hs.orthogonalize(hs.ExponentialFamily(lambdas)), horizon, step)
+    for t in (step, 1.0 / 16, 0.25, 0.5, horizon - step):
+        frame = model.flow_frame(t)
+        assert frame.shape == (2 * len(lambdas), 2 * len(lambdas))
+        want = hs_norm(model.shift_dilation(t).to_dense() - model.flow_dilation(t).to_dense())
+        assert _frame_distance(frame) == pytest.approx(want, rel=0, abs=1e-12)
+
+
 def test_grid_requires_commensurate_times(model_one):
     with pytest.raises(ValueError):
         model_one.steps_of(1.0 / 3.0)
@@ -395,7 +418,10 @@ def test_grid_requires_commensurate_times(model_one):
 @pytest.mark.parametrize("t", [8.0, 8.0 + 1.0 / 64, 16.0])
 def test_grid_refuses_times_at_or_past_the_horizon(model_one, t):
     # the circle has circumference 16: at t = 16 the shift dilation is the identity
-    for build in (model_one.shift_dilation, model_one.flow_dilation, model_one.flow_lowrank):
+    for build in (
+        model_one.shift_dilation, model_one.flow_dilation, model_one.flow_lowrank,
+        model_one.flow_frame,
+    ):
         with pytest.raises(ValueError, match="horizon"):
             build(t)
     assert model_one.steps_of(8.0 - 1.0 / 64) == 511
@@ -537,6 +563,14 @@ def test_residuals_above_the_block_threshold_match_one_qr(fam3_fine_flow):
         direct_offspace_deviation(dil), rel=0, abs=1e-13
     )
     assert dil.offspace_deviation() > 1e-8
+
+
+@pytest.mark.parametrize("t", [2.0**-11, 0.0625, 0.25, 0.5])
+def test_flow_frame_matches_the_factored_difference_at_dimension_131072(fam3_fine, t):
+    want = lowrank_hs_norm(
+        *difference_factors(fam3_fine.shift_dilation(t), fam3_fine.flow_dilation(t))
+    )
+    assert _frame_distance(fam3_fine.flow_frame(t)) == pytest.approx(want, rel=1e-11)
 
 
 def test_blocked_unitarity_residual_sees_a_scaled_factor(fam3_fine_flow):
