@@ -316,13 +316,14 @@ class DilationOperator:
         reduced QR of ``[X, Y]`` (``X = Q Rx``, ``Y = Q Ry``) it is
         ``Q (M*M - 1) Q*`` with ``M = 1 + Rx Ry*``, so the norm is that of
         the small matrix ``M*M - 1``.  The factor comes from
-        :func:`opalg.triangular_factor`; a unitary diagonal ``D`` on it turns
+        :func:`opalg.triangular_factor` of the blocks ``X`` and ``Y``, which
+        never copies ``[X, Y]`` whole; a unitary diagonal ``D`` on it turns
         ``M*M - 1`` into ``D (M*M - 1) D*``, of the same norm.
         """
         k = self.x.shape[1]
         if k == 0:
             return 0.0
-        r = triangular_factor(np.hstack([self.x, self.y]))
+        r = triangular_factor(self.x, self.y)
         m = np.eye(r.shape[0]) + r[:, :k] @ adjoint(r[:, k:])
         return operator_norm(adjoint(m) @ m - np.eye(r.shape[0]))
 

@@ -19,6 +19,9 @@ RANK_TOL = 1e-10
 # Rows per block of triangular_factor's first QR pass: a 2048 x 24 complex
 # block (768 KiB) stays in cache while it is factored.
 _QR_BLOCK_ROWS = 2048
+# Blocks per batched QR of that pass.  Each group's rows of the column blocks
+# are put side by side on their own, so no copy is as tall as the matrix.
+_QR_GROUP_BLOCKS = 8
 
 
 def as_operator(a):
@@ -154,25 +157,46 @@ def lowrank_operator_norm(a, b):
     return operator_norm(triangular_factor(a) @ adjoint(triangular_factor(b)))
 
 
-def triangular_factor(a):
-    """The upper triangular ``R`` of a reduced QR ``a = Q R``, without ``Q``.
+def triangular_factor(*blocks):
+    """The upper triangular ``R`` of a reduced QR ``[a, b, ...] = Q R`` of the
+    column blocks ``a, b, ...`` (matrices of one height) side by side,
+    without ``Q``.
 
-    A tall matrix is cut into blocks of ``_QR_BLOCK_ROWS`` rows; one batched
-    QR takes each block's ``R``, and one more QR of those ``R`` stacked over
-    the leftover rows gives ``R`` (a tall-skinny QR: Demmel, Grigori, Hoemmen
-    and Langou, SIAM J. Sci. Comput. 34 (2012) A206-A239).  It is as
-    backward stable as one QR of ``a`` and has the same ``R*R``, so it equals
-    that QR's ``R`` up to a unitary diagonal.  Below two whole blocks it is
-    ``np.linalg.qr(a, mode="r")``.  A real matrix gives a real ``R``.
+    A tall matrix is cut into blocks of ``_QR_BLOCK_ROWS`` rows.  Batched QRs
+    take each block's ``R``, ``_QR_GROUP_BLOCKS`` blocks at a time, and one
+    more QR of those ``R`` stacked over the leftover rows gives ``R`` (a
+    tall-skinny QR: Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci.
+    Comput. 34 (2012) A206-A239).  Only a group's rows of the column blocks
+    are copied side by side at a time, never all of ``[a, b, ...]``; the
+    result is the same to the bit.  It is as backward stable as one QR of
+    ``[a, b, ...]`` and has the same ``R*R``, so it equals that QR's ``R`` up
+    to a unitary diagonal.  Below two whole blocks it is
+    ``np.linalg.qr(np.hstack([a, b, ...]), mode="r")``.  Real matrices give
+    a real ``R``.
     """
-    a = np.asarray(a)
-    rows, cols = a.shape
+    blocks = [np.asarray(b) for b in blocks]
+    rows = blocks[0].shape[0]
     whole = rows // _QR_BLOCK_ROWS
     if whole < 2:
-        return np.linalg.qr(a, mode="r")
+        return np.linalg.qr(_side_by_side(blocks, 0, rows), mode="r")
+    cols = sum(b.shape[1] for b in blocks)
     split = whole * _QR_BLOCK_ROWS
-    tops = np.linalg.qr(a[:split].reshape(whole, _QR_BLOCK_ROWS, cols), mode="r")
-    return np.linalg.qr(np.concatenate([*tops, a[split:]]), mode="r")
+    group = _QR_GROUP_BLOCKS * _QR_BLOCK_ROWS
+    tops = []
+    for lo in range(0, split, group):
+        hi = min(lo + group, split)
+        stack = _side_by_side(blocks, lo, hi).reshape(
+            (hi - lo) // _QR_BLOCK_ROWS, _QR_BLOCK_ROWS, cols
+        )
+        tops.extend(np.linalg.qr(stack, mode="r"))
+    return np.linalg.qr(np.concatenate([*tops, _side_by_side(blocks, split, rows)]), mode="r")
+
+
+def _side_by_side(blocks, lo, hi):
+    """Rows ``lo:hi`` of the column blocks side by side; a view for one block."""
+    if len(blocks) == 1:
+        return blocks[0][lo:hi]
+    return np.hstack([b[lo:hi] for b in blocks])
 
 
 def adjoint(a):

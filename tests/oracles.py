@@ -7,6 +7,8 @@ from scipy import integrate
 
 from carshift import fock
 from carshift.expcalc import ExpCombo
+from carshift.opalg import hs_norm, psd_sqrt
+from carshift.quasifree import CovarianceState
 
 
 def wedge_vector(space, vectors):
@@ -115,3 +117,38 @@ def direct_approximation_deviation(u, v):
 
     k = u.k_dim
     return max(norm(l[k:], r[k:]), norm(l[:k], r[k:]))
+
+
+def _dot_weight(r):
+    """``(R, (R(1-R))^{1/2})``: floats for an isotropic ``nu``, else matrices."""
+    if np.ndim(r) == 0:
+        return float(r), np.sqrt(r * (1.0 - r))
+    r = CovarianceState(r).r
+    return r, psd_sqrt(r @ (np.eye(r.shape[0]) - r))
+
+
+def dot_weighted_hs_norm(r, x):
+    """``bogoliubov.weighted_hs_norm`` with the weight applied by ``np.dot``."""
+    _, weight = _dot_weight(r)
+    return hs_norm(np.dot(weight, np.asarray(x, dtype=complex)))
+
+
+def dot_araki_commutator(r, v_prime, w_prime):
+    """``bogoliubov.araki_commutator`` with every product taken by ``np.dot``."""
+    r, s = _dot_weight(r)
+    v = np.asarray(v_prime, dtype=complex)
+    w = np.asarray(w_prime, dtype=complex)
+    blocks = ((v, r, v), (v, s, w), (w, s, v), (w, r, w))
+    return hs_norm([hs_norm(np.dot(a, m) - np.dot(m, b)) for a, m, b in blocks])
+
+
+def one_batch_triangular_factor(a, block_rows):
+    """``opalg.triangular_factor`` with all whole blocks of ``block_rows``
+    rows in one batched QR, the whole of ``a`` at once."""
+    rows, cols = a.shape
+    whole = rows // block_rows
+    if whole < 2:
+        return np.linalg.qr(a, mode="r")
+    split = whole * block_rows
+    tops = np.linalg.qr(a[:split].reshape(whole, block_rows, cols), mode="r")
+    return np.linalg.qr(np.concatenate([*tops, a[split:]]), mode="r")

@@ -4,7 +4,7 @@ from scipy.linalg import sqrtm
 
 from carshift import bogoliubov, hardyshift, quasifree
 from carshift.opalg import adjoint, hs_norm, lowrank_hs_norm, operator_norm
-from oracles import difference_factors
+from oracles import difference_factors, dot_araki_commutator, dot_weighted_hs_norm
 
 rng = np.random.default_rng(31)
 
@@ -307,6 +307,51 @@ def test_scalar_nu_and_the_matrix_nu_one_agree(nu, n):
         assert bogoliubov.weighted_hs_norm(nu, x) == pytest.approx(want, rel=1e-12)
     want = bogoliubov.araki_commutator(matrix, v, w)
     assert bogoliubov.araki_commutator(nu, v, w) == pytest.approx(want, rel=1e-12)
+
+
+def _spread_covariance(n, seed):
+    """A covariance with eigenvalues spread over [0.1, 0.9], random eigenvectors."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return (q * np.linspace(0.1, 0.9, n)) @ q.T
+
+
+@pytest.mark.parametrize("n", [1, 7, 512])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("covariance", ["scalar", "matrix"])
+def test_weights_equal_the_np_dot_forms_to_the_bit(covariance, dtype, n):
+    # non-normal V', W' with signed zeros planted: the float weight is
+    # multiplied in, a matrix weight still goes through np.dot
+    gen = np.random.default_rng(n)
+    v, w = gen.standard_normal((2, n, n))
+    if dtype is complex:
+        v, w = v + 1j * gen.standard_normal((n, n)), w - 1j * gen.standard_normal((n, n))
+    v[::3, ::2], w[1::2, ::3] = -0.0, 0.0
+    r = 0.25 if covariance == "scalar" else _spread_covariance(n, n)
+    for x in (v, w, v - w):
+        assert bogoliubov.weighted_hs_norm(r, x) == dot_weighted_hs_norm(r, x)
+    assert bogoliubov.araki_commutator(r, v, w) == dot_araki_commutator(r, v, w)
+
+
+def test_weighted_hs_norm_refuses_what_is_not_an_operator_of_the_covariance():
+    # a float weight would take the vector, or broadcast over any shape
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        bogoliubov.weighted_hs_norm(0.25, np.ones(5))
+    with pytest.raises(ValueError, match="covariance of size 4 on operators of size 3"):
+        bogoliubov.weighted_hs_norm(0.25 * np.eye(4), np.eye(3))
+
+
+def test_araki_commutator_refuses_operators_of_different_sizes():
+    # with a float weight, eye(3) against eye(1) broadcast to 1.5
+    with pytest.raises(ValueError, match="operators of different sizes"):
+        bogoliubov.araki_commutator(0.25, np.eye(3), np.eye(1))
+    with pytest.raises(ValueError, match="covariance of size 2 on operators of size 3"):
+        bogoliubov.araki_commutator(0.25 * np.eye(2), np.eye(3), np.eye(3))
+
+
+def test_extension_criterion_refuses_operators_of_different_sizes():
+    # an n-square V' less a 1 x 1 W' would broadcast before the norm
+    with pytest.raises(ValueError, match="operators of different sizes"):
+        bogoliubov.extension_criterion(0.25, np.eye, lambda n: np.eye(1), [4, 8])
 
 
 def test_araki_values_of_the_extension_benchmark_config():

@@ -3,6 +3,7 @@ import pytest
 from scipy import sparse
 
 from carshift import opalg, quasifree
+from oracles import one_batch_triangular_factor
 
 rng = np.random.default_rng(101)
 
@@ -182,6 +183,23 @@ def test_triangular_factor_of_non_contiguous_input():
     assert_same_triangular_factor(wide[:, ::2])
     assert_same_triangular_factor(wide[:, 3:8])
     assert_same_triangular_factor(np.asfortranarray(wide))
+
+
+GROUP = opalg._QR_GROUP_BLOCKS
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [2 * BLOCK - 1, 2 * GROUP * BLOCK, GROUP * BLOCK + 3 * BLOCK + 357],
+    ids=["below-two-blocks", "whole-groups", "partial-group-and-leftover"],
+)
+def test_triangular_factor_of_column_blocks_is_that_of_their_hstack(rows):
+    # a complex and a real block: each group is put side by side on its own
+    x, y = tall(rows, 3), tall(rows, 4, dtype=float)
+    whole = np.hstack([x, y])
+    got = opalg.triangular_factor(x, y)
+    assert np.array_equal(got, opalg.triangular_factor(whole))
+    assert np.array_equal(got, one_batch_triangular_factor(whole, BLOCK))
 
 
 def test_sector_operator_norm_takes_sparse_input():
