@@ -389,7 +389,6 @@ def _run_pipeline(seed, family, nu, step, horizons):
     }
 
     # stage 1: condition (1) on the family, checked when it was loaded
-    values = [1.0]
     verdicts = {"condition-1": (True, float(family.size))}
 
     # stage 2: norm continuity of the perturbed semigroup on a dyadic grid
@@ -398,13 +397,10 @@ def _run_pipeline(seed, family, nu, step, horizons):
         lambda t: hardyshift.backward_shift_matrix(basis, t).conj().T,
         [k / 64.0 for k in range(33)],
     )
-    values.append(float(max(cont["moduli"])))
     verdicts["condition-n"] = (cont["pass"], float(max(cont["moduli"])))
 
     # stage 3: defect slope of V_t against the shift
-    _, (ok, slope) = _defect_slope(basis, _DEFECT_T_GRID)
-    values.append(slope)
-    verdicts["defect-slope"] = (ok, slope)
+    verdicts["defect-slope"] = _defect_slope(basis, _DEFECT_T_GRID)[1]
 
     # stages 4 and 5: unitary dilations, the approximation check on the
     # largest grid, and conjugacy-criterion weighted norms on the dilated pair
@@ -415,13 +411,12 @@ def _run_pipeline(seed, family, nu, step, horizons):
         bogoliubov.check_unitarity(flow.unitarity_residual(), f"V'_{t}")
     approx = bogoliubov.approximation_check(largest.shift_dilation, flows.get, _DILATION_T_GRID)
     worst_dev = max(row["offspace_deviation"] for row in approx["rows"])
-    values.append(float(worst_dev))
     verdicts["approximation"] = (approx["pass"], float(worst_dev))
     last = per_t[_DILATION_T_GRID[-1]].values[-1]
-    values.append(float(last))
     verdicts["conjugacy"] = (verdict != "diverges", float(last))
 
-    # one CSV row per stage, named as its verdict
+    # one CSV row per stage, named as its verdict and holding its value
+    values = [value for _, value in verdicts.values()]
     return {"stage": list(verdicts), "value": values}, verdicts, extra
 
 

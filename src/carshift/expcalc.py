@@ -2,10 +2,9 @@
 
 An :class:`ExpCombo` is a finite sum of terms ``c * exp(mu*(x - s))`` supported
 on ``(s, e)`` with ``e = inf`` allowed when ``Re mu < 0``.  The class is closed
-under the operations needed by the shift-semigroup machinery -- translation,
-windowing, and multiplication on the Laplace side by a Blaschke product (a
-Volterra convolution) -- so every inner product is evaluated exactly,
-without quadrature.
+under multiplication on the Laplace side by a Blaschke product (a Volterra
+convolution, :func:`theta_apply`), and every inner product is evaluated
+exactly, without quadrature.
 
 :func:`window_defects` evaluates ``||(Theta - 1) f||^2`` for many window
 exponentials ``f`` at once from the same closed forms, as array expressions;
@@ -73,7 +72,7 @@ class ExpCombo:
         """Unit L2-norm exponential ``~ exp(mu*(x-start))`` on ``(start, end)``."""
         length = end - start
         nrm2 = _eint(complex(2 * complex(mu).real), length).real
-        return cls([(1.0 / np.sqrt(nrm2), mu, start, end)])
+        return cls.exponential(mu, start, end, coeff=1.0 / np.sqrt(nrm2))
 
     def __add__(self, other):
         return ExpCombo(self.terms + other.terms)
@@ -83,20 +82,6 @@ class ExpCombo:
 
     def scaled(self, z):
         return ExpCombo([(c * z, mu, s, e) for c, mu, s, e in self.terms])
-
-    def shift(self, t):
-        """Forward translation ``(S_t u)(x) = u(x - t)`` (``t >= 0``)."""
-        return ExpCombo([(c, mu, s + t, e + t) for c, mu, s, e in self.terms])
-
-    def window(self, lo, hi=np.inf):
-        """Restriction to the interval ``(lo, hi)``."""
-        out = []
-        for c, mu, s, e in self.terms:
-            s2 = max(s, lo)
-            e2 = min(e, hi)
-            if e2 > s2:
-                out.append((c * cmath.exp(mu * (s2 - s)), mu, s2, e2))
-        return ExpCombo(out)
 
     def inner(self, other):
         """L2 inner product, antilinear in ``self``, over all overlapping
@@ -110,9 +95,6 @@ class ExpCombo:
         m1c = m1[i].conj()
         pre = c1[i].conj() * c2[j] * np.exp(m1c * (lo - s1[i]) + m2[j] * (lo - s2[j]))
         return complex(np.sum(pre * _eint(m1c + m2[j], hi - lo)))
-
-    def norm_sq(self):
-        return max(self.inner(self).real, 0.0)
 
     def compress(self):
         """Merge terms sharing (rate, support); merged coefficients that

@@ -7,7 +7,9 @@ which the adjoint shift acts diagonally; successive orthogonalization of the
 ``f_k`` produces an orthonormal family ``g_k`` and an isometry ``V_t`` that is
 diagonal (pure phases) on K1 and agrees with ``S_t`` on the complement K0.
 
-All defect norms are evaluated in closed form through :mod:`carshift.expcalc`.
+Every defect norm is evaluated in closed form: on the basis ``g_n`` from its
+coefficient matrix over the ``f_k``, and the window defects of the Blaschke
+multiplier (prop2) through :mod:`carshift.expcalc`.
 Grid discretizations identify the doubled space K (+) K with cell functions on
 a circle of circumference ``2 * horizon``; the shift dilation is then a
 rotation of the circle cells, stored as its shift count, and the flow
@@ -98,11 +100,6 @@ def blaschke_asymptotics(family):
 # orthogonalized exponential basis and the isometry V_t
 
 
-def normalized_exponential(lam):
-    lam = complex(lam)
-    return ExpCombo.exponential(lam, coeff=np.sqrt(-2.0 * lam.real))
-
-
 def gram_exponentials(family):
     """Gram matrix ``(f_m, f_n) = -c_m c_n / (conj(l_m) + l_n)`` (unit diagonal)."""
     lam = np.asarray(family.lambdas, dtype=complex)
@@ -115,7 +112,6 @@ def gram_exponentials(family):
 class ExponentialBasis:
     family: ExponentialFamily
     coeff: np.ndarray            # upper triangular: g_n = sum_m coeff[m, n] f_m
-    g_combos: list
 
     def phases(self, t):
         """The phases ``exp(i Im(l_n) t)`` of the isometry ``V_t`` on the ``g_n``."""
@@ -135,14 +131,7 @@ def orthogonalize(family):
         raise ValueError("exponential family too ill-conditioned to orthogonalize")
     low = np.linalg.cholesky(g)
     coeff = solve_triangular(low, np.eye(family.size), lower=True).conj().T
-    fs = [normalized_exponential(l) for l in family.lambdas]
-    combos = []
-    for n in range(family.size):
-        combo = ExpCombo()
-        for m in range(n + 1):
-            combo = combo + fs[m].scaled(coeff[m, n])
-        combos.append(combo)
-    return ExponentialBasis(family, coeff, combos)
+    return ExponentialBasis(family, coeff)
 
 
 def backward_shift_matrix(basis, t):
@@ -151,15 +140,16 @@ def backward_shift_matrix(basis, t):
     return solve_triangular(basis.coeff, d @ basis.coeff, lower=False)
 
 
-def defect_hs_norm(basis, t):
-    """``||V_t - S_t||_2`` in closed form.
-
-    The defect vanishes on K0 and on each ``g_n`` contributes
-    ``2 - 2 Re[exp(-i Im(l_n) t) exp(conj(l_n) t)]``.
-    """
+def _defect_terms(basis, t):
+    """``||(V_t - S_t) g_n||^2 = 2 - 2 Re[exp(-i Im(l_n) t) exp(conj(l_n) t)]``, per ``n``."""
     lam = np.asarray(basis.family.lambdas)
-    terms = 2.0 - 2.0 * np.exp(lam.real * t) * np.cos(2.0 * lam.imag * t)
-    return float(np.sqrt(max(np.sum(terms), 0.0)))
+    return 2.0 - 2.0 * np.exp(lam.real * t) * np.cos(2.0 * lam.imag * t)
+
+
+def defect_hs_norm(basis, t):
+    """``||V_t - S_t||_2`` in closed form: the defect vanishes on K0, and on
+    each ``g_n`` it is :func:`_defect_terms`."""
+    return float(np.sqrt(max(np.sum(_defect_terms(basis, t)), 0.0)))
 
 
 def defect_increment_hs(basis, t, delta):
@@ -174,18 +164,24 @@ def defect_increment_hs(basis, t, delta):
 
 
 def estimate_inequalities(basis, t):
-    """Exact left sides of the two defect estimates at time ``t``.
+    """Exact left sides of the two defect estimates at time ``t``, per basis
+    vector ``g_n``.
 
-    Per basis vector: ``||(P_{[t,inf)} V_t S_t* - P_{[t,inf)}) S_t g_n||^2``
-    and ``||P_{[0,t]} V_t S_t* S_t g_n||^2 = ||P_{[0,t]} g_n||^2``.  Their sum
-    over ``n`` is O(t).
+    ``near[n] = ||P_{[0,t]} V_t S_t* S_t g_n||^2 = ||P_{[0,t]} g_n||^2`` is the
+    diagonal of ``coeff* G coeff`` with the Gram matrix of the ``f_k`` over
+    ``(0, t)``, ``G[m, k] = c_m c_k expm1(rho t)/rho``, ``rho = conj(l_m) + l_k``;
+    ``far[n] = ||(P_{[t,inf)} V_t S_t* - P_{[t,inf)}) S_t g_n||^2`` is the rest
+    of ``||(V_t - S_t) g_n||^2``, and ``sum`` adds both over ``n``, which is
+    ``defect_hs_norm(basis, t)**2``.  As ``t -> 0`` the near terms are O(t)
+    and the far terms O(t^2), so the sum is O(t).
     """
-    lhs_far, lhs_near = [], []
-    for phase, g in zip(basis.phases(t), basis.g_combos):
-        moved = g.scaled(phase).window(t) - g.shift(t)
-        lhs_far.append(moved.norm_sq())
-        lhs_near.append(g.window(0.0, t).norm_sq())
-    return {"sum": float(np.sum(lhs_far) + np.sum(lhs_near))}
+    lam = np.asarray(basis.family.lambdas)
+    c = np.sqrt(-2.0 * lam.real)
+    rho = lam.conj()[:, None] + lam[None, :]
+    gram = np.outer(c, c) * np.expm1(rho * t) / rho
+    near = np.sum(basis.coeff.conj() * (gram @ basis.coeff), axis=0).real
+    terms = _defect_terms(basis, t)
+    return {"near": near, "far": terms - near, "sum": float(np.sum(terms))}
 
 
 def fit_power(xs, ys):
@@ -380,9 +376,7 @@ class GridModel:
         self.n = round(self.horizon / self.step)
         if abs(self.n * self.step - self.horizon) > 1e-9:
             raise ValueError("horizon must be an integer number of cells")
-        cols = [self.cell_coefficients(g) for g in basis.g_combos]
-        mat = np.stack(cols, axis=1)
-        q, r = np.linalg.qr(mat)
+        q, r = np.linalg.qr(self.cell_averages())
         signs = np.sign(np.diag(r).real)
         signs[signs == 0] = 1.0
         self.ghat = q * signs
@@ -397,39 +391,32 @@ class GridModel:
             raise ValueError("t must be a multiple of the grid step")
         return m
 
-    def cell_coefficients(self, combo):
-        """Exact L2 cell averages of an exponential combination (times 1/sqrt(h)).
+    def cell_averages(self):
+        """The ``n x nlam`` matrix of exact L2 cell averages (times
+        ``1/sqrt(h)``) of the ``g_n`` on the cells ``[jh, (j+1)h]``.
 
-        Each term adds ``c * (exp(mu (hi - s)) - exp(mu (lo - s))) / mu`` (or
-        ``c * (hi - lo)`` at ``mu = 0``) on the cells ``[lo, hi]`` its support
-        meets, one array expression per term.
+        ``g_n = sum_m coeff[m, n] c_m exp(l_m x)`` with ``c_m = sqrt(-2 Re l_m)``,
+        so column ``n`` adds ``coeff[m, n] c_m d_m / l_m`` in ascending ``m``,
+        with ``d_m = exp(l_m (j+1)h) - exp(l_m jh)`` taken once per exponent.
         """
         h = self.step
-        vec = np.zeros(self.n, dtype=complex)
-        for c, mu, s, e in combo.terms:
-            lo_cell = max(int(np.floor(max(s, 0.0) / h)), 0)
-            hi_cell = min(int(np.ceil(min(e, self.horizon) / h)), self.n)
-            j = np.arange(lo_cell, hi_cell)
-            lo = np.maximum(j * h, s)
-            hi = np.minimum((j + 1) * h, e)
-            met = hi > lo
-            j, lo, hi = j[met], lo[met], hi[met]
-            small = abs(mu) < 1e-14
-            if small:
-                d = (hi - lo).astype(complex)
-            else:
-                d = np.exp(mu * (hi - s)) - np.exp(mu * (lo - s))
-            # c * d in explicit real arithmetic: numpy's complex array multiply
-            # may fuse it into FMAs and round differently from the scalar
-            # product, and the recorded compression_residual holds only by bit
-            # reproducibility.  Once that value is re-recorded from an
-            # accurate route, the geometric closed form of the cell averages
-            # can replace this expression.
-            term = np.empty_like(d)
-            term.real = c.real * d.real - c.imag * d.imag
-            term.imag = c.real * d.imag + c.imag * d.real
-            vec[j] += term if small else term / mu
-        return vec / np.sqrt(h)
+        j = np.arange(self.n)
+        out = np.zeros((self.n, self.basis.family.size), dtype=complex)
+        for m, lam in enumerate(self.basis.family.lambdas):
+            d = np.exp(lam * ((j + 1) * h)) - np.exp(lam * (j * h))
+            for n in range(m, out.shape[1]):
+                c = np.sqrt(-2.0 * lam.real) * self.basis.coeff[m, n]
+                # c * d in explicit real arithmetic: numpy's complex array
+                # multiply may fuse it into FMAs and round differently from
+                # the scalar product, and the recorded compression_residual
+                # holds only by bit reproducibility.  Once that value is
+                # re-recorded from an accurate route, the geometric closed
+                # form of the cell averages can replace this expression.
+                term = np.empty_like(d)
+                term.real = c.real * d.real - c.imag * d.imag
+                term.imag = c.real * d.imag + c.imag * d.real
+                out[:, n] += term / lam
+        return out / np.sqrt(h)
 
     # -- operators on the single grid space K ------------------------------
 

@@ -125,7 +125,8 @@ class ModularData:
     ``scipy.sparse`` CSR matrices of the antilinear ``S v = s @ conj(v)`` and
     ``J v = j @ conj(v)``; both map sector ``q`` onto ``-q``, so a row of
     sector ``t`` holds the columns of sector ``-t``, and they share one
-    pattern.  ``delta`` is the CSR matrix of ``Delta``, block diagonal.  Each
+    pattern, stored once: ``j`` holds the ``indptr`` and ``indices`` arrays of
+    ``s``.  ``delta`` is the CSR matrix of ``Delta``, block diagonal.  Each
     sector's block is stored whole (:func:`carshift.opalg.stacked_matrix`),
     so every matrix holds the squared sector sizes, ``6^n`` entries in all.
     ``delta_eigenvalues`` holds each sector's eigenvalues of ``Delta``,
@@ -198,7 +199,9 @@ def tomita_operator(rep):
     residual = np.sqrt(misfit) / max(scale, 1e-300)
     # the lists alone now hold the stacks, so stacked_matrix frees each once written
     del s, j, delta
-    s, j, delta = (stacked_matrix(b, rep.dim) for b in (s_blocks, j_blocks, delta_blocks))
+    s = stacked_matrix(s_blocks, rep.dim)
+    j = stacked_matrix(j_blocks, rep.dim, pattern=s)
+    delta = stacked_matrix(delta_blocks, rep.dim)
     return ModularData(rep.labels, s, j, delta, delta_eigenvalues, float(residual))
 
 

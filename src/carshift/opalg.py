@@ -113,20 +113,26 @@ def sector_stacks(op, labels):
     return blocks
 
 
-def stacked_matrix(blocks, dim):
+def stacked_matrix(blocks, dim, pattern=None):
     """The ``dim x dim`` CSR array of the blocks ``(rows, cols, stack)`` that
     :func:`sector_stacks` returns, zero outside them.  Each stack is dropped
     from the list ``blocks`` once written, so only one exists twice at a
-    time; offsets and indices are int32, as scipy picks them below ``2^31``."""
-    lengths = np.zeros(dim, dtype=np.int32)
-    for rows, cols, _ in blocks:
-        lengths[rows] = cols.shape[1]
-    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int32)
-    indices = np.empty(indptr[-1], dtype=np.int32)
+    time; offsets and indices are int32, as scipy picks them below ``2^31``.
+    ``pattern``, a CSR array written here from blocks on the same ``rows``
+    and ``cols``, lends the result its ``indptr`` and ``indices`` arrays."""
+    if pattern is None:
+        lengths = np.zeros(dim, dtype=np.int32)
+        for rows, cols, _ in blocks:
+            lengths[rows] = cols.shape[1]
+        indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int32)
+        indices = np.empty(indptr[-1], dtype=np.int32)
+    else:
+        indptr, indices = pattern.indptr, pattern.indices
     data = np.empty(indptr[-1], dtype=np.result_type(float, *(b[2].dtype for b in blocks)))
     for h, (rows, cols, stack) in enumerate(blocks):
         offsets = indptr[rows][..., None] + np.arange(cols.shape[1], dtype=np.int32)
-        indices[offsets] = cols[:, None, :]
+        if pattern is None:
+            indices[offsets] = cols[:, None, :]
         data[offsets] = stack
         blocks[h] = None
     return sparse.csr_array((data, indices, indptr), shape=(dim, dim))

@@ -56,6 +56,11 @@ def quad_inner(f, g, lo=0.0, hi=80.0, limit=400):
     return re + 1j * im
 
 
+def shift(combo, t):
+    """Forward translation ``(S_t u)(x) = u(x - t)`` (``t >= 0``)."""
+    return ExpCombo([(c, mu, s + t, e + t) for c, mu, s, e in combo.terms])
+
+
 def backshift(combo, t):
     """Backward translation ``(S_t* u)(x) = u(x + t)`` restricted to x > 0."""
     out = []
@@ -67,16 +72,43 @@ def backshift(combo, t):
     return ExpCombo(out)
 
 
+def window(combo, lo, hi=np.inf):
+    """Restriction to the interval ``(lo, hi)``."""
+    out = []
+    for c, mu, s, e in combo.terms:
+        s2 = max(s, lo)
+        e2 = min(e, hi)
+        if e2 > s2:
+            out.append((c * cmath.exp(mu * (s2 - s)), mu, s2, e2))
+    return ExpCombo(out)
+
+
+def norm_sq(combo):
+    """``||u||^2`` by the closed-form inner product."""
+    return max(combo.inner(combo).real, 0.0)
+
+
+def basis_combos(basis):
+    """The ``g_n = sum_m coeff[m, n] f_m`` of an orthogonalized family as
+    exponential combinations, ``f_m = c_m exp(l_m x)`` on the half-line with
+    ``c_m = sqrt(-2 Re l_m)``, the terms in ascending ``m``."""
+    fs = [ExpCombo.exponential(lam, coeff=np.sqrt(-2.0 * lam.real)) for lam in basis.family.lambdas]
+    return [
+        sum((fs[m].scaled(basis.coeff[m, n]) for m in range(n + 1)), ExpCombo())
+        for n in range(basis.family.size)
+    ]
+
+
 def apply_flow(basis, t, u):
     """``V_t u`` for an exponential combination ``u``, exact: the phases
     ``basis.phases(t)`` on span{g_n}, ``S_t`` on the rest."""
     shifted = u
     out = ExpCombo()
-    for phase, g in zip(basis.phases(t), basis.g_combos):
+    for phase, g in zip(basis.phases(t), basis_combos(basis)):
         c = g.inner(u)
         shifted = shifted - g.scaled(c)
         out = out + g.scaled(phase * c)
-    return out + shifted.shift(t)
+    return out + shift(shifted, t)
 
 
 def flow_matrix(model, t):

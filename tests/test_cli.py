@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carshift import cli, hardyshift, modular
+from carshift import cli, expcalc, hardyshift, modular
 
 
 def write_config(tmp_path, kind, params=None, seed=11):
@@ -566,6 +566,33 @@ def test_pipeline_default_horizons_unchanged_for_unit_decay(tmp_path):
     status, _, explicit = _pipeline(tmp_path, "fixed", [-1.0 + 0.0j], horizons="12 16 20")
     assert status == 0
     assert default == explicit
+
+
+def test_pipeline_csv_rows_are_the_verdict_values(tmp_path):
+    fam3 = [-1.0 + 0.0j, -2.0 + 0.5j, -0.5 + 1.0j]
+    status, report, csv_bytes = _pipeline(tmp_path, "fam3", fam3)
+    assert status == 0
+    rows = dict(line.split(",") for line in csv_bytes.decode().splitlines()[1:])
+    assert {stage: float(value) for stage, value in rows.items()} == {
+        stage: verdict["value"] for stage, verdict in report["verdicts"].items()
+    }
+    assert rows["condition-1"] == "3.0"
+
+
+def test_hardy_space_kinds_build_no_exponential_combination(tmp_path, monkeypatch):
+    # the ExpCombo calculus is left to the Laplace pairing of acceptance
+    # criterion 10 and to the test oracles
+    def refuse(self, terms=()):
+        raise AssertionError("an ExpCombo was built")
+
+    monkeypatch.setattr(expcalc.ExpCombo, "__init__", refuse)
+    fam = write_family(tmp_path, [-1.0 + 0.0j, -2.0 + 0.5j, -0.5 + 1.0j])
+    for kind in ("conjugacy", "approx", "dilation-check", "prop2", "blaschke"):
+        config = write_config(tmp_path, kind, {"family": fam, **SMALL_PARAMS[kind]})
+        assert cli.main(["run", "--config", config, "--out", str(tmp_path / kind)]) == 0
+    # pipeline at its default horizons, which fam3 passes
+    config = write_config(tmp_path, "pipeline", {"family": fam})
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path / "pipeline")]) == 0
 
 
 def test_conjugacy_builds_no_dilation(tmp_path, monkeypatch):

@@ -11,12 +11,16 @@ from carshift.opalg import adjoint, hs_norm, lowrank_hs_norm, operator_norm
 from oracles import (
     apply_flow,
     backshift,
+    basis_combos,
     difference_factors,
     direct_approximation_deviation,
     direct_offspace_deviation,
     direct_unitarity_residual,
     flow_matrix,
+    norm_sq,
     quad_inner,
+    shift,
+    window,
 )
 
 FAMILY_ONE = [-1.0 + 0.0j]
@@ -95,8 +99,9 @@ def test_asymptotic_coefficient_matches_rate_sum():
 
 
 def test_orthonormal_against_quadrature(basis_two):
-    for i, gi in enumerate(basis_two.g_combos):
-        for j, gj in enumerate(basis_two.g_combos):
+    combos = basis_combos(basis_two)
+    for i, gi in enumerate(combos):
+        for j, gj in enumerate(combos):
             val = quad_inner(gi, gj, 0, 60, limit=300).real
             assert val == pytest.approx(1.0 if i == j else 0.0, abs=1e-9)
 
@@ -111,21 +116,21 @@ def test_backward_shift_diagonal_pairing(basis_two):
     # <g_n, S_t g_n> = exp(conj(lambda_n) t)
     t = 0.35
     m = hs.backward_shift_matrix(basis_two, t)
-    for n, lam in enumerate(basis_two.family.lambdas):
-        shifted = basis_two.g_combos[n].shift(t)
-        assert basis_two.g_combos[n].inner(shifted) == pytest.approx(np.exp(np.conj(lam) * t))
+    for n, (g, lam) in enumerate(zip(basis_combos(basis_two), basis_two.family.lambdas)):
+        assert g.inner(shift(g, t)) == pytest.approx(np.exp(np.conj(lam) * t))
         assert m[n, n] == pytest.approx(np.exp(lam * t))
 
 
 def test_backward_shift_matrix_matches_combo_action(basis_two):
     t = 0.4
     m = hs.backward_shift_matrix(basis_two, t)
-    for n, g in enumerate(basis_two.g_combos):
+    combos = basis_combos(basis_two)
+    for n, g in enumerate(combos):
         back = backshift(g, t)
         expanded = ExpCombo([])
-        for k, gk in enumerate(basis_two.g_combos):
+        for k, gk in enumerate(combos):
             expanded = expanded + gk.scaled(m[k, n])
-        assert np.sqrt((back - expanded).norm_sq()) <= 1e-7
+        assert np.sqrt(norm_sq(back - expanded)) <= 1e-7
 
 
 def test_ill_conditioned_family_rejected():
@@ -140,17 +145,16 @@ def test_ill_conditioned_family_rejected():
 
 def test_flow_is_unitary_on_the_span(basis_two):
     t = 0.6
-    for g in basis_two.g_combos:
-        got = np.sqrt(apply_flow(basis_two, t, g).norm_sq())
-        assert got == pytest.approx(np.sqrt(g.norm_sq()), abs=1e-10)
+    for g in basis_combos(basis_two):
+        got = np.sqrt(norm_sq(apply_flow(basis_two, t, g)))
+        assert got == pytest.approx(np.sqrt(norm_sq(g)), abs=1e-10)
 
 
 def test_defect_closed_form_against_combo_oracle(basis_two):
     t = 0.3
     total = 0.0
-    for g in basis_two.g_combos:
-        diff = apply_flow(basis_two, t, g) - g.shift(t)
-        total += diff.norm_sq()
+    for g in basis_combos(basis_two):
+        total += norm_sq(apply_flow(basis_two, t, g) - shift(g, t))
     assert hs.defect_hs_norm(basis_two, t) == pytest.approx(np.sqrt(total), abs=1e-10)
 
 
@@ -169,10 +173,10 @@ def test_defect_sqrt_t_rate(basis_one, basis_two):
 def test_defect_increment_closed_form(basis_two):
     t, d = 0.2, 0.05
     total = 0.0
-    for g in basis_two.g_combos:
-        a = apply_flow(basis_two, t + d, g) - g.shift(t + d)
-        b = apply_flow(basis_two, t, g) - g.shift(t)
-        total += (a - b).norm_sq()
+    for g in basis_combos(basis_two):
+        a = apply_flow(basis_two, t + d, g) - shift(g, t + d)
+        b = apply_flow(basis_two, t, g) - shift(g, t)
+        total += norm_sq(a - b)
     assert hs.defect_increment_hs(basis_two, t, d) == pytest.approx(np.sqrt(total), abs=1e-10)
 
 
@@ -180,6 +184,40 @@ def test_estimates_sum_is_linear_in_t(basis_two):
     ts = [2.0 ** -k for k in range(3, 11)]
     sums = [hs.estimate_inequalities(basis_two, t)["sum"] for t in ts]
     assert hs.fit_power(ts, sums) == pytest.approx(1.0, abs=0.1)
+
+
+FAMILIES = [FAMILY_ONE, FAMILY_TWO, FAMILY_THREE]
+
+
+@pytest.mark.parametrize("lambdas", FAMILIES, ids=["fam1", "fam2", "fam3"])
+def test_estimates_sum_is_the_squared_defect_norm(lambdas):
+    basis = hs.orthogonalize(hs.ExponentialFamily(lambdas))
+    for t in [2.0 ** -k for k in range(-1, 11)] + [3.0]:
+        got = hs.estimate_inequalities(basis, t)["sum"]
+        assert got == pytest.approx(hs.defect_hs_norm(basis, t) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("lambdas", FAMILIES, ids=["fam1", "fam2", "fam3"])
+def test_estimates_match_the_combo_route(lambdas):
+    # ||P_[0,t] g_n||^2 and ||P_[t,inf) (phase_n g_n) - S_t g_n||^2 term by term
+    basis = hs.orthogonalize(hs.ExponentialFamily(lambdas))
+    for t in (2.0 ** -10, 2.0 ** -4, 0.3, 1.0, 3.0):
+        est = hs.estimate_inequalities(basis, t)
+        combos = basis_combos(basis)
+        near = [norm_sq(window(g, 0.0, t)) for g in combos]
+        far = [norm_sq(window(g.scaled(p), t) - shift(g, t)) for p, g in zip(basis.phases(t), combos)]
+        assert est["near"] == pytest.approx(near, rel=0, abs=1e-12)
+        assert est["far"] == pytest.approx(far, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("lambdas", FAMILIES, ids=["fam1", "fam2", "fam3"])
+def test_estimates_near_term_is_linear_and_far_term_quadratic_in_t(lambdas):
+    # measured slopes 0.93-0.98 and 1.95-1.98 on t = 2^-3 .. 2^-10
+    basis = hs.orthogonalize(hs.ExponentialFamily(lambdas))
+    ts = [2.0 ** -k for k in range(3, 11)]
+    ests = [hs.estimate_inequalities(basis, t) for t in ts]
+    assert hs.fit_power(ts, [np.sum(e["near"]) for e in ests]) == pytest.approx(1.0, abs=0.1)
+    assert hs.fit_power(ts, [np.sum(e["far"]) for e in ests]) == pytest.approx(2.0, abs=0.1)
 
 
 @pytest.mark.parametrize("xs", [[0.25], [4, 4], [0.5, 0.5, 0.5]])
@@ -248,7 +286,7 @@ def combo_window_defect(family, mu, start, delta):
 
 
 def term_scale(combo):
-    return sum(np.sqrt(ExpCombo([term]).norm_sq()) for term in combo.terms)
+    return sum(np.sqrt(norm_sq(ExpCombo([term]))) for term in combo.terms)
 
 
 @pytest.mark.parametrize("t", [0.0, 1.0])
@@ -258,7 +296,7 @@ def test_prop2_matches_the_term_by_term_loop(t):
     # no value
     family, delta, k_max = hs.ExponentialFamily(FAMILY_ONE), 0.125, 9
     per_k = {
-        k: combo_window_defect(family, hs.window_exponent(k, delta), t, delta).norm_sq()
+        k: norm_sq(combo_window_defect(family, hs.window_exponent(k, delta), t, delta))
         for k in range(-k_max, k_max + 1)
     }
     amp = np.median([per_k[k] * k * k for k in per_k if abs(k) >= max(2, k_max // 2)])
@@ -289,7 +327,7 @@ def test_prop2_per_k_matches_the_combo_calculus(lambdas, delta, start):
     assert np.array_equal(got_ks, ks)
     for mu, value in zip(mus, values):
         defect = combo_window_defect(family, mu, start, delta)
-        assert abs(defect.norm_sq() - value) <= 1e-9 * max(1.0, term_scale(defect) ** 2)
+        assert abs(norm_sq(defect) - value) <= 1e-9 * max(1.0, term_scale(defect) ** 2)
 
 
 def test_window_exponent_on_arrays():
@@ -432,8 +470,9 @@ def test_grid_refuses_times_at_or_past_the_horizon(model_one, t):
 
 
 def loop_cell_coefficients(model, combo):
-    """The per-cell loop that ``GridModel.cell_coefficients`` replaced: the
-    bit-for-bit reference of the array form."""
+    """Exact L2 cell averages (times ``1/sqrt(h)``) of an exponential
+    combination, one cell and one term at a time in scalar arithmetic: the
+    bit-for-bit reference of ``GridModel.cell_averages``."""
     h = model.step
     vec = np.zeros(model.n, dtype=complex)
     for c, mu, s, e in combo.terms:
@@ -442,41 +481,38 @@ def loop_cell_coefficients(model, combo):
         for j in range(lo_cell, hi_cell):
             lo = max(j * h, s)
             hi = min((j + 1) * h, e)
-            if hi <= lo:
-                continue
-            if abs(mu) < 1e-14:
-                vec[j] += c * (hi - lo)
-            else:
+            if hi > lo:
                 vec[j] += c * (np.exp(mu * (hi - s)) - np.exp(mu * (lo - s))) / mu
     return vec / np.sqrt(h)
+
+
+def loop_cell_averages(model):
+    return np.stack([loop_cell_coefficients(model, g) for g in basis_combos(model.basis)], axis=1)
 
 
 @pytest.mark.parametrize("lambdas", [FAMILY_ONE, FAMILY_THREE, [-0.3 + 2j, -1.7 - 0.4j, -0.9]])
 @pytest.mark.parametrize("horizon, step", [(8.0, 1.0 / 64), (5.0, 0.1), (3.0, 0.375)])
 def test_cell_coefficients_equal_the_loop(lambdas, horizon, step):
+    model = hs.GridModel(hs.orthogonalize(hs.ExponentialFamily(lambdas)), horizon, step)
+    assert np.array_equal(model.cell_averages(), loop_cell_averages(model))
+
+
+@pytest.mark.parametrize(
+    "lambdas, horizons",
+    [(FAMILY_THREE, (24.0, 32.0, 40.0)), (FAMILY_ONE, (12.0, 16.0, 20.0))],
+    ids=["conjugacy", "pipeline"],
+)
+def test_cell_averages_equal_the_loop_on_the_benchmark_grids(lambdas, horizons):
     basis = hs.orthogonalize(hs.ExponentialFamily(lambdas))
-    model = hs.GridModel(basis, horizon, step)
-    combos = list(basis.g_combos)
-    combos += [g.shift(0.3).window(0.1, 2.7) for g in basis.g_combos]
-    # supports that run past the horizon, and one that starts inside a cell
-    combos += [g.window(0.55, 40.0).scaled(1.3 - 0.2j) for g in basis.g_combos]
-    combos.append(
-        ExpCombo([
-            (0.7 + 0.1j, 0.0, 0.2, 1.9),              # mu = 0
-            (1.0, -0.5 + 3j, 0.0, np.inf),
-            (2.0 - 1.0j, 0.4, 1.0, 2.3),
-            (0.5j, -1.0, horizon - 0.01, horizon + 1.0),
-        ])
-    )
-    for combo in combos:
-        assert np.array_equal(model.cell_coefficients(combo), loop_cell_coefficients(model, combo))
+    for horizon in horizons:
+        model = hs.GridModel(basis, horizon, 1.0 / 16)
+        assert np.array_equal(model.cell_averages(), loop_cell_averages(model))
 
 
 def test_ghat_equals_the_loop_columns():
     basis = hs.orthogonalize(hs.ExponentialFamily(FAMILY_THREE))
     model = hs.GridModel(basis, horizon=32.0, step=2.0 ** -8)
-    mat = np.stack([loop_cell_coefficients(model, g) for g in basis.g_combos], axis=1)
-    q, r = np.linalg.qr(mat)
+    q, r = np.linalg.qr(loop_cell_averages(model))
     signs = np.sign(np.diag(r).real)
     assert np.array_equal(model.ghat, q * signs)
 
@@ -551,6 +587,10 @@ def fam3_fine():
 @pytest.fixture(scope="module")
 def fam3_fine_flow(fam3_fine):
     return fam3_fine.flow_dilation(0.25)
+
+
+def test_cell_averages_equal_the_loop_on_the_dilation_check_grid(fam3_fine):
+    assert np.array_equal(fam3_fine.cell_averages(), loop_cell_averages(fam3_fine))
 
 
 def test_residuals_above_the_block_threshold_match_one_qr(fam3_fine_flow):

@@ -330,6 +330,8 @@ def test_sparse_matrices_store_every_sector_block_whole(modes):
         data = modular.tomita_operator(rep)
         assert data.s.nnz == data.j.nnz == data.delta.nnz == 6**modes
         assert np.array_equal(data.s.indices, data.j.indices)
+        assert np.shares_memory(data.s.indices, data.j.indices)
+        assert np.shares_memory(data.s.indptr, data.j.indptr)
 
 
 def test_tomita_operator_stays_below_one_dense_operator():

@@ -250,6 +250,10 @@ def test_stacked_matrix_of_the_sector_stacks_gives_the_matrix_back(case, form):
     assert back.indptr.dtype == back.indices.dtype == np.int32
     assert back.has_canonical_format
     assert np.array_equal(back.toarray(), op)
+    # blocks on the same rows and columns written on that pattern share its arrays
+    twice = opalg.stacked_matrix(opalg.sector_stacks(form(2.0 * op), labels), len(labels), back)
+    assert np.shares_memory(twice.indices, back.indices) and np.shares_memory(twice.indptr, back.indptr)
+    assert np.array_equal(twice.toarray(), 2.0 * op)
 
 
 def test_sector_stacks_come_by_shape_and_their_blocks_by_source_sector():
