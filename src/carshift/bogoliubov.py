@@ -177,11 +177,16 @@ def araki_commutator(r, v_prime, w_prime):
     The commutator is taken block by block, without forming ``P`` or
     ``diag(V', W')``: its four ``n x n`` blocks are ``[V', R]``,
     ``V'S - SW'``, ``W'S - SV'`` and ``[W', 1-R] = -[W', R]``, each of the
-    form ``A M - M B``.  ``V'`` and ``W'`` are square matrices of one size,
-    ``R``'s size for a matrix ``R``; anything else is a ``ValueError``.
+    form ``A M - M B``.  For a float ``nu`` the diagonal blocks vanish and
+    ``W'S - SV' = -(V'S - SW')``, so the cross block is taken once.  ``V'``
+    and ``W'`` are square matrices of one size, ``R``'s size for a matrix
+    ``R``; anything else is a ``ValueError``.
     """
     v, w = (np.asarray(a, dtype=complex) for a in _operators(v_prime, w_prime))
     r, s = _weight(r, len(v))
+    if np.ndim(r) == 0:
+        cross = hs_norm(_product(v, s) - _product(s, w))
+        return hs_norm([0.0, cross, cross, 0.0])
     blocks = ((v, r, v), (v, s, w), (w, s, v), (w, r, w))
     return hs_norm([hs_norm(_product(a, m) - _product(m, b)) for a, m, b in blocks])
 

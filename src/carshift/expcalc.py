@@ -74,15 +74,6 @@ class ExpCombo:
         nrm2 = _eint(complex(2 * complex(mu).real), length).real
         return cls.exponential(mu, start, end, coeff=1.0 / np.sqrt(nrm2))
 
-    def __add__(self, other):
-        return ExpCombo(self.terms + other.terms)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1.0)
-
-    def scaled(self, z):
-        return ExpCombo([(c * z, mu, s, e) for c, mu, s, e in self.terms])
-
     def inner(self, other):
         """L2 inner product, antilinear in ``self``, over all overlapping
         term pairs at once."""

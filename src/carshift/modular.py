@@ -5,11 +5,13 @@ by the first-component fields, so the closable map ``S: x vac -> x* vac``
 extends to an invertible antilinear operator on the whole doubled space.  It is
 solved from the normal-ordered monomials of the eigenmodes ``U e_i`` of ``R``,
 in whose number basis the doubled space is written, and polar-decomposed into
-``S = J Delta^{1/2}``.  The monomial ``a*(U e_I) a(U e_J) vac`` lies in the
-sector of the per-mode charges ``q_i = N_1i - N_2i`` of ``e_I (x) e_J``; ``S``
-and ``J`` map sector ``q`` onto ``-q`` and ``Delta`` is block diagonal (Araki,
-Publ. RIMS 6 (1970) 385-442).  Everything here stays in those blocks, in the
-layout of :mod:`carshift.opalg`: the monomial columns form one sparse matrix,
+``S = J Delta^{1/2}``.  The monomial ``a*(U e_A) a(U e_B) vac`` stands on its
+own basis vector ``e_A (x) e_B``, whose index is ``a + d b`` for the bitmasks
+``a``, ``b`` of ``A``, ``B`` and ``d = 2^n``, and lies in that vector's
+sector of the per-mode charges ``q_i = N_1i - N_2i``; ``S`` and ``J`` map
+sector ``q`` onto ``-q`` and ``Delta`` is block diagonal (Araki, Publ. RIMS 6
+(1970) 385-442).  Everything here stays in those blocks, in the layout of
+:mod:`carshift.opalg`: the monomial columns form one sparse matrix,
 which ``sector_stacks`` cuts into stacks of equal-size blocks; each stack is
 solved and polar-decomposed by one batched LAPACK call, and ``stacked_matrix``
 writes ``S``, ``J`` and ``Delta`` into the ``scipy.sparse`` CSR matrices of
@@ -22,8 +24,6 @@ The commutant is generated by ``b(f) = (Gamma (x) Gamma) pi(a(0 (+) f))``;
 its adjoint is ``b(f)* = pi(a*(0 (+) f)) (Gamma (x) Gamma)``.
 """
 
-import itertools
-
 import numpy as np
 from scipy import sparse
 
@@ -31,33 +31,23 @@ from . import fock
 from .opalg import RANK_TOL, inner, polar_antilinear, sector_stacks, stacked_matrix
 
 
-def monomial_indices(n):
-    """All (creation subset, annihilation subset) pairs, 4^n of them."""
-    subsets = list(
-        itertools.chain.from_iterable(
-            itertools.combinations(range(n), k) for k in range(n + 1)
-        )
-    )
-    return [(i_set, j_set) for i_set in subsets for j_set in subsets]
-
-
 def _monomial_columns(rep):
-    """The monomials' labels and adjoints, and the columns ``pi(x) vac``.
+    """The monomials' adjoints and signs, and the columns ``pi(x) vac``.
 
-    ``x = prod_{i in I} a*(U e_i) prod_{j in J} a(U e_j)`` with both products
-    in increasing index order, ``U e_i`` the eigenmodes of ``R``.  Returns
-    ``(labels, adjoint, signs, columns)``, the first three indexed by the
-    monomials in the order of :func:`monomial_indices`: the label ``sum_{i in
-    I} 3^i - sum_{j in J} 3^j`` of each monomial; the index of the
-    monomial ``(J, I)`` and the sign with ``x* = sign (J, I)``, so that
-    ``pi(x*) vac`` is ``signs[k]`` times the column of monomial
-    ``adjoint[k]``.  The creators anticommute, and so do the annihilators,
-    so ``x* = a*(U e_J reversed) a(U e_I reversed)`` has the sign
-    ``(-1)^{|I|(|I|-1)/2 + |J|(|J|-1)/2}``: only the 4^n vectors ``x vac``
+    The monomial ``x = prod_{i in A} a*(U e_i) prod_{j in B} a(U e_j)``, both
+    products in increasing index order and ``U e_i`` the eigenmodes of ``R``,
+    has the index ``k = a + d b`` of the basis vector ``e_A (x) e_B``, with
+    ``a`` and ``b`` the bitmasks of ``A`` and ``B`` and ``d = 2^n``; its
+    sector is ``rep.labels[k]``.  Returns ``(adjoint, signs, columns)``:
+    ``adjoint[k] = b + d a``, the index of ``(B, A)``, and the sign with ``x*
+    = sign (B, A)``, so that ``pi(x*) vac`` is ``signs[k]`` times column
+    ``adjoint[k]``.  The creators anticommute, and so do the annihilators, so
+    ``x* = a*(U e_B reversed) a(U e_A reversed)`` has the sign
+    ``(-1)^{|A|(|A|-1)/2 + |B|(|B|-1)/2}``: only the 4^n vectors ``x vac``
     are multiplied out.  ``columns`` yields their entries as ``(rows,
     monomials, values)``, one monomial length ``0, 1, .., 2n`` at a time,
     and raises ``ValueError`` if a column has a nonzero entry outside the
-    sector of its label.
+    sector of its monomial.
 
     A monomial ``(A, B)``'s vector is one factor applied to that of a
     monomial one shorter: ``a*(U e_A[0]) (A[1:], B) vac``, or ``a(U e_B[0])
@@ -66,23 +56,17 @@ def _monomial_columns(rep):
     shifted into the block of its factor, times the stacked transposes of
     the ``2n`` factors of :meth:`DoubledRepresentation.mode_fields`.
     """
-    n = rep.n
-    # each subset of modes as a bitmask, in the order of monomial_indices; the
-    # monomial (A, B) has index rank[A] * 2^n + rank[B]
-    masks = np.array([sum(1 << j for j in b) for _, b in monomial_indices(n)[: 1 << n]])
-    rank = np.empty(1 << n, dtype=np.intp)
-    rank[masks] = np.arange(1 << n)
-    a, b = np.repeat(masks, 1 << n), np.tile(masks, 1 << n)
+    n, d = rep.n, rep.factor.dim
+    k = np.arange(rep.dim)
+    a, b = k % d, k // d
     count = fock.particle_numbers(rep.factor)
-    weight = (np.arange(1 << n)[:, None] >> np.arange(n) & 1) @ 3 ** np.arange(n)
-    labels = weight[a] - weight[b]
-    adjoint = rank[b] * (1 << n) + rank[a]
+    adjoint = b + d * a
     signs = 1 - 2 * ((count[a] * (count[a] - 1) // 2 + count[b] * (count[b] - 1) // 2) & 1)
-    # the first factor, a*(U e_A[0]) if A is nonempty, else a(U e_B[0]), in mode_fields()
+    # the first factor, a*(U e_A[0]) if A is nonempty, else a(U e_B[0]), in
+    # mode_fields(), and the monomial it is applied to
     creates = a != 0
     first = np.where(creates, a & -a, b & -b)
-    rest_a, rest_b = a & ~np.where(creates, first, 0), b & ~np.where(creates, 0, first)
-    rest = rank[rest_a] * (1 << n) + rank[rest_b]
+    rest = k - np.where(creates, first, d * first)
     factor = np.where(creates, n, 0) + np.log2(np.maximum(first, 1)).astype(np.intp)
     length = count[a] + count[b]
 
@@ -94,7 +78,7 @@ def _monomial_columns(rep):
         np.conj(stack.data, out=stack.data)
         del fields
         # place[k]: the row of monomial k in `words`, the x vac of its length
-        place = np.zeros(len(a), dtype=np.intp)
+        place = np.zeros(dim, dtype=np.intp)
         words, built = sparse.csr_array(rep.vacuum[None, :]), np.zeros(1, dtype=np.intp)
         for level in range(2 * n + 1):
             if level:
@@ -110,11 +94,11 @@ def _monomial_columns(rep):
                 words = shorter @ stack
                 place[built] = np.arange(len(built))
             monomials = np.repeat(built, np.diff(words.indptr))
-            if np.any((rep.labels[words.indices] != labels[monomials]) & (words.data != 0)):
+            if np.any((rep.labels[words.indices] != rep.labels[monomials]) & (words.data != 0)):
                 raise ValueError("monomial columns leave their charge sectors")
             yield words.indices, monomials, words.data
 
-    return labels, adjoint, signs, columns()
+    return adjoint, signs, columns()
 
 
 class ModularData:
@@ -145,27 +129,22 @@ class ModularData:
 def tomita_operator(rep):
     """Build ``S``, ``J`` and ``Delta`` for the vacuum of a doubled representation.
 
-    The ``x vac`` are the columns of one CSR matrix ``X``, the ``i``-th
-    monomial of a label on the ``i``-th basis vector of that label's sector,
-    and ``X* = X F`` with ``F`` the signed permutation from each monomial to
-    its adjoint.  ``S conj(X) = X*`` is solved, and ``S`` polar-decomposed,
-    on the stacks of :func:`carshift.opalg.sector_stacks`, and the solved
-    stacks are written out by :func:`carshift.opalg.stacked_matrix`.  The
-    condition number, the largest singular value of the monomial blocks over
-    the smallest, must stay below ``1 / RANK_TOL``.  Raises if the monomial
-    columns fail to span (vacuum not cyclic at the working precision) or
-    leave their charge sectors.
+    The ``x vac`` are the columns of one CSR matrix ``X``, monomial ``(A,
+    B)`` on basis vector ``a + d b``, and ``X* = X F`` with ``F`` the signed
+    permutation from each monomial to its adjoint ``b + d a``.  ``S conj(X)
+    = X*`` is solved, and ``S`` polar-decomposed, on the stacks of
+    :func:`carshift.opalg.sector_stacks`, and the solved stacks are written
+    out by :func:`carshift.opalg.stacked_matrix`.  The condition number, the
+    largest singular value of the monomial blocks over the smallest, must
+    stay below ``1 / RANK_TOL``.  Raises if the monomial columns fail to
+    span (vacuum not cyclic at the working precision) or leave their charge
+    sectors.
     """
-    labels, adjoint, signs, columns = _monomial_columns(rep)
-    by_label, by_sector = np.argsort(labels, kind="stable"), np.argsort(rep.labels, kind="stable")
-    if not np.array_equal(labels[by_label], rep.labels[by_sector]):
-        raise ValueError("monomial columns leave their charge sectors")
-    column = np.empty(rep.dim, dtype=np.intp)  # the basis vector monomial k stands on
-    column[by_label] = by_sector
+    adjoint, signs, columns = _monomial_columns(rep)
     basis, monomials, values = (np.concatenate(part) for part in zip(*columns))
-    x = sparse.csr_array((values, (basis, column[monomials])), shape=(rep.dim, rep.dim))
+    x = sparse.csr_array((values, (basis, monomials)), shape=(rep.dim, rep.dim))
     del basis, monomials, values
-    xstar = x @ sparse.csr_array((signs, (column[adjoint], column)), shape=x.shape)
+    xstar = x @ sparse.csr_array((signs, (adjoint, np.arange(rep.dim))), shape=x.shape)
     xstar.sort_indices()  # in place: sector_stacks copies a matrix that is not canonical
     # each matrix is dropped once its stacks are read
     x_stacks = sector_stacks(x, rep.labels)

@@ -83,6 +83,21 @@ def window(combo, lo, hi=np.inf):
     return ExpCombo(out)
 
 
+def add(*combos):
+    """The sum of exponential combinations: their terms side by side."""
+    return ExpCombo([term for combo in combos for term in combo.terms])
+
+
+def subtract(f, g):
+    """``f - g`` for exponential combinations."""
+    return add(f, scaled(g, -1.0))
+
+
+def scaled(combo, z):
+    """``z`` times an exponential combination."""
+    return ExpCombo([(c * z, mu, s, e) for c, mu, s, e in combo.terms])
+
+
 def norm_sq(combo):
     """``||u||^2`` by the closed-form inner product."""
     return max(combo.inner(combo).real, 0.0)
@@ -94,7 +109,7 @@ def basis_combos(basis):
     ``c_m = sqrt(-2 Re l_m)``, the terms in ascending ``m``."""
     fs = [ExpCombo.exponential(lam, coeff=np.sqrt(-2.0 * lam.real)) for lam in basis.family.lambdas]
     return [
-        sum((fs[m].scaled(basis.coeff[m, n]) for m in range(n + 1)), ExpCombo())
+        add(*(scaled(fs[m], basis.coeff[m, n]) for m in range(n + 1)))
         for n in range(basis.family.size)
     ]
 
@@ -106,9 +121,9 @@ def apply_flow(basis, t, u):
     out = ExpCombo()
     for phase, g in zip(basis.phases(t), basis_combos(basis)):
         c = g.inner(u)
-        shifted = shifted - g.scaled(c)
-        out = out + g.scaled(phase * c)
-    return out + shift(shifted, t)
+        shifted = subtract(shifted, scaled(g, c))
+        out = add(out, scaled(g, phase * c))
+    return add(out, shift(shifted, t))
 
 
 def flow_matrix(model, t):

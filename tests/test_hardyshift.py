@@ -9,6 +9,7 @@ from carshift import hardyshift as hs
 from carshift.expcalc import ExpCombo, theta_apply
 from carshift.opalg import adjoint, hs_norm, lowrank_hs_norm, operator_norm
 from oracles import (
+    add,
     apply_flow,
     backshift,
     basis_combos,
@@ -19,7 +20,9 @@ from oracles import (
     flow_matrix,
     norm_sq,
     quad_inner,
+    scaled,
     shift,
+    subtract,
     window,
 )
 
@@ -127,10 +130,8 @@ def test_backward_shift_matrix_matches_combo_action(basis_two):
     combos = basis_combos(basis_two)
     for n, g in enumerate(combos):
         back = backshift(g, t)
-        expanded = ExpCombo([])
-        for k, gk in enumerate(combos):
-            expanded = expanded + gk.scaled(m[k, n])
-        assert np.sqrt(norm_sq(back - expanded)) <= 1e-7
+        expanded = add(*(scaled(gk, m[k, n]) for k, gk in enumerate(combos)))
+        assert np.sqrt(norm_sq(subtract(back, expanded))) <= 1e-7
 
 
 def test_ill_conditioned_family_rejected():
@@ -154,7 +155,7 @@ def test_defect_closed_form_against_combo_oracle(basis_two):
     t = 0.3
     total = 0.0
     for g in basis_combos(basis_two):
-        total += norm_sq(apply_flow(basis_two, t, g) - shift(g, t))
+        total += norm_sq(subtract(apply_flow(basis_two, t, g), shift(g, t)))
     assert hs.defect_hs_norm(basis_two, t) == pytest.approx(np.sqrt(total), abs=1e-10)
 
 
@@ -174,9 +175,9 @@ def test_defect_increment_closed_form(basis_two):
     t, d = 0.2, 0.05
     total = 0.0
     for g in basis_combos(basis_two):
-        a = apply_flow(basis_two, t + d, g) - shift(g, t + d)
-        b = apply_flow(basis_two, t, g) - shift(g, t)
-        total += norm_sq(a - b)
+        a = subtract(apply_flow(basis_two, t + d, g), shift(g, t + d))
+        b = subtract(apply_flow(basis_two, t, g), shift(g, t))
+        total += norm_sq(subtract(a, b))
     assert hs.defect_increment_hs(basis_two, t, d) == pytest.approx(np.sqrt(total), abs=1e-10)
 
 
@@ -205,7 +206,10 @@ def test_estimates_match_the_combo_route(lambdas):
         est = hs.estimate_inequalities(basis, t)
         combos = basis_combos(basis)
         near = [norm_sq(window(g, 0.0, t)) for g in combos]
-        far = [norm_sq(window(g.scaled(p), t) - shift(g, t)) for p, g in zip(basis.phases(t), combos)]
+        far = [
+            norm_sq(subtract(window(scaled(g, p), t), shift(g, t)))
+            for p, g in zip(basis.phases(t), combos)
+        ]
         assert est["near"] == pytest.approx(near, rel=0, abs=1e-12)
         assert est["far"] == pytest.approx(far, rel=0, abs=1e-12)
 
@@ -282,7 +286,7 @@ def test_prop2_per_k_matches_mpmath():
 
 def combo_window_defect(family, mu, start, delta):
     f = ExpCombo.normalized_exponential(mu, start=start, end=start + delta)
-    return theta_apply(family.lambdas, f) - f
+    return subtract(theta_apply(family.lambdas, f), f)
 
 
 def term_scale(combo):

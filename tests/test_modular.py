@@ -31,10 +31,6 @@ def data2(rep2):
     return modular.tomita_operator(rep2)
 
 
-def test_monomial_count():
-    assert len(modular.monomial_indices(3)) == 64
-
-
 def test_tomita_solve_is_tight(data2):
     assert data2.solve_residual <= 1e-10
 
@@ -175,17 +171,25 @@ def test_a_general_covariance_reduces_to_its_eigenvalues(r):
         assert np.array_equal(got, getattr(diagonal, build)(u.T @ f, u.T @ g).toarray())
 
 
+def _monomial_subsets(rep):
+    """``(A, B)`` of the monomial ``a*(U e_A) a(U e_B)`` on each basis vector
+    ``k = a + d b``, ``a`` and ``b`` the bitmasks of ``A`` and ``B``."""
+    d, modes = rep.factor.dim, range(rep.n)
+    return [
+        ([i for i in modes if k % d >> i & 1], [j for j in modes if k // d >> j & 1])
+        for k in range(rep.dim)
+    ]
+
+
 def _dense_monomial_columns(rep):
-    # every column multiplied out factor by factor: x = a*(U e_I) a(U e_J),
+    # every column multiplied out factor by factor: x = a*(U e_A) a(U e_B),
     # both products in increasing index order, and x* with the factors
     # reversed; U e_i goes through field and field_star like any vector
-    n = rep.n
     create = [rep.field_star(m) for m in rep.state.u.T]
     annihilate = [rep.field(m) for m in rep.state.u.T]
-    pairs = modular.monomial_indices(n)
-    x_cols = np.empty((rep.dim, len(pairs)), dtype=complex)
-    xstar_cols = np.empty((rep.dim, len(pairs)), dtype=complex)
-    for k, (i_set, j_set) in enumerate(pairs):
+    x_cols = np.empty((rep.dim, rep.dim), dtype=complex)
+    xstar_cols = np.empty((rep.dim, rep.dim), dtype=complex)
+    for k, (i_set, j_set) in enumerate(_monomial_subsets(rep)):
         factors = [create[i] for i in i_set] + [annihilate[j] for j in j_set]
         v, w = rep.vacuum, rep.vacuum
         for op in reversed(factors):
@@ -221,22 +225,28 @@ def diagonal_rep(modes):
     return quasifree.doubled_representation(quasifree.CovarianceState(r))
 
 
-def _check_columns_against_the_multiplied_out_ones(rep):
-    modes = rep.n
-    labels, adjoint, signs, columns = modular._monomial_columns(rep)
-    x = np.zeros((rep.dim, 4**modes), dtype=complex)
+def _built_columns(rep):
+    """``(adjoint, signs, X)`` of ``modular._monomial_columns``, ``X`` dense."""
+    adjoint, signs, columns = modular._monomial_columns(rep)
+    x = np.zeros((rep.dim, rep.dim), dtype=complex)
     for basis, monomials, values in columns:
         x[basis, monomials] = values
+    return adjoint, signs, x
+
+
+def _check_columns_against_the_multiplied_out_ones(rep):
+    adjoint, signs, x = _built_columns(rep)
     x_cols, xstar_cols = _dense_monomial_columns(rep)
     assert np.allclose(x, x_cols, rtol=0, atol=1e-14)
     assert np.allclose(x[:, adjoint] * signs, xstar_cols, rtol=0, atol=1e-14)
-    w = 3 ** np.arange(modes)
-    want = [sum(w[list(i)]) - sum(w[list(j)]) for i, j in modular.monomial_indices(modes)]
-    assert np.array_equal(labels, want)
+    # monomial k has the charges sum_{i in A} 3^i - sum_{j in B} 3^j
+    w = 3 ** np.arange(rep.n)
+    want = [sum(w[i]) - sum(w[j]) for i, j in _monomial_subsets(rep)]
+    assert np.array_equal(rep.labels, want)
     # the multiplied-out columns of a general R have rounding-level entries
     # outside their sectors; the columns built from the eigen coefficients
     # have none
-    for cols, sector in ((x, labels), (x[:, adjoint] * signs, -labels)):
+    for cols, sector in ((x, rep.labels), (x[:, adjoint] * signs, -rep.labels)):
         rows, k = np.nonzero(cols)
         assert np.array_equal(rep.labels[rows], sector[k])
 
@@ -249,6 +259,26 @@ def test_sector_columns_match_the_multiplied_out_columns(modes):
 @pytest.mark.parametrize("modes", [2, 3, 4])
 def test_per_mode_sector_columns_match_the_multiplied_out_columns(modes):
     _check_columns_against_the_multiplied_out_ones(diagonal_rep(modes))
+
+
+@pytest.mark.parametrize("modes", [2, 3, 4])
+def test_each_monomial_stands_on_its_own_basis_vector(modes):
+    # pi(a*(U e_i)) vac creates e_i in the first factor with (1 - d_i)^{1/2},
+    # pi(a(U e_j)) vac creates e_j in the second with d_j^{1/2}: the column
+    # of x = a*(U e_A) a(U e_B) has that product, up to sign, on e_A (x) e_B,
+    # index k = a + d b, and lies in sector labels[k]; x* is (B, A), on the
+    # swap b + d a
+    rep = random_rep(modes, seed=70 + modes)
+    adjoint, _, x = _built_columns(rep)
+    rows, k = np.nonzero(x)
+    assert np.array_equal(rep.labels[rows], rep.labels[k])
+    occupied = np.sqrt(1.0 - rep.state.d)
+    empty = np.sqrt(rep.state.d)
+    want = [np.prod(occupied[a]) * np.prod(empty[b]) for a, b in _monomial_subsets(rep)]
+    assert not np.any(x.diagonal().imag)
+    assert np.allclose(np.abs(x.diagonal().real), want, rtol=1e-14, atol=0)
+    d = rep.factor.dim
+    assert np.array_equal(adjoint, [k // d + d * (k % d) for k in range(rep.dim)])
 
 
 def test_diagonal_covariance_grades_by_the_charge_of_every_mode():
@@ -358,7 +388,7 @@ def test_monomial_columns_hold_one_word_family():
     rep = random_rep(modes, seed=25)
     tracemalloc.start()
     try:
-        for _ in modular._monomial_columns(rep)[3]:
+        for _ in modular._monomial_columns(rep)[2]:
             pass
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -447,7 +477,10 @@ def test_involution_formula_matches_the_loop_definition(modes):
 
 
 def test_columns_outside_their_charge_sector_rejected():
+    # a grading the fields do not keep: x vac of a*(U e_0) a(U e_0) has
+    # entries on basis vectors 0 and 5, of one sector, which the shifted
+    # labels put in two
     rep = quasifree.doubled_representation(quasifree.CovarianceState.isotropic(0.25, 2))
-    rep.labels = rep.labels[::-1].copy()
+    rep.labels = np.roll(rep.labels, 1)
     with pytest.raises(ValueError, match="charge"):
         modular.tomita_operator(rep)
