@@ -49,9 +49,22 @@ def operator_norm(a):
 
 def sector_operator_norm(op, labels):
     """Operator norm of a matrix as :func:`sector_stacks` reads it: the largest
-    singular value of its blocks between sectors (0 for a zero matrix)."""
-    stacks = sector_stacks(op, labels)
-    return float(max((np.linalg.svd(b, compute_uv=False).max() for _, _, b in stacks), default=0))
+    of its :func:`sector_norms` (0 for a zero matrix)."""
+    return float(sector_norms(op, labels).max(initial=0.0))
+
+
+def sector_norms(op, labels):
+    """The largest singular value of each source sector's block of a matrix as
+    :func:`sector_stacks` reads it, one per sector in ascending order of the
+    labels (``np.unique(labels)``), 0 for a sector that maps nowhere.  Takes
+    one stacked SVD per stack."""
+    labels = np.asarray(labels)
+    names = np.unique(labels)
+    norms = np.zeros(len(names))
+    for _, cols, stack in sector_stacks(op, labels):
+        sources = np.searchsorted(names, labels[cols[:, 0]])
+        norms[sources] = np.linalg.svd(stack, compute_uv=False).max(axis=-1)
+    return norms
 
 
 def sector_stacks(op, labels):

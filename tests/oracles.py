@@ -3,11 +3,11 @@
 import cmath
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, sparse
 
 from carshift import fock
 from carshift.expcalc import ExpCombo
-from carshift.opalg import hs_norm, psd_sqrt
+from carshift.opalg import adjoint, anticommutator, hs_norm, psd_sqrt, sector_stacks
 from carshift.quasifree import CovarianceState
 
 
@@ -17,6 +17,33 @@ def wedge_vector(space, vectors):
     for f in reversed(list(vectors)):
         v = fock.sparse_annihilator(space, f).conj().T @ v
     return v
+
+
+def car_check_columns(seed, modes, trials):
+    """car-check's ``anticomm_ff``, ``anticomm_star`` and ``norm_residual``
+    one trial at a time: each dense ``a(f)`` copied to CSR, its products and
+    sector norms taken on their own."""
+    rng = np.random.default_rng(seed)
+    space = fock.FockSpace(modes)
+    numbers = fock.particle_numbers(space)
+    eye = sparse.eye_array(space.dim)
+    ff, star, norm = [], [], []
+    for _ in range(trials):
+        f = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
+        g = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
+        af = sparse.csr_array(fock.annihilator(space, f))
+        ag = sparse.csr_array(fock.annihilator(space, g))
+        ff.append(stack_max_norm(anticommutator(af, ag), numbers))
+        star.append(stack_max_norm(anticommutator(adjoint(af), ag) - np.vdot(g, f) * eye, numbers))
+        norm.append(abs(stack_max_norm(af, numbers) - np.linalg.norm(f)))
+    return ff, star, norm
+
+
+def stack_max_norm(op, labels):
+    """``opalg.sector_operator_norm`` as the largest singular value of all the
+    blocks of each stack of ``sector_stacks``, one stacked SVD per stack."""
+    stacks = sector_stacks(op, labels)
+    return float(max((np.linalg.svd(b, compute_uv=False).max() for _, _, b in stacks), default=0))
 
 
 def second_quantized(space, v):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carshift import cli, expcalc, hardyshift, modular
+from carshift import cli, expcalc, fock, hardyshift, modular, opalg
+from oracles import car_check_columns
 
 
 def write_config(tmp_path, kind, params=None, seed=11):
@@ -124,6 +125,67 @@ def test_car_check_passes_and_writes_reports(tmp_path):
     assert all(v["pass"] for v in report["verdicts"].values())
     header = (tmp_path / "car-check.csv").read_text().splitlines()[0]
     assert header == "trial,anticomm_ff,anticomm_star,norm_residual"
+
+
+# Trials in part of a batch, in one batch, and in whole batches and a part (8
+# trials a batch at 8 modes, 2 at 10); at 12 modes, dimension 4096, a batch
+# holds one trial.
+CAR_CHECK_SIZES = [(modes, trials) for modes in (1, 2, 3, 4, 8) for trials in (1, 7, 13, 50)]
+CAR_CHECK_SIZES += [(10, 7), (12, 2)]
+
+
+@pytest.mark.parametrize("modes,trials", CAR_CHECK_SIZES)
+def test_car_check_batches_give_the_per_trial_columns(modes, trials):
+    table, _, _ = cli._run_car_check(5, modes, trials)
+    want = car_check_columns(5, modes, trials)
+    for name, column in zip(("anticomm_ff", "anticomm_star", "norm_residual"), want):
+        assert np.array_equal(table[name], column), name
+
+
+def test_car_check_takes_one_layout_per_quantity_and_batch(monkeypatch):
+    # 8 modes: 2048 // 256 = 8 trials a batch, so 13 trials make two batches
+    calls = {"anticommutator": 0, "sector_stacks": 0, "stacks": 0, "svd": 0}
+    anticommutator, layout, svd = opalg.anticommutator, opalg.sector_stacks, np.linalg.svd
+
+    def counted_anticommutator(a, b):
+        calls["anticommutator"] += 1
+        return anticommutator(a, b)
+
+    def counted_layout(op, labels):
+        stacks = layout(op, labels)
+        calls["sector_stacks"] += 1
+        calls["stacks"] += len(stacks)
+        return stacks
+
+    def counted_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(opalg, "anticommutator", counted_anticommutator)
+    monkeypatch.setattr(opalg, "sector_stacks", counted_layout)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    cli._run_car_check(5, 8, 13)
+    assert calls["anticommutator"] == 2 * 2
+    assert calls["sector_stacks"] == 3 * 2
+    assert calls["svd"] == calls["stacks"]  # one SVD per block shape
+
+
+def test_car_check_refuses_an_annihilator_off_the_jordan_wigner_pattern(
+    tmp_path, monkeypatch, capsys
+):
+    build = fock.annihilator
+
+    def stray(space, f):
+        op = build(space, f)
+        op[0, 0] = 1e-300  # a(f) never maps the vacuum to itself
+        return op
+
+    monkeypatch.setattr(fock, "annihilator", stray)
+    config = write_config(tmp_path, "car-check", {"modes": 3, "trials": 2})
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "car-check.csv").exists()
+    err = capsys.readouterr().err
+    assert "error: a(f) has a nonzero entry off the Jordan-Wigner pattern" in err
 
 
 def test_elapsed_seconds_covers_the_csv_write(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse
 
 from carshift import opalg, quasifree
-from oracles import one_batch_triangular_factor
+from oracles import one_batch_triangular_factor, stack_max_norm
 
 rng = np.random.default_rng(101)
 
@@ -63,13 +63,16 @@ def graded_operator(labels, target):
     return op
 
 
+TARGETS = (
+    {s: s - 1 if s > -2 else None for s in range(-2, 3)},  # number shift
+    {s: -s for s in range(-2, 3)},                        # charge flip
+    {s: s for s in range(-2, 3)},                         # block diagonal
+)
+
+
 def test_sector_operator_norm_matches_dense_norm():
     labels = rng.integers(-2, 3, size=24)
-    for target in (
-        {s: s - 1 if s > -2 else None for s in range(-2, 3)},  # number shift
-        {s: -s for s in range(-2, 3)},                        # charge flip
-        {s: s for s in range(-2, 3)},                         # block diagonal
-    ):
+    for target in TARGETS:
         for _ in range(5):
             op = graded_operator(labels, target)
             assert opalg.sector_operator_norm(op, labels) == pytest.approx(
@@ -89,6 +92,42 @@ def test_sector_operator_norm_rejects_broken_grading():
         opalg.sector_operator_norm(merged, labels)
     with pytest.raises(ValueError):
         opalg.sector_operator_norm(np.zeros((5, 5)), labels)
+
+
+@pytest.mark.parametrize("form", [np.asarray, sparse.csr_array], ids=["dense", "sparse"])
+def test_sector_norms_are_the_norms_of_the_dense_source_blocks(form):
+    labels = rng.integers(-2, 3, size=24)
+    names = np.unique(labels)
+    for target in TARGETS:
+        op = graded_operator(labels, target)
+        norms = opalg.sector_norms(form(op), labels)
+        assert norms.shape == names.shape
+        for source, got in zip(names.tolist(), norms):
+            to = target.get(source)
+            cols = np.flatnonzero(labels == source)
+            if to is None or not np.any(labels == to):
+                assert got == 0.0  # the sector maps nowhere
+                continue
+            block = op[np.ix_(np.flatnonzero(labels == to), cols)]
+            assert got == pytest.approx(np.linalg.svd(block, compute_uv=False)[0], rel=0, abs=1e-13)
+
+
+def test_sector_norms_of_zero_blocks_are_zero():
+    labels = np.repeat([0, 1, 2], 4)
+    op = graded_operator(labels, {0: None, 1: 0, 2: 1})
+    op[:, labels == 2] = 0.0  # sector 2's block is zero: it maps nowhere
+    norms = opalg.sector_norms(op, labels)
+    assert norms[0] == norms[2] == 0.0 and norms[1] > 0.0
+    assert np.array_equal(opalg.sector_norms(np.zeros((12, 12)), labels), np.zeros(3))
+
+
+def test_sector_operator_norm_is_the_largest_of_the_stacks_norms_to_the_bit():
+    labels = rng.integers(-2, 3, size=24)
+    for target in TARGETS:
+        for _ in range(5):
+            op = graded_operator(labels, target)
+            for form in (np.asarray, sparse.csr_array):
+                assert opalg.sector_operator_norm(form(op), labels) == stack_max_norm(op, labels)
 
 
 def test_polar_antilinear_recovers_factors():
