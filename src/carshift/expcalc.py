@@ -37,12 +37,13 @@ def _eint(rho, length):
     half_line = length == np.inf
     if np.any(rho.real[half_line] >= 0):
         raise ValueError("divergent exponential integral")
-    length = np.where(half_line, 0.0, length)
-    z = rho * length
+    z = rho * np.where(half_line, 0.0, length)
     small = (np.abs(z) < 1e-8) & ~half_line
-    safe = np.where(small, 1.0, rho)
-    finite = np.where(small, length * (1.0 + z / 2.0), np.expm1(z) / safe)
-    return np.where(half_line, -1.0 / safe, finite)[()]
+    out = np.expm1(z, out=np.empty(rho.shape, dtype=complex))
+    np.divide(out, rho, out=out, where=~small)
+    out[small] = length[small] * (1.0 + z[small] / 2.0)
+    out[half_line] = -1.0 / rho[half_line]
+    return out[()]
 
 
 class ExpCombo:
@@ -146,14 +147,21 @@ def window_defects(lambdas, mus, length):
     """``||(Theta - 1) f||^2`` for the unit-norm ``f = c exp(mu u)`` on a window
     ``(0, length)``, one value per rate in ``mus``.
 
-    With ``a_j = r_j/(mu - l_j)`` (so ``sum_j a_j = B(mu) - 1``), ``(Theta - 1) f``
-    is ``c sum_j a_j (exp(mu u) - exp(l_j u))`` on the window and
-    ``c sum_j r_j q_j exp(l_j (u - length))`` after it, where
-    ``q_j = (exp(mu length) - exp(l_j length))/(mu - l_j)``.  The window part
-    is the ``(n+1)``-square Hermitian form of ``_eint`` values in the
-    coefficients ``(B(mu) - 1, -a_1, ..., -a_n)``; the tail part is the
-    ``n``-square form with the half-line Gram matrix ``-1/(conj(l_i) + l_j)``.
-    Every rate is evaluated in one broadcast.
+    With ``a_j = r_j/(mu - l_j)`` (so ``c_0 = sum_j a_j = B(mu) - 1``),
+    ``(Theta - 1) f`` is ``c sum_j a_j (exp(mu u) - exp(l_j u))`` on the window
+    and ``c sum_j r_j q_j exp(l_j (u - length))`` after it, where
+    ``q_j = (exp(mu length) - exp(l_j length))/(mu - l_j)``.  Over the window
+    it is the Hermitian form of the ``(n+1)``-square Gram matrix of
+    ``(exp(mu u), exp(l_1 u), ..., exp(l_n u))`` in ``(c_0, -a_1, ..., -a_n)``.
+    Only the first row of that Gram matrix depends on ``mu``: its corner is
+    ``norm = _eint(2 Re mu)``, which also normalizes ``f``, and the rest is
+    ``cross_j = _eint(conj(mu) + l_j)``; the first column is its conjugate.
+    So the window part is
+    ``|c_0|^2 norm - 2 Re(conj(c_0) sum_j cross_j a_j) + a^* inner a``, with
+    the ``n``-square ``inner = _eint(conj(l_i) + l_j)`` taken once for all
+    rates: ``n + 1`` exponential integrals per rate and ``n^2`` per call.  The
+    tail part is the ``n``-square form with the half-line Gram matrix
+    ``-1/(conj(l_i) + l_j)``.
 
     When the window exponentials nearly coincide (every ``|mu - l_j| length``
     small) that form cancels to ``~(|mu - l_j| length)^2`` of its terms.  So
@@ -170,10 +178,15 @@ def window_defects(lambdas, mus, length):
         raise ValueError("input exponent collides with a Blaschke pole")
     a = residues / gap
 
-    coeffs = np.concatenate([a.sum(axis=1, keepdims=True), -a], axis=1)
-    rates = np.concatenate([mu, np.broadcast_to(lam, gap.shape)], axis=1)
-    window_gram = _eint(rates.conj()[:, :, None] + rates[:, None, :], length)
-    window = np.einsum("ki,kij,kj->k", coeffs.conj(), window_gram, coeffs).real
+    norm = _eint(2.0 * mu[:, 0].real, length).real
+    cross = _eint(mu.conj() + lam, length)
+    inner = _eint(lam.conj()[:, None] + lam[None, :], length)
+    c0 = a.sum(axis=1)
+    window = (
+        np.abs(c0) ** 2 * norm
+        - 2.0 * (c0.conj() * np.sum(cross * a, axis=1)).real
+        + np.sum((a.conj() @ inner) * a, axis=1).real
+    )
 
     smooth = (np.abs(gap).max(axis=1, initial=0.0) + np.abs(mu[:, 0].real)) * length <= 4.0
     if np.any(smooth):
@@ -187,4 +200,4 @@ def window_defects(lambdas, mus, length):
     tail_coeffs = residues * q
     tail_gram = -1.0 / (lam.conj()[:, None] + lam[None, :])
     tail = np.einsum("ki,ij,kj->k", tail_coeffs.conj(), tail_gram, tail_coeffs).real
-    return (window + tail) / _eint(2.0 * mu[:, 0].real, length).real
+    return (window + tail) / norm

@@ -501,7 +501,9 @@ class GridModel:
         dilation-check benchmark config (fam3, step 2^-11, horizon 32,
         t = 0.25) the value, 1.15e-7, sits below that floor (about 1.65e-7),
         so its recorded value holds only by bit reproducibility until it is
-        re-recorded from an accurate route.
+        re-recorded from an accurate route.  Those bits depend on the BLAS
+        thread count: with OpenBLAS on one thread the value there is
+        1.14678e-7, on two threads 1.15258e-7.
         """
         sx = _rotated_rows(dilation.x, dilation.shift, 0, self.n)
         yk = dilation.y[: self.n, :]

@@ -6,7 +6,7 @@ import numpy as np
 from scipy import integrate, sparse
 
 from carshift import fock
-from carshift.expcalc import ExpCombo
+from carshift.expcalc import _GL_NODES, _GL_WEIGHTS, ExpCombo, _eint, blaschke_residues
 from carshift.opalg import adjoint, anticommutator, hs_norm, psd_sqrt, sector_stacks
 from carshift.quasifree import CovarianceState
 
@@ -128,6 +128,44 @@ def scaled(combo, z):
 def norm_sq(combo):
     """``||u||^2`` by the closed-form inner product."""
     return max(combo.inner(combo).real, 0.0)
+
+
+def full_gram_window_defects(lambdas, mus, length):
+    """``expcalc.window_defects`` with the whole ``(n+1)``-square window Gram
+    matrix of ``(exp(mu u), exp(l_1 u), ..., exp(l_n u))`` taken for every
+    rate, ``(n+1)^2`` exponential integrals per rate, and the normalizer taken
+    once more; the Gauss-Legendre rows and the tail as in the library.
+
+    Returns the values and, per rate, the sum of the moduli of the window
+    form's terms over the normalizer: the size that rounding in any
+    evaluation of that form is relative to.  It is far above the value where
+    the Blaschke residues are large and cancel."""
+    lam = np.asarray(lambdas, dtype=complex)
+    residues = np.asarray(blaschke_residues(lambdas), dtype=complex)
+    mu = np.asarray(mus, dtype=complex).reshape(-1, 1)
+    gap = mu - lam
+    a = residues / gap
+
+    coeffs = np.concatenate([a.sum(axis=1, keepdims=True), -a], axis=1)
+    rates = np.concatenate([mu, np.broadcast_to(lam, gap.shape)], axis=1)
+    window_gram = _eint(rates.conj()[:, :, None] + rates[:, None, :], length)
+    window = np.einsum("ki,kij,kj->k", coeffs.conj(), window_gram, coeffs).real
+    scale = np.einsum("ki,kij,kj->k", np.abs(coeffs), np.abs(window_gram), np.abs(coeffs))
+
+    smooth = (np.abs(gap).max(axis=1, initial=0.0) + np.abs(mu[:, 0].real)) * length <= 4.0
+    if np.any(smooth):
+        u = length * _GL_NODES
+        terms = np.expm1(-gap[smooth][:, :, None] * u)
+        vals = np.einsum("kj,kjm->km", a[smooth], terms)
+        tilt = np.exp(2.0 * mu[smooth].real * u)
+        window[smooth] = length * (np.abs(vals) ** 2 * tilt) @ _GL_WEIGHTS
+
+    q = np.exp(lam * length) * np.expm1(gap * length) / gap
+    tail_coeffs = residues * q
+    tail_gram = -1.0 / (lam.conj()[:, None] + lam[None, :])
+    tail = np.einsum("ki,ij,kj->k", tail_coeffs.conj(), tail_gram, tail_coeffs).real
+    norm = _eint(2.0 * mu[:, 0].real, length).real
+    return (window + tail) / norm, scale / norm
 
 
 def basis_combos(basis):

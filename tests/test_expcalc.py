@@ -4,8 +4,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from carshift import expcalc
 from carshift.expcalc import ExpCombo, _eint, blaschke_residues, theta_apply, window_defects
-from oracles import add, backshift, evaluate, norm_sq, quad_inner, shift, subtract, window
+from carshift.hardyshift import window_exponent
+import oracles
+from oracles import (
+    add,
+    backshift,
+    evaluate,
+    full_gram_window_defects,
+    norm_sq,
+    quad_inner,
+    shift,
+    subtract,
+    window,
+)
 
 
 @pytest.mark.parametrize("length", [0.5, 3.0])
@@ -175,3 +188,63 @@ def test_theta_preserves_norms_on_random_combinations(lambdas, f):
 def test_compress_drops_cancelled_terms():
     f = ExpCombo.exponential(-1.0 + 0.5j, start=0.5, coeff=0.3 - 0.1j)
     assert subtract(f, f).compress().terms == []
+
+
+# ---------------------------------------------------------------------------
+# window defects from the structure of the window Gram matrix
+
+FAMILY_SIX = [-1.0, -2.0 + 0.5j, -0.5 + 1.0j, -1.5 - 1.0j, -0.75 + 2.0j, -3.0 - 0.25j]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    lambdas=st.lists(DECAY_RATES, min_size=1, max_size=6),
+    octaves=st.floats(0.0, 10.0),
+    k_max=st.integers(65, 8192),
+)
+def test_window_defects_match_the_full_gram_form(lambdas, octaves, k_max):
+    # k from -64 to 64 and the two ends -k_max and k_max at window lengths
+    # from 2^-10 to 1, against the (n+1)^2 integrals per rate of the oracle:
+    # 1e-12 relative, plus a few ulps of the terms that the window form sums,
+    # which matter only where clustered poles make the residues cancel
+    delta = 2.0 ** -octaves
+    ks = np.concatenate([np.arange(-64, 65), [-k_max, k_max]])
+    mus = window_exponent(ks, delta)
+    gaps = [abs(a - b) for i, a in enumerate(lambdas) for b in lambdas[i + 1:]]
+    gaps += [abs(mu - lam) for mu in mus for lam in lambdas]
+    assume(min(gaps) > 0.25)
+    got = window_defects(lambdas, mus, delta)
+    want, scale = full_gram_window_defects(lambdas, mus, delta)
+    assert np.all(np.abs(got - want) <= 1e-12 * want + 8 * np.finfo(float).eps * scale)
+    # the k = 0 row is a Gauss-Legendre row wherever its integrand is smooth,
+    # and that branch is the oracle's, bit for bit
+    zero = np.flatnonzero(ks == 0)[0]
+    if (max(abs(-0.5 - lam) for lam in lambdas) + 0.5) * delta <= 4.0:
+        assert got[zero] == want[zero]
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_window_defects_take_n_plus_one_integrals_per_rate(monkeypatch, n):
+    # K (n+1) entries, one normalizer and n cross integrals per rate, and the
+    # n^2 exponent block once; the full Gram form takes K (n+1)^2 + K
+    entries = []
+    eint = expcalc._eint
+
+    def counting(rho, length):
+        entries.append(np.broadcast(rho, length).size)
+        return eint(rho, length)
+
+    monkeypatch.setattr(expcalc, "_eint", counting)
+    monkeypatch.setattr(oracles, "_eint", counting)
+    rates = window_exponent(np.arange(-50, 51), 0.125)
+    window_defects(FAMILY_SIX[:n], rates, 0.125)
+    assert sum(entries) == len(rates) * (n + 1) + n * n
+    entries.clear()
+    full_gram_window_defects(FAMILY_SIX[:n], rates, 0.125)
+    assert sum(entries) == len(rates) * (n + 1) ** 2 + len(rates)
+
+
+def test_window_defects_refuse_a_rate_on_a_pole():
+    with pytest.raises(ValueError, match="collides"):
+        window_defects(FAMILY_SIX, [1.5j, -0.75 + 2.0j], 0.5)
+

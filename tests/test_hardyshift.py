@@ -29,6 +29,7 @@ from oracles import (
 FAMILY_ONE = [-1.0 + 0.0j]
 FAMILY_TWO = [-1.0 + 0.0j, -2.0 + 0.5j]
 FAMILY_THREE = [-1.0 + 0.0j, -2.0 + 0.5j, -0.5 + 1.0j]
+FAMILY_SIX = FAMILY_THREE + [-1.5 - 1.0j, -0.75 + 2.0j, -3.0 - 0.25j]
 
 
 @pytest.fixture(scope="module")
@@ -274,14 +275,14 @@ def mp_window_defect(lambdas, mu, delta):
 
 
 def test_prop2_per_k_matches_mpmath():
-    delta = 2.0 ** -10
-    rep = hs.prop2_defect(hs.ExponentialFamily(FAMILY_THREE), delta, 2048)
-    ks, values = rep["per_k"]
-    assert list(ks) == list(range(-2048, 2049))
-    assert rep["sum_sq"] == pytest.approx(np.sum(values), rel=1e-15)
-    for k in (0, 1, -1, 2, 64, 1024, 2047, 2048, -2048):
-        exact = mp_window_defect(FAMILY_THREE, hs.window_exponent(k, delta), delta)
-        assert abs(values[k + 2048] - exact) <= 1e-12 * exact, k
+    for lambdas, delta in [(FAMILY_THREE, 2.0 ** -10), (FAMILY_SIX, 2.0 ** -3)]:
+        rep = hs.prop2_defect(hs.ExponentialFamily(lambdas), delta, 2048)
+        ks, values = rep["per_k"]
+        assert list(ks) == list(range(-2048, 2049))
+        assert rep["sum_sq"] == pytest.approx(np.sum(values), rel=1e-15)
+        for k in (0, 1, -1, 2, 64, 1024, 2047, 2048, -2048):
+            exact = mp_window_defect(lambdas, hs.window_exponent(k, delta), delta)
+            assert abs(values[k + 2048] - exact) <= 1e-12 * exact, (len(lambdas), k)
 
 
 def combo_window_defect(family, mu, start, delta):
