@@ -20,7 +20,7 @@ small subspace, so unitarity holds to rounding error at any resolution.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_blas_funcs
 
 from . import expcalc
 from .expcalc import ExpCombo
@@ -119,6 +119,37 @@ class ExponentialBasis:
         return np.exp(1j * lam.imag * t)
 
 
+def _solve_triangular(a, b, lower):
+    """``a^{-1} b`` for a triangular ``a`` (its ``lower`` or upper triangle),
+    through BLAS ``?trsm`` on the calling thread.
+
+    ``scipy.linalg.solve_triangular`` takes LAPACK ``?trtrs``, which OpenBLAS
+    runs on a worker thread for two or more right-hand sides: on a 2-core
+    machine a 3 x 3 solve waits 6-8 ms for it, and the thread keeps spinning
+    into what runs next.  With two or more right-hand sides ``?trtrs`` is
+    ``?trsm`` after a check of the diagonal, so this keeps its checks (a
+    non-finite entry is a ``ValueError``, an exactly zero diagonal entry a
+    ``LinAlgError``) and its bits.  With one, ``?trtrs`` takes another route,
+    which can differ in the last bit; here that is only the 1 x 1 solve of a
+    one-exponent family, whose real ``a`` gave the same bits on every family
+    tried.  ``?trsm`` goes threaded too once ``b`` has 512 entries, a square
+    solve of 23 columns.  The condition cap of :func:`orthogonalize` refuses
+    families from a bounded box of exponents from about 12 on, but a family
+    with widely spread imaginary parts passes it at any size.
+    """
+    a = np.asarray_chkfinite(a)
+    b = np.asarray_chkfinite(b)
+    zero = np.flatnonzero(np.diagonal(a) == 0)
+    if zero.size:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {zero[0]}")
+    trsm = get_blas_funcs("trsm", (a, b))
+    if a.flags.f_contiguous:
+        return trsm(1.0, a, b, lower=lower)
+    # a C-ordered ``a`` is the Fortran-ordered ``a.T``: solve the transposed
+    # system, as solve_triangular does, and copy nothing
+    return trsm(1.0, a.T, b, lower=not lower, trans_a=1)
+
+
 def orthogonalize(family):
     """Successive orthogonalization of the normalized exponentials.
 
@@ -130,14 +161,14 @@ def orthogonalize(family):
     if np.linalg.cond(g) > 1e12:
         raise ValueError("exponential family too ill-conditioned to orthogonalize")
     low = np.linalg.cholesky(g)
-    coeff = solve_triangular(low, np.eye(family.size), lower=True).conj().T
+    coeff = _solve_triangular(low, np.eye(family.size), lower=True).conj().T
     return ExponentialBasis(family, coeff)
 
 
 def backward_shift_matrix(basis, t):
     """Matrix of ``S_t*`` on span{g_n}: upper triangular, diagonal ``exp(l_n t)``."""
     d = np.diag(np.exp(np.asarray(basis.family.lambdas) * t))
-    return solve_triangular(basis.coeff, d @ basis.coeff, lower=False)
+    return _solve_triangular(basis.coeff, d @ basis.coeff, lower=False)
 
 
 def _defect_terms(basis, t):

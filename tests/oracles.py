@@ -4,9 +4,11 @@ import cmath
 
 import numpy as np
 from scipy import integrate, sparse
+from scipy.linalg import solve_triangular
 
 from carshift import fock
 from carshift.expcalc import _GL_NODES, _GL_WEIGHTS, ExpCombo, _eint, blaschke_residues
+from carshift.hardyshift import gram_exponentials
 from carshift.opalg import adjoint, anticommutator, hs_norm, psd_sqrt, sector_stacks
 from carshift.quasifree import CovarianceState
 
@@ -177,6 +179,20 @@ def basis_combos(basis):
         add(*(scaled(fs[m], basis.coeff[m, n]) for m in range(n + 1)))
         for n in range(basis.family.size)
     ]
+
+
+def lapack_coeff(family):
+    """``orthogonalize(family).coeff`` through ``scipy.linalg.solve_triangular``
+    (LAPACK ``?trtrs``): the inverse of the Cholesky factor of the Gram matrix."""
+    low = np.linalg.cholesky(gram_exponentials(family))
+    return solve_triangular(low, np.eye(family.size), lower=True).conj().T
+
+
+def lapack_backward_shift_matrix(basis, t):
+    """``backward_shift_matrix(basis, t)``, ``coeff^-1 D coeff``, through
+    ``scipy.linalg.solve_triangular``."""
+    d = np.diag(np.exp(np.asarray(basis.family.lambdas) * t))
+    return solve_triangular(basis.coeff, d @ basis.coeff, lower=False)
 
 
 def apply_flow(basis, t, u):

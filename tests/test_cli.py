@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import _basic as scipy_basic
 
 from carshift import cli, expcalc, fock, hardyshift, modular, opalg
 from oracles import car_check_columns
@@ -641,6 +642,16 @@ def test_pipeline_csv_rows_are_the_verdict_values(tmp_path):
     assert rows["condition-1"] == "3.0"
 
 
+def run_on_fam3(tmp_path, kinds):
+    """Run each kind on fam3 at its small test parameters; pipeline at its
+    default horizons, which fam3 passes."""
+    fam = write_family(tmp_path, [-1.0 + 0.0j, -2.0 + 0.5j, -0.5 + 1.0j])
+    for kind in kinds:
+        params = {} if kind == "pipeline" else SMALL_PARAMS[kind]
+        config = write_config(tmp_path, kind, {"family": fam, **params})
+        assert cli.main(["run", "--config", config, "--out", str(tmp_path / kind)]) == 0
+
+
 def test_hardy_space_kinds_build_no_exponential_combination(tmp_path, monkeypatch):
     # the ExpCombo calculus is left to the Laplace pairing of acceptance
     # criterion 10 and to the test oracles
@@ -648,13 +659,22 @@ def test_hardy_space_kinds_build_no_exponential_combination(tmp_path, monkeypatc
         raise AssertionError("an ExpCombo was built")
 
     monkeypatch.setattr(expcalc.ExpCombo, "__init__", refuse)
-    fam = write_family(tmp_path, [-1.0 + 0.0j, -2.0 + 0.5j, -0.5 + 1.0j])
-    for kind in ("conjugacy", "approx", "dilation-check", "prop2", "blaschke"):
-        config = write_config(tmp_path, kind, {"family": fam, **SMALL_PARAMS[kind]})
-        assert cli.main(["run", "--config", config, "--out", str(tmp_path / kind)]) == 0
-    # pipeline at its default horizons, which fam3 passes
-    config = write_config(tmp_path, "pipeline", {"family": fam})
-    assert cli.main(["run", "--config", config, "--out", str(tmp_path / "pipeline")]) == 0
+    run_on_fam3(tmp_path, ("conjugacy", "approx", "dilation-check", "prop2", "blaschke", "pipeline"))
+
+
+def test_hardy_space_kinds_take_no_lapack_triangular_solve(tmp_path, monkeypatch):
+    # scipy's solve_triangular looks up LAPACK ?trtrs, which OpenBLAS runs on
+    # a worker thread that costs milliseconds per 3 x 3 solve; the kinds that
+    # orthogonalize a family solve through BLAS ?trsm instead
+    get_lapack_funcs = scipy_basic.get_lapack_funcs
+
+    def refuse_trtrs(names, arrays=(), dtype=None, ilp64=False):
+        if "trtrs" in names:
+            raise AssertionError("LAPACK ?trtrs was looked up")
+        return get_lapack_funcs(names, arrays, dtype, ilp64)
+
+    monkeypatch.setattr(scipy_basic, "get_lapack_funcs", refuse_trtrs)
+    run_on_fam3(tmp_path, ("conjugacy", "approx", "dilation-check", "pipeline"))
 
 
 def test_conjugacy_builds_no_dilation(tmp_path, monkeypatch):

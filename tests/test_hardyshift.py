@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from carshift import bogoliubov
 from carshift import hardyshift as hs
@@ -18,6 +19,8 @@ from oracles import (
     direct_offspace_deviation,
     direct_unitarity_residual,
     flow_matrix,
+    lapack_backward_shift_matrix,
+    lapack_coeff,
     norm_sq,
     quad_inner,
     scaled,
@@ -139,6 +142,64 @@ def test_ill_conditioned_family_rejected():
     family = hs.ExponentialFamily([-1.0 + 0.0j, -1.0 + 1e-9j])
     with pytest.raises(ValueError):
         hs.orthogonalize(family)
+
+
+# the triangular solves run through BLAS ?trsm; scipy's solve_triangular
+# (LAPACK ?trtrs, the same ?trsm after its diagonal check) is the oracle
+
+SOLVE_TIMES = [0.0, 2.0 ** -11, 0.35, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("lambdas", [FAMILY_ONE, FAMILY_THREE], ids=["fam1", "fam3"])
+def test_triangular_solves_match_the_lapack_oracle_bit_for_bit(lambdas):
+    family = hs.ExponentialFamily(lambdas)
+    basis = hs.orthogonalize(family)
+    assert np.array_equal(basis.coeff, lapack_coeff(family))
+    for t in SOLVE_TIMES:
+        assert np.array_equal(hs.backward_shift_matrix(basis, t), lapack_backward_shift_matrix(basis, t))
+
+
+DECAY_RATES = st.builds(complex, st.floats(-3.0, -0.2), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    lambdas=st.integers(1, 11).flatmap(lambda n: st.lists(DECAY_RATES, min_size=n, max_size=n)),
+    t=st.floats(0.0, 2.0),
+)
+def test_triangular_solves_match_the_lapack_oracle_on_families_up_to_11(lambdas, t):
+    assume(all(abs(a - b) > 1e-3 for i, a in enumerate(lambdas) for b in lambdas[i + 1:]))
+    family = hs.ExponentialFamily(lambdas)
+    assume(np.linalg.cond(hs.gram_exponentials(family)) <= 1e12)
+    basis = hs.orthogonalize(family)
+    assert np.array_equal(basis.coeff, lapack_coeff(family))
+    assert np.array_equal(hs.backward_shift_matrix(basis, t), lapack_backward_shift_matrix(basis, t))
+
+
+@pytest.mark.parametrize("lower", [False, True])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_triangular_solve_matches_the_lapack_oracle_in_either_layout(lower, order):
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
+    a = np.asarray(np.tril(a) if lower else np.triu(a), order=order)
+    for b in (np.eye(6), rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))):
+        assert np.array_equal(hs._solve_triangular(a, b, lower), solve_triangular(a, b, lower=lower))
+
+
+@pytest.mark.parametrize("lower", [False, True])
+def test_triangular_solve_refuses_what_lapack_refuses(lower):
+    a = np.triu(np.ones((3, 3), dtype=complex))
+    a[1, 1] = 0.0
+    a = a.T.copy() if lower else a
+    b = np.eye(3)
+    for solve in (hs._solve_triangular, solve_triangular):
+        with pytest.raises(np.linalg.LinAlgError, match="resolution failed at diagonal 1"):
+            solve(a, b, lower=lower)
+    nan_diagonal = np.where(np.eye(3) == 1, np.nan, a)
+    for bad_a, bad_b in ((nan_diagonal, b), (np.eye(3, dtype=complex), np.full((3, 3), np.nan))):
+        for solve in (hs._solve_triangular, solve_triangular):
+            with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+                solve(bad_a, bad_b, lower=lower)
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +371,6 @@ def test_prop2_matches_the_term_by_term_loop(t):
     assert rep["value"] == pytest.approx(np.sqrt(sum(per_k.values())), rel=1e-12)
     assert rep["tail_estimate_sq"] == pytest.approx(2.0 * amp / k_max, rel=1e-12)
     assert rep["per_k"][1] == pytest.approx([per_k[k] for k in rep["per_k"][0]], rel=1e-12)
-
-
-DECAY_RATES = st.builds(complex, st.floats(-3.0, -0.2), st.floats(-3.0, 3.0))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
