@@ -27,6 +27,8 @@ from .quasifree import CovarianceState
 _STAB_TOL = 1e-12
 _UNITARY_TOL = 1e-8
 _APPROXIMATION_TOL = 1e-6
+# Entries of ``m b`` per block of the in-place difference in _commutator.
+_COMMUTATOR_ENTRIES = 1 << 15
 
 
 @dataclass
@@ -124,11 +126,11 @@ def weighted_hs_norm(r, x):
     ``r`` is an isotropic ``nu`` (a float in ``(0, 1)``; the weight stays
     the scalar ``sqrt(nu(1-nu))`` and is applied by multiplication) or a
     covariance matrix of ``X``'s size with spectrum in ``(0, 1)``; anything
-    else is a ``ValueError``.
+    else is a ``ValueError``.  A real ``X`` and weight stay real.
     """
     (x,) = _operators(x)
     _, weight = _weight(r, len(x))
-    return hs_norm(_product(weight, np.asarray(x, dtype=complex)))
+    return hs_norm(_product(weight, x))
 
 
 def check_unitarity(resid, label):
@@ -182,13 +184,29 @@ def araki_commutator(r, v_prime, w_prime):
     and ``W'`` are square matrices of one size, ``R``'s size for a matrix
     ``R``; anything else is a ``ValueError``.
     """
-    v, w = (np.asarray(a, dtype=complex) for a in _operators(v_prime, w_prime))
+    v, w = _operators(v_prime, w_prime)
     r, s = _weight(r, len(v))
     if np.ndim(r) == 0:
-        cross = hs_norm(_product(v, s) - _product(s, w))
+        cross = hs_norm(_commutator(v, s, w))
         return hs_norm([0.0, cross, cross, 0.0])
     blocks = ((v, r, v), (v, s, w), (w, s, v), (w, r, w))
-    return hs_norm([hs_norm(_product(a, m) - _product(m, b)) for a, m, b in blocks])
+    return hs_norm([hs_norm(_commutator(a, m, b)) for a, m, b in blocks])
+
+
+def _commutator(a, m, b):
+    """``a m - m b`` of square matrices ``a``, ``b`` and a matrix or float
+    ``m``, real if all three are.  For a float ``m``, ``m b`` is subtracted
+    from ``a m`` in place, ``_COMMUTATOR_ENTRIES`` entries of ``b`` at a
+    time, so the difference takes one matrix; its entries are those of
+    ``_product(a, m) - _product(m, b)`` to the bit."""
+    if np.ndim(m) > 0:
+        return np.dot(a, m) - np.dot(m, b)
+    out = np.empty(a.shape, dtype=np.result_type(a, m, b))
+    np.multiply(a, m, out=out)
+    rows = max(1, _COMMUTATOR_ENTRIES // max(1, b.shape[1]))
+    for lo in range(0, len(b), rows):
+        out[lo : lo + rows] -= np.multiply(m, b[lo : lo + rows])
+    return out
 
 
 def araki_criterion(r_prime, v_prime, w_prime, sizes):

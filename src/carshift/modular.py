@@ -28,7 +28,7 @@ import numpy as np
 from scipy import sparse
 
 from . import fock
-from .opalg import RANK_TOL, inner, polar_antilinear, sector_stacks, stacked_matrix
+from .opalg import RANK_TOL, hs_norm, inner, polar_antilinear, sector_stacks, stacked_matrix
 
 
 def _monomial_columns(rep):
@@ -161,21 +161,21 @@ def tomita_operator(rep):
             f"vacuum not cyclic/separating at tolerance {RANK_TOL:g} "
             f"(monomial matrix condition {cond:.3e})"
         )
-    scale = np.sqrt(sum(np.linalg.norm(y) ** 2 for _, _, y in xstar_stacks))
+    scale = hs_norm([hs_norm(y) for _, _, y in xstar_stacks])
     s_blocks, j_blocks, delta_blocks = [], [], []
     delta_eigenvalues = np.empty(rep.dim)
-    misfit = 0.0
+    misfits = []
     for h in range(len(x_stacks)):
         (at_q, _, xb), (at_minus_q, _, y) = x_stacks[h], xstar_stacks[h]
         s = np.swapaxes(np.linalg.solve(np.swapaxes(xb, 1, 2), np.swapaxes(y, 1, 2)), 1, 2)
-        misfit += np.linalg.norm(s @ xb - y) ** 2
+        misfits.append(hs_norm(s @ xb - y))
         x_stacks[h] = xstar_stacks[h] = xb = y = None
         j, delta, eigenvalues = polar_antilinear(s)
         delta_eigenvalues[at_q] = eigenvalues
         s_blocks.append((at_minus_q, at_q, s))
         j_blocks.append((at_minus_q, at_q, j))
         delta_blocks.append((at_q, at_q, delta))
-    residual = np.sqrt(misfit) / max(scale, 1e-300)
+    residual = hs_norm(misfits) / max(scale, 1e-300)
     # the lists alone now hold the stacks, so stacked_matrix frees each once written
     del s, j, delta
     s = stacked_matrix(s_blocks, rep.dim)

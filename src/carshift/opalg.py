@@ -22,6 +22,9 @@ _QR_BLOCK_ROWS = 2048
 # Blocks per batched QR of that pass.  Each group's rows of the column blocks
 # are put side by side on their own, so no copy is as tall as the matrix.
 _QR_GROUP_BLOCKS = 8
+# Float entries per block of hs_norm's sum of squares: the 256 KiB buffer
+# stays in cache between the squaring and the sum.
+_HS_BLOCK = 1 << 15
 
 
 def as_operator(a):
@@ -38,8 +41,35 @@ def inner(u, v):
 
 
 def hs_norm(a):
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(np.asarray(a)))
+    """Hilbert-Schmidt (Frobenius) norm of an array of any shape: the square
+    root of numpy's pairwise sum of the squared real and imaginary parts, in
+    memory order.
+
+    No BLAS call is made, so the bits do not depend on the BLAS thread count
+    (``np.linalg.norm`` takes a BLAS ``dot``, which OpenBLAS splits across
+    threads).  The squares are taken ``_HS_BLOCK`` entries at a time, into
+    one buffer, along numpy's own pairwise split: the result equals
+    ``sqrt(np.add.reduce(np.square(a.view(float)), axis=None))`` to the bit,
+    without a temporary of the array's size.  Integer and single-precision
+    entries are summed in double precision; NaN and inf propagate.
+    """
+    a = np.asarray(a)
+    flat = np.ravel(a.astype(np.result_type(a, float), copy=False), order="K")
+    if np.iscomplexobj(flat):
+        flat = flat.view(np.float64)
+    return float(np.sqrt(_sum_squares(flat, np.empty(min(len(flat), _HS_BLOCK)))))
+
+
+def _sum_squares(x, buf):
+    """``np.add.reduce(np.square(x))`` of a 1-d float array, to the bit: a
+    part that fits ``buf`` is squared into it and summed, a longer one is cut
+    where numpy's pairwise sum cuts it (half, rounded down to a multiple of
+    8) and the two sums are added."""
+    n = len(x)
+    if n <= len(buf):
+        return np.add.reduce(np.multiply(x, x, out=buf[:n]))
+    half = n // 2 - n // 2 % 8
+    return _sum_squares(x[:half], buf) + _sum_squares(x[half:], buf)
 
 
 def operator_norm(a):

@@ -255,17 +255,19 @@ def _dot_weight(r):
     return r, psd_sqrt(r @ (np.eye(r.shape[0]) - r))
 
 
-def dot_weighted_hs_norm(r, x):
-    """``bogoliubov.weighted_hs_norm`` with the weight applied by ``np.dot``."""
+def dot_weighted_hs_norm(r, x, dtype=None):
+    """``bogoliubov.weighted_hs_norm`` with the weight applied by ``np.dot``;
+    ``x`` is first cast to ``dtype`` if one is given."""
     _, weight = _dot_weight(r)
-    return hs_norm(np.dot(weight, np.asarray(x, dtype=complex)))
+    return hs_norm(np.dot(weight, np.asarray(x, dtype=dtype)))
 
 
-def dot_araki_commutator(r, v_prime, w_prime):
-    """``bogoliubov.araki_commutator`` with every product taken by ``np.dot``."""
+def dot_araki_commutator(r, v_prime, w_prime, dtype=None):
+    """``bogoliubov.araki_commutator`` with every product taken by ``np.dot``;
+    ``V'`` and ``W'`` are first cast to ``dtype`` if one is given."""
     r, s = _dot_weight(r)
-    v = np.asarray(v_prime, dtype=complex)
-    w = np.asarray(w_prime, dtype=complex)
+    v = np.asarray(v_prime, dtype=dtype)
+    w = np.asarray(w_prime, dtype=dtype)
     blocks = ((v, r, v), (v, s, w), (w, s, v), (w, r, w))
     return hs_norm([hs_norm(np.dot(a, m) - np.dot(m, b)) for a, m, b in blocks])
 

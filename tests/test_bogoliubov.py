@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import sqrtm
@@ -330,6 +332,34 @@ def test_weights_equal_the_np_dot_forms_to_the_bit(covariance, dtype, n):
     for x in (v, w, v - w):
         assert bogoliubov.weighted_hs_norm(r, x) == dot_weighted_hs_norm(r, x)
     assert bogoliubov.araki_commutator(r, v, w) == dot_araki_commutator(r, v, w)
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 512])
+@pytest.mark.parametrize("covariance", ["scalar", "matrix"])
+def test_real_operators_agree_with_their_complex_copies(covariance, n):
+    # real V', W' are normed in real arithmetic; their complex copies, the
+    # route taken before, give the same values to rounding
+    gen = np.random.default_rng(n + 1)
+    v, w = gen.standard_normal((2, n, n))
+    r = 0.25 if covariance == "scalar" else _spread_covariance(n, n + 1)
+    for x in (v, w, v - w):
+        want = dot_weighted_hs_norm(r, x, dtype=complex)
+        assert bogoliubov.weighted_hs_norm(r, x) == pytest.approx(want, rel=1e-15)
+    want = dot_araki_commutator(r, v, w, dtype=complex)
+    assert bogoliubov.araki_commutator(r, v, w) == pytest.approx(want, rel=1e-15)
+
+
+def test_araki_commutator_of_real_operators_takes_less_than_a_complex_copy():
+    # the cross block of a float weight is one real matrix, written in place
+    v, w = -np.eye(512), np.eye(512)
+    tracemalloc.start()
+    try:
+        value = bogoliubov.araki_commutator(0.25, v, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(2 * np.sqrt(2 * 0.1875 * 512), rel=1e-15)
+    assert peak < 512 * 512 * np.dtype(complex).itemsize
 
 
 def test_weighted_hs_norm_refuses_what_is_not_an_operator_of_the_covariance():

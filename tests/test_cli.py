@@ -677,6 +677,25 @@ def test_hardy_space_kinds_take_no_lapack_triangular_solve(tmp_path, monkeypatch
     run_on_fam3(tmp_path, ("conjugacy", "approx", "dilation-check", "pipeline"))
 
 
+@pytest.mark.parametrize(
+    "kind, case",
+    [("innerness", "minus-identity"), ("innerness", "finite-rank")]
+    + [("extension", case) for case in ("equal", "opposite", "finite-rank")],
+)
+def test_criterion_kinds_take_no_blas_norm_or_product(tmp_path, monkeypatch, kind, case):
+    # np.linalg.norm is a BLAS dot that OpenBLAS splits across threads, so
+    # its last bits follow the thread count; the criteria sum their squares
+    # in numpy and multiply the float weight in
+    def refuse(*args, **kwargs):
+        raise AssertionError("a BLAS norm or product was called")
+
+    for name in ("dot", "vdot"):
+        monkeypatch.setattr(np, name, refuse)
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    config = write_config(tmp_path, kind, {"sizes": "4 8 16 128", "case": case})
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 0
+
+
 def test_conjugacy_builds_no_dilation(tmp_path, monkeypatch):
     def refuse(self, t):
         raise AssertionError("a dilation was built")

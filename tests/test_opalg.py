@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -21,6 +23,72 @@ def test_operator_norm_matches_svd_oracle():
 def test_hs_norm_matches_entrywise_sum():
     a = random_matrix(5)
     assert opalg.hs_norm(a) == pytest.approx(np.sqrt(np.sum(np.abs(a) ** 2)))
+
+
+def fsum_norm(a):
+    """The Frobenius norm from the exactly rounded sum of the squared real
+    and imaginary parts."""
+    a = np.asarray(a, dtype=complex)
+    return math.sqrt(math.fsum(np.square(np.concatenate([a.real, a.imag], axis=None)).tolist()))
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 512, 2048])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_hs_norm_matches_the_exactly_rounded_sum(dtype, n):
+    gen = np.random.default_rng(n)
+    a = gen.standard_normal((n, n)) * np.exp(2 * gen.standard_normal((n, n)))
+    if dtype is complex:
+        a = a + 1j * gen.standard_normal((n, n))
+    want = fsum_norm(a)
+    assert abs(opalg.hs_norm(a) - want) <= 1e-15 * want
+    # a transposed and a strided view norm the same entries
+    assert abs(opalg.hs_norm(a.T) - want) <= 1e-15 * want
+    half = a[:, ::2]
+    assert abs(opalg.hs_norm(half) - fsum_norm(half)) <= 1e-15 * fsum_norm(half)
+
+
+@pytest.mark.parametrize(
+    "a", [[3.0, 4.0], [0.0, 1.5, 1.5, 0.0], [1 + 1j, -2j], 2.5, -7, np.float32(0.1), [[1, 2], [3, 4]]]
+)
+def test_hs_norm_of_lists_and_scalars(a):
+    want = fsum_norm(a)
+    assert abs(opalg.hs_norm(a) - want) <= 1e-15 * want
+
+
+def test_hs_norm_of_an_empty_array_is_zero():
+    for a in ([], np.zeros((0, 5)), np.zeros((3, 0), dtype=complex)):
+        assert opalg.hs_norm(a) == 0.0
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [np.nan, 1.0],
+        [np.inf, 1.0],
+        [-np.inf, 2.0],
+        [np.inf, np.nan],
+        [complex(np.inf, 1.0), 1.0],
+        [complex(1.0, -np.inf), 0.0],
+        [complex(np.inf, np.nan)],
+        [complex(np.nan, 0.0), np.inf],
+    ],
+)
+def test_hs_norm_propagates_nan_and_inf_as_np_linalg_norm(a):
+    want = np.linalg.norm(np.asarray(a))
+    got = opalg.hs_norm(a)
+    assert (np.isnan(got), np.isinf(got)) == (np.isnan(want), np.isinf(want))
+    if not np.isnan(want):
+        assert got == want
+
+
+@pytest.mark.parametrize("size", [1, 8, 129, 2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 7, 2**20 + 13])
+def test_hs_norm_is_the_pairwise_sum_of_the_whole_array_to_the_bit(size):
+    # the squares are taken a block at a time, cut where numpy's pairwise sum
+    # cuts the whole array
+    a = np.random.default_rng(size).standard_normal(size)
+    assert opalg.hs_norm(a) == np.sqrt(np.add.reduce(np.square(a)))
+    c = a[: size // 2] + 1j * a[size // 2 : 2 * (size // 2)]
+    assert opalg.hs_norm(c) == np.sqrt(np.add.reduce(np.square(c.view(float))))
 
 
 def test_adjoint_and_inner_compatibility():
