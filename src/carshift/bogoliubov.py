@@ -21,14 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hardyshift import fit_power
-from .opalg import adjoint, as_operator, hs_norm, lowrank_operator_norm, operator_norm, psd_sqrt
+from .opalg import (
+    CACHE_ENTRIES, adjoint, as_operator, hs_norm, lowrank_operator_norm, operator_norm, psd_sqrt
+)
 from .quasifree import CovarianceState
 
 _STAB_TOL = 1e-12
 _UNITARY_TOL = 1e-8
 _APPROXIMATION_TOL = 1e-6
-# Entries of ``m b`` per block of the in-place difference in _commutator.
-_COMMUTATOR_ENTRIES = 1 << 15
 
 
 @dataclass
@@ -196,14 +196,14 @@ def araki_commutator(r, v_prime, w_prime):
 def _commutator(a, m, b):
     """``a m - m b`` of square matrices ``a``, ``b`` and a matrix or float
     ``m``, real if all three are.  For a float ``m``, ``m b`` is subtracted
-    from ``a m`` in place, ``_COMMUTATOR_ENTRIES`` entries of ``b`` at a
+    from ``a m`` in place, ``CACHE_ENTRIES`` entries of ``b`` at a
     time, so the difference takes one matrix; its entries are those of
     ``_product(a, m) - _product(m, b)`` to the bit."""
     if np.ndim(m) > 0:
         return np.dot(a, m) - np.dot(m, b)
     out = np.empty(a.shape, dtype=np.result_type(a, m, b))
     np.multiply(a, m, out=out)
-    rows = max(1, _COMMUTATOR_ENTRIES // max(1, b.shape[1]))
+    rows = max(1, CACHE_ENTRIES // max(1, b.shape[1]))
     for lo in range(0, len(b), rows):
         out[lo : lo + rows] -= np.multiply(m, b[lo : lo + rows])
     return out

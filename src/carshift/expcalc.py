@@ -161,7 +161,7 @@ def window_defects(lambdas, mus, length):
     the ``n``-square ``inner = _eint(conj(l_i) + l_j)`` taken once for all
     rates: ``n + 1`` exponential integrals per rate and ``n^2`` per call.  The
     tail part is the ``n``-square form with the half-line Gram matrix
-    ``-1/(conj(l_i) + l_j)``.
+    ``_eint(conj(l_i) + l_j, inf) = -1/(conj(l_i) + l_j)``.
 
     When the window exponentials nearly coincide (every ``|mu - l_j| length``
     small) that form cancels to ``~(|mu - l_j| length)^2`` of its terms.  So
@@ -198,6 +198,6 @@ def window_defects(lambdas, mus, length):
 
     q = np.exp(lam * length) * np.expm1(gap * length) / gap
     tail_coeffs = residues * q
-    tail_gram = -1.0 / (lam.conj()[:, None] + lam[None, :])
+    tail_gram = _eint(lam.conj()[:, None] + lam[None, :], np.inf)
     tail = np.einsum("ki,ij,kj->k", tail_coeffs.conj(), tail_gram, tail_coeffs).real
     return (window + tail) / norm

@@ -39,8 +39,8 @@ def _monomial_columns(rep):
     has the index ``k = a + d b`` of the basis vector ``e_A (x) e_B``, with
     ``a`` and ``b`` the bitmasks of ``A`` and ``B`` and ``d = 2^n``; its
     sector is ``rep.labels[k]``.  Returns ``(adjoint, signs, columns)``:
-    ``adjoint[k] = b + d a``, the index of ``(B, A)``, and the sign with ``x*
-    = sign (B, A)``, so that ``pi(x*) vac`` is ``signs[k]`` times column
+    ``adjoint[k] = rep.swap[k]``, the index of ``(B, A)``, and the sign with
+    ``x* = sign (B, A)``, so that ``pi(x*) vac`` is ``signs[k]`` times column
     ``adjoint[k]``.  The creators anticommute, and so do the annihilators, so
     ``x* = a*(U e_B reversed) a(U e_A reversed)`` has the sign
     ``(-1)^{|A|(|A|-1)/2 + |B|(|B|-1)/2}``: only the 4^n vectors ``x vac``
@@ -51,32 +51,30 @@ def _monomial_columns(rep):
 
     A monomial ``(A, B)``'s vector is one factor applied to that of a
     monomial one shorter: ``a*(U e_A[0]) (A[1:], B) vac``, or ``a(U e_B[0])
-    ((), B[1:]) vac`` when ``A`` is empty.  The columns of one length are one
+    ((), B[1:]) vac`` when ``A`` is empty.  Either way the factor is the
+    lowest set bit of ``k``, the bitmask of the ``2n`` modes, and the shorter
+    monomial is ``k`` with that bit cleared.  The columns of one length are one
     sparse product: the rows ``(x vac)^T`` of the shorter monomials, each
     shifted into the block of its factor, times the stacked transposes of
     the ``2n`` factors of :meth:`DoubledRepresentation.mode_fields`.
     """
-    n, d = rep.n, rep.factor.dim
-    k = np.arange(rep.dim)
-    a, b = k % d, k // d
+    n = rep.n
+    a, b = rep.first, rep.second
     count = fock.particle_numbers(rep.factor)
-    adjoint = b + d * a
+    adjoint = rep.swap
     signs = 1 - 2 * ((count[a] * (count[a] - 1) // 2 + count[b] * (count[b] - 1) // 2) & 1)
-    # the first factor, a*(U e_A[0]) if A is nonempty, else a(U e_B[0]), in
-    # mode_fields(), and the monomial it is applied to
-    creates = a != 0
-    first = np.where(creates, a & -a, b & -b)
-    rest = k - np.where(creates, first, d * first)
-    factor = np.where(creates, n, 0) + np.log2(np.maximum(first, 1)).astype(np.intp)
+    # the first factor of monomial k is block `factor` of the stack below
+    k = np.arange(rep.dim)
+    lowest = k & -k
+    rest = k ^ lowest
+    factor = np.log2(np.maximum(lowest, 1)).astype(np.intp)
     length = count[a] + count[b]
 
     def columns():
         dim = rep.dim
-        # the transposes, a(U e_i)^T = conj(a*(U e_i)) and a*(U e_i)^T = conj(a(U e_i))
-        fields = rep.mode_fields()
-        stack = sparse.vstack(fields[n:] + fields[:n], format="csr")
+        # the transposes a*(U e_i)^T = conj(a(U e_i)), then a(U e_i)^T = conj(a*(U e_i))
+        stack = sparse.vstack(rep.mode_fields(), format="csr")
         np.conj(stack.data, out=stack.data)
-        del fields
         # place[k]: the row of monomial k in `words`, the x vac of its length
         place = np.zeros(dim, dtype=np.intp)
         words, built = sparse.csr_array(rep.vacuum[None, :]), np.zeros(1, dtype=np.intp)
@@ -131,7 +129,9 @@ def tomita_operator(rep):
 
     The ``x vac`` are the columns of one CSR matrix ``X``, monomial ``(A,
     B)`` on basis vector ``a + d b``, and ``X* = X F`` with ``F`` the signed
-    permutation from each monomial to its adjoint ``b + d a``.  ``S conj(X)
+    permutation from each monomial to its adjoint, the factor swap
+    ``rep.swap``: ``X*`` is written straight from the entries of ``X``, each
+    signed and moved to the column of its monomial's adjoint.  ``S conj(X)
     = X*`` is solved, and ``S`` polar-decomposed, on the stacks of
     :func:`carshift.opalg.sector_stacks`, and the solved stacks are written
     out by :func:`carshift.opalg.stacked_matrix`.  The condition number, the
@@ -143,9 +143,11 @@ def tomita_operator(rep):
     adjoint, signs, columns = _monomial_columns(rep)
     basis, monomials, values = (np.concatenate(part) for part in zip(*columns))
     x = sparse.csr_array((values, (basis, monomials)), shape=(rep.dim, rep.dim))
+    # adding 0.0 stores a -0.0 part as +0.0, as the sparse product X F would
+    xstar = sparse.csr_array(
+        (values * signs[monomials] + 0.0, (basis, adjoint[monomials])), shape=x.shape
+    )
     del basis, monomials, values
-    xstar = x @ sparse.csr_array((signs, (adjoint, np.arange(rep.dim))), shape=x.shape)
-    xstar.sort_indices()  # in place: sector_stacks copies a matrix that is not canonical
     # each matrix is dropped once its stacks are read
     x_stacks = sector_stacks(x, rep.labels)
     del x
@@ -190,17 +192,14 @@ def modular_involution_formula(rep):
     ``J (f_1^..^f_k (x) g_1^..^g_m) = conj(g_m)^..^conj(g_1) (x)
     conj(f_k)^..^conj(f_1)``: swap the factors, reverse each wedge (sign
     ``(-1)^{k(k-1)/2}``), conjugate entries.  Returned as the CSR matrix
-    ``M`` of ``J v = M @ conj(v)``, a signed permutation: in the index
-    convention of :func:`carshift.quasifree.tensor`, row ``b1 d + b2`` holds
-    its sign in column ``b2 d + b1``.
+    ``M`` of ``J v = M @ conj(v)``, a signed permutation: row ``k`` holds its
+    sign in column ``rep.swap[k]``, the basis vector with the factors swapped.
     """
-    d = rep.factor.dim
-    k = fock.particle_numbers(rep.factor)
-    sign = 1.0 - 2.0 * ((k * (k - 1) // 2) & 1)
-    rows = np.arange(d * d)
+    count = fock.particle_numbers(rep.factor)
+    sign = 1.0 - 2.0 * ((count * (count - 1) // 2) & 1)
     return sparse.csr_array(
-        (np.outer(sign, sign).ravel(), (rows % d) * d + rows // d, np.arange(d * d + 1)),
-        shape=(d * d, d * d),
+        (sign[rep.second] * sign[rep.first], rep.swap, np.arange(rep.dim + 1)),
+        shape=(rep.dim, rep.dim),
     )
 
 

@@ -22,9 +22,10 @@ _QR_BLOCK_ROWS = 2048
 # Blocks per batched QR of that pass.  Each group's rows of the column blocks
 # are put side by side on their own, so no copy is as tall as the matrix.
 _QR_GROUP_BLOCKS = 8
-# Float entries per block of hs_norm's sum of squares: the 256 KiB buffer
-# stays in cache between the squaring and the sum.
-_HS_BLOCK = 1 << 15
+# Entries per block of an elementwise pass, so that the block stays in cache
+# (256 KiB of floats): hs_norm's buffer between the squaring and the sum, and
+# bogoliubov's blocks of a scalar commutator.
+CACHE_ENTRIES = 1 << 15
 
 
 def as_operator(a):
@@ -47,7 +48,7 @@ def hs_norm(a):
 
     No BLAS call is made, so the bits do not depend on the BLAS thread count
     (``np.linalg.norm`` takes a BLAS ``dot``, which OpenBLAS splits across
-    threads).  The squares are taken ``_HS_BLOCK`` entries at a time, into
+    threads).  The squares are taken ``CACHE_ENTRIES`` entries at a time, into
     one buffer, along numpy's own pairwise split: the result equals
     ``sqrt(np.add.reduce(np.square(a.view(float)), axis=None))`` to the bit,
     without a temporary of the array's size.  Integer and single-precision
@@ -57,7 +58,7 @@ def hs_norm(a):
     flat = np.ravel(a.astype(np.result_type(a, float), copy=False), order="K")
     if np.iscomplexobj(flat):
         flat = flat.view(np.float64)
-    return float(np.sqrt(_sum_squares(flat, np.empty(min(len(flat), _HS_BLOCK)))))
+    return float(np.sqrt(_sum_squares(flat, np.empty(min(len(flat), CACHE_ENTRIES)))))
 
 
 def _sum_squares(x, buf):

@@ -19,11 +19,16 @@ creation operator in the second summand and the sign of the second-component
 embedding are fixed so that the vacuum two-point function reproduces the
 purification projection ``P = [[R, S], [S, 1-R]]``, ``S = (R(1-R))^{1/2}``.
 
-The field is a sum of ``2n`` signed partial permutations, ``a_i (x) Gamma``
-and ``1 (x) a_i*``, whose entries do not overlap.  The representation merges
-their tables once into a cached CSR pattern (and a transposed one for the
-creation fields, see :func:`carshift.fock.csr_pattern`), so every field is
-one gather of its ``2n`` coefficients into a ``scipy.sparse`` CSR array.
+Basis vector ``b1 (x) b2`` has index ``k = b1 + d b2``, ``d = 2^n``: ``k`` is
+the bitmask of the ``2n`` modes, the first factor's on the low bits.  The
+representation holds this layout once, as the gathers ``first``, ``second``
+and ``swap`` (the index of ``b2 (x) b1``), and builds its vacuum, charges
+and grading from them.  The field is a sum of ``2n`` signed partial
+permutations, ``a_i (x) Gamma`` and ``1 (x) a_i*``, whose entries do not
+overlap.  The representation merges their tables once into a cached CSR
+pattern (:func:`carshift.fock.csr_pattern`), so every field is one gather of
+its ``2n`` coefficients into a ``scipy.sparse`` CSR array, and a creation
+field is its adjoint.
 Each eigenmode's charge ``q_i = N_1i - N_2i`` is a grading: ``pi(a(U e_i (+)
 0))`` lowers ``q_i`` by one and keeps the others.
 """
@@ -32,17 +37,7 @@ import numpy as np
 from scipy import sparse
 
 from . import fock
-from .opalg import as_operator, inner, psd_sqrt
-
-
-def tensor(first, second):
-    """Kronecker product of dense arrays with the *first* factor on the low bits.
-
-    With this ordering ``tensor(a_i, I)`` equals the Jordan-Wigner ``a_i`` of
-    the combined ``2n``-mode space for ``i < n``: first-factor modes occupy
-    indices ``0..n-1`` and second-factor modes ``n..2n-1``.
-    """
-    return np.kron(np.asarray(second), np.asarray(first))
+from .opalg import adjoint, as_operator, inner, psd_sqrt
 
 
 class CovarianceState:
@@ -106,9 +101,11 @@ class DoubledRepresentation:
     """GNS representation of the CAR algebra over ``K (+) K`` on ``F(K) (x) F(K)``.
 
     The basis is the doubled number basis of the eigenmodes of ``R``.  Basis
-    vector ``k`` has ``charge[k]``, ``Q = N_1 - N_2``, and ``labels[k]``, its
-    per-mode charges ``q_i = N_1i - N_2i`` in balanced ternary ``sum_i q_i 3^i``;
-    the fields conserve them, and the label of ``-q`` is minus that of ``q``.
+    vector ``k`` is ``e_first[k] (x) e_second[k]``, ``k = first + d second``,
+    and ``swap[k]`` is the index of ``e_second[k] (x) e_first[k]``.  It has
+    ``charge[k]``, ``Q = N_1 - N_2``, and ``labels[k]``, its per-mode charges
+    ``q_i = N_1i - N_2i`` in balanced ternary ``sum_i q_i 3^i``; the fields
+    conserve them, and the label of ``-q`` is minus that of ``q``.
     """
 
     def __init__(self, state):
@@ -119,43 +116,43 @@ class DoubledRepresentation:
         self.state = state
         self.n = state.dim
         self.factor = fock.FockSpace(self.n)
-        self.dim = self.factor.dim ** 2
+        d = self.factor.dim
+        self.dim = d * d
         self._a, self._b = np.sqrt(1.0 - state.d), np.sqrt(state.d)
-        self.vacuum = tensor(fock.vacuum(self.factor), fock.vacuum(self.factor))
+        k = np.arange(self.dim)
+        self.first, self.second = k % d, k // d
+        self.swap = self.second + d * self.first
+        vacuum = fock.vacuum(self.factor)
+        self.vacuum = vacuum[self.second] * vacuum[self.first]
         numbers = fock.particle_numbers(self.factor)
-        ones = np.ones_like(numbers)
-        self.charge = tensor(numbers, ones) - tensor(ones, numbers)
-        bits = np.arange(self.factor.dim)[:, None] >> np.arange(self.n) & 1
+        self.charge = numbers[self.first] - numbers[self.second]
+        bits = np.arange(d)[:, None] >> np.arange(self.n) & 1
         weights = bits @ 3 ** np.arange(self.n)
-        self.labels = tensor(weights, ones) - tensor(ones, weights)
+        self.labels = weights[self.first] - weights[self.second]
         gamma = fock.parity(self.factor)
         self.gamma_gamma = sparse.csr_array(
-            (tensor(gamma, gamma).astype(complex), np.arange(self.dim), np.arange(self.dim + 1)),
+            ((gamma[self.second] * gamma[self.first]).astype(complex), k, np.arange(self.dim + 1)),
             shape=(self.dim, self.dim),
         )
-        # (rows, cols, signs) of a_i (x) Gamma for i < n, then of 1 (x) a_i*;
-        # basis vector b1 (x) b2 has index b1 + d b2
-        d = self.factor.dim
+        # (rows, cols, signs) of a_i (x) Gamma for i < n, then of 1 (x) a_i*,
+        # the swapped transpose of a_i (x) 1
         other = np.arange(d)[:, None]
         tables = [None] * (2 * self.n)
         for i in range(self.n):
             rows, cols, signs = fock.mode_table(self.factor, i)
-            tables[i] = ((rows + d * other).ravel(), (cols + d * other).ravel(),
-                         (gamma[:, None] * signs).ravel())
-            tables[self.n + i] = ((other + d * cols).ravel(), (other + d * rows).ravel(),
-                                  np.tile(signs, d))
+            rows, cols = (rows + d * other).ravel(), (cols + d * other).ravel()
+            tables[i] = (rows, cols, (gamma[:, None] * signs).ravel())
+            tables[self.n + i] = (self.swap[cols], self.swap[rows], np.tile(signs, d))
         self._pattern = fock.csr_pattern(tables, self.dim)
-        self._star_pattern = fock.csr_pattern([(c, r, s) for r, c, s in tables], self.dim)
 
     def _eigen(self, f):
         """``U^T f``, or zeros for ``None``."""
         return np.zeros(self.n) if f is None else self.state.u.T @ np.asarray(f, dtype=complex)
 
-    def _fill(self, star, f, g):
-        """``pi(a(f (+) g))``, or ``pi(a*(f (+) g))`` if ``star``, for ``f`` and ``g``
-        in eigen coordinates: ``conj(u)`` on ``a_i (x) Gamma`` and ``w`` on ``1 (x)
-        a_i*`` (for ``star`` conjugated, on the transposed pattern), with
-        ``u = (1-D)^{1/2} f - D^{1/2} g``, ``w = conj(D^{1/2} f + (1-D)^{1/2} g)``.
+    def _fill(self, f, g):
+        """``pi(a(f (+) g))`` for ``f`` and ``g`` in eigen coordinates: ``conj(u)``
+        on ``a_i (x) Gamma`` and ``w`` on ``1 (x) a_i*``, with ``u = (1-D)^{1/2} f
+        - D^{1/2} g``, ``w = conj(D^{1/2} f + (1-D)^{1/2} g)``.
 
         A coefficient times a sign of -1 can have a ``-0.0`` part; adding
         ``0.0`` stores every zero real or imaginary part as ``+0.0``, so the
@@ -163,26 +160,25 @@ class DoubledRepresentation:
         """
         u = self._a * f - self._b * g
         w = np.conj(self._b * f + self._a * g)
-        pattern = self._star_pattern if star else self._pattern
-        op = fock.fill_pattern(pattern, np.concatenate([np.conj(u), w]), self.dim)
+        op = fock.fill_pattern(self._pattern, np.concatenate([np.conj(u), w]), self.dim)
         op.data += 0.0
-        if star:
-            np.conj(op.data, out=op.data)
         return op
 
     def field(self, f, g=None):
         """The annihilation image ``pi(a(f (+) g))`` as a CSR array (``g`` defaults to 0)."""
-        return self._fill(False, self._eigen(f), self._eigen(g))
+        return self._fill(self._eigen(f), self._eigen(g))
 
     def field_star(self, f, g=None):
-        """The creation image ``pi(a*(f (+) g))``."""
-        return self._fill(True, self._eigen(f), self._eigen(g))
+        """The creation image ``pi(a*(f (+) g))``, the adjoint of :meth:`field`."""
+        return adjoint(self.field(f, g)).tocsr()
 
     def mode_fields(self):
-        """``pi(a(U e_i (+) 0))`` for ``i < n``, then ``pi(a*(U e_i (+) 0))``, filled
-        from the eigen coordinates ``e_i``: each moves its own mode's charge alone."""
+        """``pi(a(U e_i (+) 0))`` for ``i < n``, then their adjoints ``pi(a*(U e_i
+        (+) 0))``, filled from the eigen coordinates ``e_i``: each moves its own
+        mode's charge alone."""
         zero = np.zeros(self.n)
-        return [self._fill(star, e, zero) for star in (False, True) for e in np.eye(self.n)]
+        fields = [self._fill(e, zero) for e in np.eye(self.n)]
+        return fields + [adjoint(op).tocsr() for op in fields]
 
     def vacuum_expectation(self, ops):
         """``<vac, ops[0] ... ops[-1] vac>`` applied right to left."""

@@ -67,6 +67,50 @@ def doubled_second_quantized(rep):
     return np.kron(factor, factor)
 
 
+def tensor(first, second):
+    """Kronecker product of dense arrays with the *first* factor on the low bits.
+
+    With this ordering ``tensor(a_i, I)`` equals the Jordan-Wigner ``a_i`` of
+    the combined ``2n``-mode space for ``i < n``: first-factor modes occupy
+    indices ``0..n-1`` and second-factor modes ``n..2n-1``.
+    """
+    return np.kron(np.asarray(second), np.asarray(first))
+
+
+def transposed_creation_fields(rep):
+    """``pi(a*(U e_i (+) 0))`` for ``i < n``, each filled into a CSR pattern of
+    the transposed tables of ``a_i (x) Gamma`` and ``1 (x) a_i*`` with the
+    conjugates of the coefficients of ``pi(a(U e_i (+) 0))``."""
+    d, n = rep.factor.dim, rep.n
+    gamma = fock.parity(rep.factor)
+    other = np.arange(d)[:, None]
+    lowered, raised = [], []
+    for i in range(n):
+        rows, cols, signs = fock.mode_table(rep.factor, i)
+        lowered.append(((cols + d * other).ravel(), (rows + d * other).ravel(),
+                        (gamma[:, None] * signs).ravel()))
+        raised.append(((other + d * rows).ravel(), (other + d * cols).ravel(), np.tile(signs, d)))
+    pattern = fock.csr_pattern(lowered + raised, rep.dim)
+    a, b = np.sqrt(1.0 - rep.state.d), np.sqrt(rep.state.d)
+    zero = np.zeros(n)
+    fields = []
+    for e in np.eye(n):
+        u, w = a * e - b * zero, np.conj(b * e + a * zero)
+        op = fock.fill_pattern(pattern, np.concatenate([np.conj(u), w]), rep.dim)
+        op.data += 0.0
+        np.conj(op.data, out=op.data)
+        fields.append(op)
+    return fields
+
+
+def product_xstar(x, adjoint, signs):
+    """``X* = X F`` as the sparse product with the signed permutation ``F``
+    from each monomial to its adjoint, indices sorted."""
+    xstar = x @ sparse.csr_array((signs, (adjoint, np.arange(x.shape[1]))), shape=x.shape)
+    xstar.sort_indices()
+    return xstar
+
+
 def evaluate(combo, x):
     """Pointwise values of an exponential combination."""
     x = np.asarray(x, dtype=float)

@@ -226,7 +226,8 @@ def test_window_defects_match_the_full_gram_form(lambdas, octaves, k_max):
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_window_defects_take_n_plus_one_integrals_per_rate(monkeypatch, n):
     # K (n+1) entries, one normalizer and n cross integrals per rate, and the
-    # n^2 exponent block once; the full Gram form takes K (n+1)^2 + K
+    # n^2 exponent block twice, over the window and over the half line of the
+    # tail; the full Gram form takes K (n+1)^2 + K
     entries = []
     eint = expcalc._eint
 
@@ -238,7 +239,7 @@ def test_window_defects_take_n_plus_one_integrals_per_rate(monkeypatch, n):
     monkeypatch.setattr(oracles, "_eint", counting)
     rates = window_exponent(np.arange(-50, 51), 0.125)
     window_defects(FAMILY_SIX[:n], rates, 0.125)
-    assert sum(entries) == len(rates) * (n + 1) + n * n
+    assert sum(entries) == len(rates) * (n + 1) + 2 * n * n
     entries.clear()
     full_gram_window_defects(FAMILY_SIX[:n], rates, 0.125)
     assert sum(entries) == len(rates) * (n + 1) ** 2 + len(rates)

@@ -8,7 +8,7 @@ from scipy import sparse
 
 from carshift import modular, quasifree
 from carshift.opalg import adjoint, operator_norm, polar_antilinear, sector_operator_norm
-from oracles import doubled_second_quantized, second_quantized
+from oracles import doubled_second_quantized, product_xstar, second_quantized, tensor
 
 rng = np.random.default_rng(5)
 
@@ -129,12 +129,40 @@ def test_delta_matches_closed_form(modes):
     data = modular.tomita_operator(rep)
     r = rep.state.r
     h = r @ np.linalg.inv(np.eye(modes) - r)
-    want = quasifree.tensor(
+    want = tensor(
         second_quantized(rep.factor, h), second_quantized(rep.factor, np.linalg.inv(h))
     )
     w = doubled_second_quantized(rep)
     got = w @ data.delta.toarray() @ w.T
     assert operator_norm(got - want) <= 1e-12 * operator_norm(want)
+
+
+@pytest.mark.parametrize("modes", range(1, 7))
+def test_xstar_is_the_sparse_product_x_f_to_the_bit(monkeypatch, modes):
+    # tomita_operator writes X* from the entries of X; it reads X, then X*,
+    # through sector_stacks, and both are caught there
+    for rep in (
+        quasifree.doubled_representation(quasifree.CovarianceState.isotropic(0.25, modes)),
+        quasifree.doubled_representation(
+            quasifree.CovarianceState(_rotated(70 + modes, np.linspace(0.15, 0.8, modes)))
+        ),
+    ):
+        seen = []
+
+        def spy(op, labels, stacks=modular.sector_stacks):
+            seen.append(op.copy())
+            return stacks(op, labels)
+
+        monkeypatch.setattr(modular, "sector_stacks", spy)
+        modular.tomita_operator(rep)
+        monkeypatch.undo()
+        x, xstar = seen
+        adjoint, signs, _ = modular._monomial_columns(rep)
+        want = product_xstar(x, adjoint, signs)
+        assert xstar.nnz == want.nnz
+        assert xstar.data.tobytes() == want.data.tobytes()
+        assert np.array_equal(xstar.indices, want.indices)
+        assert np.array_equal(xstar.indptr, want.indptr)
 
 
 def _rotated(seed, d):

@@ -6,7 +6,7 @@ from scipy import sparse
 
 from carshift import fock, quasifree
 from carshift.opalg import adjoint, anticommutator, inner, operator_norm, psd_sqrt
-from oracles import doubled_second_quantized
+from oracles import doubled_second_quantized, tensor, transposed_creation_fields
 
 rng = np.random.default_rng(77)
 
@@ -23,7 +23,7 @@ def test_tensor_convention():
     # first factor lives on the low bits
     a = np.diag([1.0, 2.0])
     b = np.eye(2)
-    t = quasifree.tensor(a, b)
+    t = tensor(a, b)
     assert np.allclose(np.diag(t), [1.0, 2.0, 1.0, 2.0])
 
 
@@ -128,6 +128,60 @@ def test_commutant_generator_equals_the_kron_grading():
     f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     want = sparse.kron(gamma, gamma, format="csr") @ _eigen_kron_field(rep, None, f)
     _assert_same_csr(rep.gamma_gamma @ rep.field(None, f), want)
+
+
+@pytest.mark.parametrize("modes", range(1, 7))
+def test_layout_gathers_equal_the_kronecker_constructions_bit_for_bit(modes):
+    # k = b1 + d b2 with b1 on the low bits: first, second, the factor swap
+    # and the vacuum, charges and grading gathered on them, against the
+    # Kronecker products of the factor arrays
+    rep = quasifree.doubled_representation(random_covariance(modes))
+    d = rep.factor.dim
+    index, ones = np.arange(d), np.ones(d, dtype=int)
+    numbers = fock.particle_numbers(rep.factor)
+    weights = (index[:, None] >> np.arange(modes) & 1) @ 3 ** np.arange(modes)
+    gamma = fock.parity(rep.factor)
+    vacuum = fock.vacuum(rep.factor)
+    for got, want in (
+        (rep.first, tensor(index, ones)),
+        (rep.second, tensor(ones, index)),
+        (rep.swap, tensor(d * index, ones) + tensor(ones, index)),
+        (rep.vacuum, tensor(vacuum, vacuum)),
+        (rep.charge, tensor(numbers, ones) - tensor(ones, numbers)),
+        (rep.labels, tensor(weights, ones) - tensor(ones, weights)),
+        (rep.gamma_gamma.data, tensor(gamma, gamma).astype(complex)),
+    ):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert np.array_equal(rep.gamma_gamma.indices, np.arange(rep.dim))
+    assert np.array_equal(rep.gamma_gamma.indptr, np.arange(rep.dim + 1))
+    assert np.array_equal(rep.swap[rep.swap], np.arange(rep.dim))
+
+
+@pytest.mark.parametrize("modes", range(1, 7))
+def test_creation_mode_fields_equal_the_transposed_pattern_fill(modes):
+    for state in (random_covariance(modes), quasifree.CovarianceState.isotropic(0.25, modes)):
+        rep = quasifree.doubled_representation(state)
+        fields = rep.mode_fields()
+        assert len(fields) == 2 * modes
+        for got, want in zip(fields[modes:], transposed_creation_fields(rep)):
+            assert got.dtype == want.dtype
+            _assert_same_csr(got, want)
+
+
+def test_a_representation_merges_one_pattern_and_takes_no_kronecker_product(monkeypatch):
+    calls = {"csr_pattern": 0, "kron": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fock, "csr_pattern", counted("csr_pattern", fock.csr_pattern))
+    monkeypatch.setattr(np, "kron", counted("kron", np.kron))
+    quasifree.doubled_representation(random_covariance(3))
+    assert calls == {"csr_pattern": 1, "kron": 0}
 
 
 def test_covariance_spectrum_guard():
