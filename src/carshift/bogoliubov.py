@@ -27,7 +27,7 @@ from .opalg import (
 from .quasifree import CovarianceState
 
 _STAB_TOL = 1e-12
-_UNITARY_TOL = 1e-8
+UNITARY_TOL = 1e-8
 _APPROXIMATION_TOL = 1e-6
 
 
@@ -135,13 +135,13 @@ def weighted_hs_norm(r, x):
 
 def check_unitarity(resid, label):
     """``ValueError`` unless ``resid``, the norm of ``v*v - 1`` for the
-    operator ``v`` named ``label``, is at most ``1e-8``."""
-    if resid > _UNITARY_TOL:
-        raise ValueError(f"{label} is not an isometry at tolerance {_UNITARY_TOL:g}")
+    operator ``v`` named ``label``, is at most ``UNITARY_TOL``."""
+    if resid > UNITARY_TOL:
+        raise ValueError(f"{label} is not an isometry at tolerance {UNITARY_TOL:g}")
 
 
 def _check_unitary(v, label):
-    """The dense matrix ``v`` if ``||v*v - 1|| <= 1e-8``."""
+    """The dense matrix ``v`` if ``||v*v - 1|| <= UNITARY_TOL``."""
     v = np.asarray(v, dtype=complex)
     check_unitarity(operator_norm(adjoint(v) @ v - np.eye(v.shape[0])), label)
     return v
@@ -222,7 +222,7 @@ def conjugacy_criterion(r, u_path, v_path, t_grid, sizes):
     trend of ``||R^{1/2}(1-R)^{1/2}(U_t - V_t)||_2``.
 
     ``u_path`` and ``v_path`` are callables ``(t, size) -> unitary``, dense
-    matrices that are refused (``ValueError``) unless unitary to ``1e-8``.
+    matrices that are refused (``ValueError``) unless unitary to ``UNITARY_TOL``.
     Returns an overall verdict (worst case over the grid) plus per-t
     reports.
     """

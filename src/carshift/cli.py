@@ -403,10 +403,10 @@ def _run_dilation_check(seed, family, step, horizon, t):
         "operator": ["shift", "flow"],
         "unitarity_residual": [shift.unitarity_residual(), flow.unitarity_residual()],
         "compression_residual": [0.0, model.compression_residual(t, flow)],
-        "offspace_deviation": [0.0, flow.offspace_deviation()],
+        "offspace_deviation": [shift.offspace_deviation(), flow.offspace_deviation()],
     }
     worst = max(table["unitarity_residual"])
-    verdicts = {"unitarity": (worst <= 1e-8, worst)}
+    verdicts = {"unitarity": (worst <= bogoliubov.UNITARY_TOL, worst)}
     extra = {
         "step": step,
         "horizon": horizon,

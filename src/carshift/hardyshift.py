@@ -345,11 +345,10 @@ class DilationOperator:
         the small matrix ``M*M - 1``.  The factor comes from
         :func:`opalg.triangular_factor` of the blocks ``X`` and ``Y``, which
         never copies ``[X, Y]`` whole; a unitary diagonal ``D`` on it turns
-        ``M*M - 1`` into ``D (M*M - 1) D*``, of the same norm.
+        ``M*M - 1`` into ``D (M*M - 1) D*``, of the same norm.  A pure
+        rotation (factors with no columns) gives an empty ``M``, of norm 0.
         """
         k = self.x.shape[1]
-        if k == 0:
-            return 0.0
         r = triangular_factor(self.x, self.y)
         m = np.eye(r.shape[0]) + r[:, :k] @ adjoint(r[:, k:])
         return operator_norm(adjoint(m) @ m - np.eye(r.shape[0]))
@@ -456,8 +455,7 @@ class GridModel:
         m = self.steps_of(t)
         phases = self.basis.phases(t)
         shifted = np.zeros_like(self.ghat)
-        if m < self.n:
-            shifted[m:, :] = self.ghat[: self.n - m, :]
+        shifted[m:, :] = self.ghat[: self.n - m, :]
         x = self.ghat * phases[None, :] - shifted
         return x, self.ghat.copy()
 
@@ -475,8 +473,11 @@ class GridModel:
         ``V' = S' R`` where ``R`` rotates each ``ghat_n`` onto
         ``phase_n * S'* ghat_n`` and acts as the minimal unitary completion on
         the remaining directions of their joint span (singular values below
-        ``RANK_TOL`` of the largest count as zero).  The compression of ``V'``
-        to the first summand is exactly the grid ``V_t``.
+        ``RANK_TOL`` of the largest count as zero).  The completion is the
+        polar rotation of the SVD of the overlap of the complements ``d1`` of
+        ``span ghat`` and ``d2`` of ``span S'* ghat``; where the two spans
+        agree (at ``t = 0``) both are empty and so is the rotation.  The
+        compression of ``V'`` to the first summand is exactly the grid ``V_t``.
         """
         m = self.steps_of(t)
         n2 = 2 * self.n
@@ -492,14 +493,9 @@ class GridModel:
         d2 = _complement_basis(q, c)
         r = min(d1.shape[1], d2.shape[1])
         d1, d2 = d1[:, :r], d2[:, :r]
-        if r:
-            uw, _, vwh = np.linalg.svd(d2.conj().T @ d1)
-            w = uw @ vwh
-            x = np.hstack([c, d2 @ w, -q])
-            y = np.hstack([b, d1, q])
-        else:
-            x = np.hstack([c, -q])
-            y = np.hstack([b, q])
+        uw, _, vwh = np.linalg.svd(d2.conj().T @ d1)
+        x = np.hstack([c, d2 @ (uw @ vwh), -q])
+        y = np.hstack([b, d1, q])
         return DilationOperator(m, x, y, self.n)
 
     def flow_frame(self, t):
@@ -546,6 +542,4 @@ def _complement_basis(q, cols):
     """Orthonormal basis of ``span(q) (-) span(cols)``."""
     z = q - cols @ (cols.conj().T @ q)
     uz, sz, _ = np.linalg.svd(z, full_matrices=False)
-    if len(sz) == 0 or sz[0] == 0:
-        return uz[:, :0]
-    return uz[:, sz > max(RANK_TOL * sz[0], 1e-13)]
+    return uz[:, sz > max(RANK_TOL * sz.max(initial=0.0), 1e-13)]

@@ -63,15 +63,15 @@ def _monomial_columns(rep):
     count = fock.particle_numbers(rep.factor)
     adjoint = rep.swap
     signs = 1 - 2 * ((count[a] * (count[a] - 1) // 2 + count[b] * (count[b] - 1) // 2) & 1)
-    # the first factor of monomial k is block `factor` of the stack below
-    k = np.arange(rep.dim)
-    lowest = k & -k
-    rest = k ^ lowest
-    factor = np.log2(np.maximum(lowest, 1)).astype(np.intp)
-    length = count[a] + count[b]
 
     def columns():
         dim = rep.dim
+        # the first factor of monomial k is block `factor` of the stack below
+        k = np.arange(dim)
+        lowest = k & -k
+        rest = k ^ lowest
+        factor = np.log2(np.maximum(lowest, 1)).astype(np.intp)
+        length = count[a] + count[b]
         # the transposes a*(U e_i)^T = conj(a(U e_i)), then a(U e_i)^T = conj(a*(U e_i))
         stack = sparse.vstack(rep.mode_fields(), format="csr")
         np.conj(stack.data, out=stack.data)
@@ -194,12 +194,12 @@ def modular_involution_formula(rep):
     ``(-1)^{k(k-1)/2}``), conjugate entries.  Returned as the CSR matrix
     ``M`` of ``J v = M @ conj(v)``, a signed permutation: row ``k`` holds its
     sign in column ``rep.swap[k]``, the basis vector with the factors swapped.
+    That is the signed swap that carries each monomial to its adjoint, read
+    from :func:`_monomial_columns` without multiplying out any column.
     """
-    count = fock.particle_numbers(rep.factor)
-    sign = 1.0 - 2.0 * ((count * (count - 1) // 2) & 1)
+    adjoint, signs, _ = _monomial_columns(rep)
     return sparse.csr_array(
-        (sign[rep.second] * sign[rep.first], rep.swap, np.arange(rep.dim + 1)),
-        shape=(rep.dim, rep.dim),
+        (signs.astype(float), adjoint, np.arange(rep.dim + 1)), shape=(rep.dim, rep.dim)
     )
 
 

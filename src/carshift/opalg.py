@@ -74,8 +74,9 @@ def _sum_squares(x, buf):
 
 
 def operator_norm(a):
-    """Operator (spectral) norm, i.e. the largest singular value."""
-    return float(np.linalg.norm(np.asarray(a), ord=2))
+    """Operator (spectral) norm of a matrix: its largest singular value, 0 for
+    an empty one.  The same bits as ``np.linalg.norm(a, 2)``."""
+    return float(np.linalg.svd(np.asarray(a), compute_uv=False).max(initial=0.0))
 
 
 def sector_operator_norm(op, labels):
@@ -189,10 +190,8 @@ def lowrank_hs_norm(a, b):
     (Frobenius norms), so the result is accurate to about
     ``sqrt(eps) ||a||_2 ||b||_2`` in absolute terms, not to ``eps``: a product
     that nearly cancels, ``||a b*||_2`` of ``1e-8 ||a||_2 ||b||_2`` or below,
-    reads as rounding noise.
+    reads as rounding noise.  Factors with no columns give 0.
     """
-    if a.shape[1] == 0:
-        return 0.0
     gram = (adjoint(a) @ a) @ (adjoint(b) @ b)
     return float(np.sqrt(max(np.trace(gram).real, 0.0)))
 
@@ -201,9 +200,8 @@ def lowrank_operator_norm(a, b):
     """``||a b*||`` from the triangular factors ``ra``, ``rb`` of reduced QRs of
     ``a`` and ``b``: ``a b* = Qa (ra rb*) Qb*``.  Both come from
     :func:`triangular_factor`, two QRs that never form ``Q``; a unitary
-    diagonal on either factor leaves the norm as it is."""
-    if a.shape[1] == 0:
-        return 0.0
+    diagonal on either factor leaves the norm as it is.  Factors with no
+    columns have an empty ``ra rb*``, of norm 0."""
     return operator_norm(triangular_factor(a) @ adjoint(triangular_factor(b)))
 
 

@@ -81,14 +81,13 @@ def quasifree_expectation(state, fs, gs):
 
     Vanishes unless ``m == n``; otherwise equals the determinant of the
     matrix with entries ``(g_j, R f_i)`` (inner product antilinear in the
-    first slot), so ``omega(a*(f) a(g)) = (g, R f)``.
+    first slot), so ``omega(a*(f) a(g)) = (g, R f)`` and the empty product
+    has the determinant 1 of the empty matrix.
     """
     fs = [np.asarray(f, dtype=complex) for f in fs]
     gs = [np.asarray(g, dtype=complex) for g in gs]
     if len(fs) != len(gs):
         return 0.0 + 0.0j
-    if not fs:
-        return 1.0 + 0.0j
     m = len(fs)
     mat = np.empty((m, m), dtype=complex)
     for i, f in enumerate(fs):
@@ -169,8 +168,9 @@ class DoubledRepresentation:
         return self._fill(self._eigen(f), self._eigen(g))
 
     def field_star(self, f, g=None):
-        """The creation image ``pi(a*(f (+) g))``, the adjoint of :meth:`field`."""
-        return adjoint(self.field(f, g)).tocsr()
+        """The creation image ``pi(a*(f (+) g))``: the adjoint of :meth:`field`,
+        as the CSC array that transposes its CSR array without a conversion."""
+        return adjoint(self.field(f, g))
 
     def mode_fields(self):
         """``pi(a(U e_i (+) 0))`` for ``i < n``, then their adjoints ``pi(a*(U e_i

@@ -455,6 +455,16 @@ def test_flow_dilation_unitary(model_one):
     assert operator_norm(adjoint(dense) @ dense - np.eye(dense.shape[0])) <= 1e-12
 
 
+def test_flow_dilation_at_time_zero_is_the_identity():
+    # at t = 0 the spans of ghat and S'* ghat agree: the completion of the
+    # rotation has no columns, and the factors are [c, -q] and [b, q]
+    model = hs.GridModel(hs.orthogonalize(hs.ExponentialFamily(FAMILY_THREE)), 4.0, 1.0 / 8)
+    dil = model.flow_dilation(0.0)
+    assert dil.dim == 64 and dil.shift == 0
+    assert dil.x.shape == dil.y.shape == (64, 2 * len(FAMILY_THREE))
+    assert np.max(np.abs(dil.to_dense() - np.eye(64))) <= 1e-15
+
+
 def test_dilation_compresses_to_the_grid_flow(model_one):
     t = 0.25
     dense = model_one.flow_dilation(t).to_dense()
@@ -666,6 +676,19 @@ def test_residuals_above_the_block_threshold_match_one_qr(fam3_fine_flow):
         direct_offspace_deviation(dil), rel=0, abs=1e-13
     )
     assert dil.offspace_deviation() > 1e-8
+
+
+def test_shift_dilation_at_dimension_131072_has_exactly_zero_residuals(fam3_fine):
+    # the factors of the shift have no columns: the blocked QRs of the
+    # residuals run on empty blocks and every norm is of an empty matrix
+    t_grid = [0.25, 0.5]
+    shifts = {t: fam3_fine.shift_dilation(t) for t in t_grid}
+    for dil in shifts.values():
+        assert dil.dim == 131072 and dil.x.shape == (131072, 0)
+        assert dil.unitarity_residual() == 0.0
+        assert dil.offspace_deviation() == 0.0
+    got = bogoliubov.approximation_check(shifts.get, shifts.get, t_grid)
+    assert got == {"pass": True, "rows": [{"t": t, "offspace_deviation": 0.0} for t in t_grid]}
 
 
 @pytest.mark.parametrize("t", [2.0**-11, 0.0625, 0.25, 0.5])

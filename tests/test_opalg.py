@@ -20,6 +20,22 @@ def test_operator_norm_matches_svd_oracle():
         assert opalg.operator_norm(a) == pytest.approx(np.linalg.svd(a, compute_uv=False)[0])
 
 
+def test_operator_norm_is_numpys_spectral_norm_to_the_bit():
+    for shape in ((6, 6), (9, 4), (4, 9), (1, 1)):
+        real = rng.standard_normal(shape)
+        for a in (real, real + 1j * rng.standard_normal(shape)):
+            assert opalg.operator_norm(a) == np.linalg.norm(a, 2)
+
+
+@pytest.mark.parametrize("rows", [0, 5, 5000])
+def test_norms_of_empty_operators_are_zero(rows):
+    # 5000 rows take the blocked QR of triangular_factor, on empty blocks
+    assert opalg.operator_norm(np.zeros((0, 0))) == 0.0
+    empty = np.zeros((rows, 0), dtype=complex)
+    assert opalg.lowrank_hs_norm(empty, empty) == 0.0
+    assert opalg.lowrank_operator_norm(empty, empty) == 0.0
+
+
 def test_hs_norm_matches_entrywise_sum():
     a = random_matrix(5)
     assert opalg.hs_norm(a) == pytest.approx(np.sqrt(np.sum(np.abs(a) ** 2)))
