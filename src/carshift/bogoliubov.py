@@ -16,9 +16,11 @@ verdict policy:
 * ``inconclusive`` -- anything else.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .hardyshift import fit_power
 from .opalg import (
@@ -81,8 +83,8 @@ def _trend(sizes, value_at):
 
 
 def _covariance(r, size):
-    """The isotropic ``nu`` as a float, or the matrix of a callable rule."""
-    return np.asarray(r(size), dtype=float) if callable(r) else float(r)
+    """The isotropic ``nu``, or the covariance a callable rule gives at ``size``."""
+    return r(size) if callable(r) else r
 
 
 def _weight(r, size):
@@ -103,17 +105,21 @@ def _weight(r, size):
 
 
 def _product(a, b):
-    """``a b`` for matrices and floats ``a``, ``b``.  A float is applied by
-    ``np.multiply``: ``np.dot`` takes a float times a matrix as one
-    length-1 inner product per entry, about ten times slower."""
+    """``a b`` for floats and dense or ``scipy.sparse`` matrices ``a``, ``b``:
+    ``a * b`` if either is a float, ``a @ b`` otherwise.  On dense matrices
+    these are ``np.multiply`` and ``np.matmul``'s gemm; ``np.dot`` would take
+    a float times a matrix as one length-1 inner product per entry, about
+    ten times slower.  A float times a sparse matrix scales its stored
+    entries alone."""
     if np.ndim(a) == 0 or np.ndim(b) == 0:
-        return np.multiply(a, b)
-    return np.dot(a, b)
+        return a * b
+    return a @ b
 
 
 def _operators(*ops):
-    """The ``ops`` as square matrices of one size; ``ValueError`` otherwise,
-    where a float weight would broadcast them."""
+    """The ``ops`` as square matrices of one size, dense or ``scipy.sparse``
+    (see :func:`as_operator`); ``ValueError`` otherwise, where a float weight
+    would broadcast them."""
     ops = [as_operator(op) for op in ops]
     if len({op.shape for op in ops}) > 1:
         raise ValueError(f"operators of different sizes: {[op.shape for op in ops]}")
@@ -121,15 +127,17 @@ def _operators(*ops):
 
 
 def weighted_hs_norm(r, x):
-    """``||R^{1/2}(1-R)^{1/2} X||_2`` of a square matrix ``X``.
+    """``||R^{1/2}(1-R)^{1/2} X||_2`` of a square matrix ``X``, dense or
+    ``scipy.sparse``.
 
     ``r`` is an isotropic ``nu`` (a float in ``(0, 1)``; the weight stays
-    the scalar ``sqrt(nu(1-nu))`` and is applied by multiplication) or a
-    covariance matrix of ``X``'s size with spectrum in ``(0, 1)``; anything
-    else is a ``ValueError``.  A real ``X`` and weight stay real.
+    the scalar ``sqrt(nu(1-nu))`` and is applied by multiplication, to the
+    stored entries alone of a sparse ``X``) or a dense covariance matrix of
+    ``X``'s size with spectrum in ``(0, 1)``; anything else is a
+    ``ValueError``.  A real ``X`` and weight stay real.
     """
     (x,) = _operators(x)
-    _, weight = _weight(r, len(x))
+    _, weight = _weight(r, x.shape[0])
     return hs_norm(_product(weight, x))
 
 
@@ -151,22 +159,24 @@ def innerness_norm(r, w, sizes):
     """Innerness criterion: ``||R^{1/2}(1-R)^{1/2}(W - 1)||_2`` trend.
 
     ``r`` is a float nu or a callable ``size -> covariance matrix``, ``w`` a
-    callable ``size -> matrix``.  Returns a :class:`CriterionReport` whose
+    callable ``size -> matrix``, dense or ``scipy.sparse``; ``W`` is compared
+    against a sparse identity.  Returns a :class:`CriterionReport` whose
     verdict states whether the lifting is asymptotically inner (converges).
     """
-    return extension_criterion(r, w, np.eye, sizes)
+    return extension_criterion(r, w, lambda n: sparse.eye_array(n, format="csr"), sizes)
 
 
 def extension_criterion(r_prime, v_prime, w_prime, sizes):
     """Extension criterion on the enlarged space:
     ``||R'^{1/2}(1-R')^{1/2}(V' - W')||_2`` trend over truncations.
 
-    ``v_prime`` and ``w_prime`` are callables ``size -> matrix``.
+    ``v_prime`` and ``w_prime`` are callables ``size -> matrix``, dense or
+    ``scipy.sparse``: the difference of two sparse matrices stays sparse.
     """
     return _trend(
         sizes,
         lambda n: weighted_hs_norm(
-            _covariance(r_prime, n), np.subtract(*_operators(v_prime(n), w_prime(n)))
+            _covariance(r_prime, n), operator.sub(*_operators(v_prime(n), w_prime(n)))
         ),
     )
 
@@ -181,11 +191,11 @@ def araki_commutator(r, v_prime, w_prime):
     ``V'S - SW'``, ``W'S - SV'`` and ``[W', 1-R] = -[W', R]``, each of the
     form ``A M - M B``.  For a float ``nu`` the diagonal blocks vanish and
     ``W'S - SV' = -(V'S - SW')``, so the cross block is taken once.  ``V'``
-    and ``W'`` are square matrices of one size, ``R``'s size for a matrix
-    ``R``; anything else is a ``ValueError``.
+    and ``W'`` are square matrices of one size, dense or ``scipy.sparse``,
+    ``R``'s size for a matrix ``R``; anything else is a ``ValueError``.
     """
     v, w = _operators(v_prime, w_prime)
-    r, s = _weight(r, len(v))
+    r, s = _weight(r, v.shape[0])
     if np.ndim(r) == 0:
         cross = hs_norm(_commutator(v, s, w))
         return hs_norm([0.0, cross, cross, 0.0])
@@ -194,13 +204,14 @@ def araki_commutator(r, v_prime, w_prime):
 
 
 def _commutator(a, m, b):
-    """``a m - m b`` of square matrices ``a``, ``b`` and a matrix or float
-    ``m``, real if all three are.  For a float ``m``, ``m b`` is subtracted
-    from ``a m`` in place, ``CACHE_ENTRIES`` entries of ``b`` at a
-    time, so the difference takes one matrix; its entries are those of
-    ``_product(a, m) - _product(m, b)`` to the bit."""
-    if np.ndim(m) > 0:
-        return np.dot(a, m) - np.dot(m, b)
+    """``a m - m b`` of square matrices ``a``, ``b``, dense or
+    ``scipy.sparse``, and a matrix or float ``m``, real if all three are:
+    ``_product(a, m) - _product(m, b)``.  For a float ``m`` and dense ``a``,
+    ``b``, ``m b`` is subtracted from ``a m`` in place, ``CACHE_ENTRIES``
+    entries of ``b`` at a time, so the difference takes one matrix; its
+    entries are those of the general form to the bit."""
+    if np.ndim(m) > 0 or sparse.issparse(a) or sparse.issparse(b):
+        return _product(a, m) - _product(m, b)
     out = np.empty(a.shape, dtype=np.result_type(a, m, b))
     np.multiply(a, m, out=out)
     rows = max(1, CACHE_ENTRIES // max(1, b.shape[1]))

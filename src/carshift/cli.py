@@ -280,23 +280,29 @@ def _run_modular_verify(seed, modes, nu):
     return table, verdicts, {"identity": "J pi(a(e_i+0)) J = -b*(e_i)"}
 
 
+# The operators of the innerness and extension cases are signed identities,
+# held as CSR diagonals: the criteria read their n stored entries, not n^2.
+def _identity(n):
+    return sparse.eye_array(n, format="csr")
+
+
 def _minus_identity(n):
-    return -np.eye(n)
+    return -_identity(n)
 
 
 def _finite_rank(n):
     """The identity with its first diagonal entry negated: a rank-one change."""
-    w = np.eye(n)
-    w[0, 0] = -1.0
+    w = _identity(n)
+    w.data[0] = -1.0
     return w
 
 
 # case -> W for innerness, case -> (V', W') for extension
 _INNERNESS_CASES = {"minus-identity": _minus_identity, "finite-rank": _finite_rank}
 _EXTENSION_CASES = {
-    "equal": (np.eye, np.eye),
-    "opposite": (_minus_identity, np.eye),
-    "finite-rank": (np.eye, _finite_rank),
+    "equal": (_identity, _identity),
+    "opposite": (_minus_identity, _identity),
+    "finite-rank": (_identity, _finite_rank),
 }
 
 

@@ -29,8 +29,9 @@ CACHE_ENTRIES = 1 << 15
 
 
 def as_operator(a):
-    """Validate and return a square matrix; a real one stays real."""
-    a = np.asarray(a)
+    """Validate and return a square matrix, dense or ``scipy.sparse``; a real
+    one stays real."""
+    a = a if sparse.issparse(a) else np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -53,8 +54,14 @@ def hs_norm(a):
     ``sqrt(np.add.reduce(np.square(a.view(float)), axis=None))`` to the bit,
     without a temporary of the array's size.  Integer and single-precision
     entries are summed in double precision; NaN and inf propagate.
+
+    A ``scipy.sparse`` matrix is normed by its nonzero entries alone, in CSR
+    order once its duplicates are summed (:func:`_canonical_csr`): an
+    ``n x n`` diagonal costs ``n`` squares, not ``n^2``.  The pairwise sum
+    then groups its terms otherwise than over the dense matrix, so the two
+    agree to rounding, not always to the bit.
     """
-    a = np.asarray(a)
+    a = _canonical_csr(a).data if sparse.issparse(a) else np.asarray(a)
     flat = np.ravel(a.astype(np.result_type(a, float), copy=False), order="K")
     if np.iscomplexobj(flat):
         flat = flat.view(np.float64)
@@ -115,11 +122,7 @@ def sector_stacks(op, labels):
     op = op if sparse.issparse(op) else np.asarray(op)
     if op.shape != (len(labels), len(labels)):
         raise ValueError(f"expected a {len(labels)}x{len(labels)} matrix, got {op.shape}")
-    entries = sparse.csr_array(op)
-    if not entries.has_canonical_format or not entries.data.all():
-        entries = entries.copy()
-        entries.sum_duplicates()
-        entries.eliminate_zeros()
+    entries = _canonical_csr(op)
     names, sector = np.unique(labels, return_inverse=True)
     sizes = np.bincount(sector, minlength=len(names))
     # the basis indices of sector s are by_sector[starts[s]:starts[s] + sizes[s]]
@@ -156,6 +159,18 @@ def sector_stacks(op, labels):
         rows = by_sector[starts[target[members[h]]][:, None] + np.arange(m)]
         blocks.append((rows, by_sector[starts[members[h]][:, None] + np.arange(n)], stack))
     return blocks
+
+
+def _canonical_csr(op):
+    """The CSR array of a dense or ``scipy.sparse`` matrix with its duplicate
+    entries summed and its stored zeros dropped.  ``op`` is left as it is; a
+    copy is made only where the conversion to CSR makes none."""
+    entries = sparse.csr_array(op)
+    if not entries.has_canonical_format or not entries.data.all():
+        entries = entries.copy()
+        entries.sum_duplicates()
+        entries.eliminate_zeros()
+    return entries
 
 
 def stacked_matrix(blocks, dim, pattern=None):

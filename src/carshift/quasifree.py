@@ -43,12 +43,15 @@ from .opalg import adjoint, as_operator, inner, psd_sqrt
 class CovarianceState:
     """Covariance operator of a gauge-invariant quasifree state.
 
-    ``R`` must be real symmetric with ``0 < spec(R) < 1`` (equivalently
-    ``ker R = ker(1-R) = 0``).  ``R = U D U^T``: ``d`` holds the eigenvalues,
-    ascending, and ``u`` the real orthogonal ``U`` of eigenvectors.
+    ``R`` must be a dense real symmetric matrix with ``0 < spec(R) < 1``
+    (equivalently ``ker R = ker(1-R) = 0``).  ``R = U D U^T``: ``d`` holds
+    the eigenvalues, ascending, and ``u`` the real orthogonal ``U`` of
+    eigenvectors.
     """
 
     def __init__(self, r):
+        if sparse.issparse(r):
+            raise ValueError("covariance must be a dense matrix")
         r = as_operator(r)
         if not np.all(np.isfinite(r)):
             raise ValueError("covariance must have finite entries")

@@ -2,9 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import sqrtm
 
-from carshift import bogoliubov, hardyshift, quasifree
+from carshift import bogoliubov, cli, hardyshift, quasifree
 from carshift.opalg import adjoint, hs_norm, lowrank_hs_norm, operator_norm
 from oracles import difference_factors, dot_araki_commutator, dot_weighted_hs_norm
 
@@ -322,7 +323,7 @@ def _spread_covariance(n, seed):
 @pytest.mark.parametrize("covariance", ["scalar", "matrix"])
 def test_weights_equal_the_np_dot_forms_to_the_bit(covariance, dtype, n):
     # non-normal V', W' with signed zeros planted: the float weight is
-    # multiplied in, a matrix weight still goes through np.dot
+    # multiplied in, a matrix weight goes through matmul, gemm as np.dot
     gen = np.random.default_rng(n)
     v, w = gen.standard_normal((2, n, n))
     if dtype is complex:
@@ -366,6 +367,8 @@ def test_weighted_hs_norm_refuses_what_is_not_an_operator_of_the_covariance():
     # a float weight would take the vector, or broadcast over any shape
     with pytest.raises(ValueError, match="expected a square matrix"):
         bogoliubov.weighted_hs_norm(0.25, np.ones(5))
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(3, 4\)"):
+        bogoliubov.weighted_hs_norm(0.25, sparse.eye_array(3, 4, format="csr"))
     with pytest.raises(ValueError, match="covariance of size 4 on operators of size 3"):
         bogoliubov.weighted_hs_norm(0.25 * np.eye(4), np.eye(3))
 
@@ -385,8 +388,146 @@ def test_extension_criterion_refuses_operators_of_different_sizes():
 
 
 def test_araki_values_of_the_extension_benchmark_config():
-    # extension, case "opposite", nu = 0.25, sizes 64..512: the recorded digits
-    report = bogoliubov.araki_criterion(0.25, lambda n: -np.eye(n), np.eye, [64, 128, 256, 512])
-    assert report.values == [
-        9.797958971132712, 13.856406460551018, 19.595917942265423, 27.712812921102035
-    ]
+    # extension, case "opposite", nu = 0.25, sizes 64..512: the recorded digits,
+    # on dense matrices and on the CLI's CSR diagonals
+    for v_of, w_of in ((lambda n: -np.eye(n), np.eye), cli._EXTENSION_CASES["opposite"]):
+        report = bogoliubov.araki_criterion(0.25, v_of, w_of, [64, 128, 256, 512])
+        assert report.values == [
+            9.797958971132712, 13.856406460551018, 19.595917942265423, 27.712812921102035
+        ]
+
+
+# ---------------------------------------------------------------------------
+# the CLI's cases: signed identities held as CSR diagonals, against np.eye
+
+
+def _dense_finite_rank(n):
+    w = np.eye(n)
+    w[0, 0] = -1.0
+    return w
+
+
+# case -> the dense (V', W') of the CLI's sparse one; innerness takes W' against 1
+_DENSE_CASES = {
+    ("innerness", "minus-identity"): (lambda n: -np.eye(n), np.eye),
+    ("innerness", "finite-rank"): (_dense_finite_rank, np.eye),
+    ("extension", "equal"): (np.eye, np.eye),
+    ("extension", "opposite"): (lambda n: -np.eye(n), np.eye),
+    ("extension", "finite-rank"): (np.eye, _dense_finite_rank),
+}
+_CLI_NU = {"innerness": 0.3, "extension": 0.25}  # the kinds' default nu
+_SIZES = [64, 128, 256, 512, 1024, 2048]
+
+
+def _cli_reports(kind, case, r, sizes):
+    """The criteria the CLI's ``kind`` reports on ``case``, by name."""
+    if kind == "innerness":
+        return {"innerness": bogoliubov.innerness_norm(r, cli._INNERNESS_CASES[case], sizes)}
+    v_of, w_of = cli._EXTENSION_CASES[case]
+    return {
+        "extension": bogoliubov.extension_criterion(r, v_of, w_of, sizes),
+        "araki": bogoliubov.araki_criterion(r, v_of, w_of, sizes),
+    }
+
+
+def _dense_reports(kind, case, r, sizes):
+    """The same criteria on the dense operators of :data:`_DENSE_CASES`."""
+    v_of, w_of = _DENSE_CASES[kind, case]
+    reports = {"extension": bogoliubov.extension_criterion(r, v_of, w_of, sizes)}
+    if kind == "innerness":
+        return {"innerness": reports["extension"]}
+    return {**reports, "araki": bogoliubov.araki_criterion(r, v_of, w_of, sizes)}
+
+
+def test_cli_cases_are_csr_diagonals_of_the_dense_cases():
+    for (kind, case), (v_of, w_of) in _DENSE_CASES.items():
+        ops = (cli._INNERNESS_CASES[case],) if kind == "innerness" else cli._EXTENSION_CASES[case]
+        dense = (v_of,) if kind == "innerness" else (v_of, w_of)
+        for op, want in zip(ops, dense):
+            got = op(64)
+            assert got.format == "csr" and got.nnz == 64
+            assert np.array_equal(got.toarray(), want(64))
+
+
+@pytest.mark.parametrize("kind, case", list(_DENSE_CASES))
+def test_cli_cases_give_the_bits_of_their_dense_forms_at_the_default_nu(kind, case):
+    # the pairwise sums over n stored and n^2 dense entries group their terms
+    # alike at these nu and sizes, so the CLI writes the dense values' bytes
+    nu = _CLI_NU[kind]
+    got, want = _cli_reports(kind, case, nu, _SIZES), _dense_reports(kind, case, nu, _SIZES)
+    for name, report in got.items():
+        assert report.values == want[name].values, name
+        assert report.verdict == want[name].verdict
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.37])
+@pytest.mark.parametrize("kind, case", list(_DENSE_CASES))
+def test_cli_cases_agree_with_their_dense_forms_at_other_nu(kind, case, nu):
+    # there the two pairwise sums may part in the last bits
+    got, want = _cli_reports(kind, case, nu, _SIZES), _dense_reports(kind, case, nu, _SIZES)
+    for name, report in got.items():
+        assert report.values == pytest.approx(want[name].values, rel=1e-15, abs=0.0), name
+        assert report.verdict == want[name].verdict
+
+
+@pytest.mark.parametrize("kind, case", list(_DENSE_CASES))
+def test_cli_cases_agree_with_their_dense_forms_under_a_covariance_matrix(kind, case):
+    # a dense R times a CSR diagonal is a dense product, not gemm
+    sizes = [16, 32, 64, 128]
+    spread = lambda n: _spread_covariance(n, n)  # noqa: E731
+    got, want = _cli_reports(kind, case, spread, sizes), _dense_reports(kind, case, spread, sizes)
+    for name, report in got.items():
+        assert report.values == pytest.approx(want[name].values, rel=1e-12, abs=1e-12), name
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.25, 0.3, 0.37])
+def test_cli_cases_keep_their_closed_forms_up_to_65536(nu):
+    sizes = [4, 16, 256, 4096, 65536]
+    s = np.sqrt(nu * (1 - nu))
+    growing = [2 * s * np.sqrt(n) for n in sizes]
+    closed = {
+        ("innerness", "minus-identity", "innerness"): growing,
+        ("innerness", "finite-rank", "innerness"): [2 * s] * len(sizes),
+        ("extension", "opposite", "extension"): growing,
+        ("extension", "opposite", "araki"): [2 * np.sqrt(2 * nu * (1 - nu) * n) for n in sizes],
+        ("extension", "finite-rank", "extension"): [2 * s] * len(sizes),
+        ("extension", "equal", "extension"): [0.0] * len(sizes),
+        ("extension", "equal", "araki"): [0.0] * len(sizes),
+    }
+    for (kind, case, name), want in closed.items():
+        report = _cli_reports(kind, case, nu, sizes)[name]
+        assert report.values == pytest.approx(want, rel=1e-15, abs=0.0), (kind, case, name)
+
+
+def test_criteria_refuse_a_sparse_covariance():
+    # R stays dense: its square root S is dense whatever R's pattern
+    r = sparse.diags_array(np.full(4, 0.25), format="csr")
+    eye = sparse.eye_array(4, format="csr")
+    with pytest.raises(ValueError, match="covariance must be a dense matrix"):
+        bogoliubov.weighted_hs_norm(r, eye)
+    with pytest.raises(ValueError, match="covariance must be a dense matrix"):
+        bogoliubov.araki_commutator(r, eye, -eye)
+    with pytest.raises(ValueError, match="covariance must be a dense matrix"):
+        bogoliubov.extension_criterion(lambda n: 0.25 * sparse.eye_array(n), np.eye, np.eye, [4, 8])
+
+
+def test_criteria_take_a_sparse_operator_against_a_dense_one():
+    # V' - W' and the commutator blocks of a CSR V' and a dense W' are dense
+    gen = np.random.default_rng(5)
+    w = gen.standard_normal((64, 64))
+    v = sparse.random_array((64, 64), density=0.1, format="csr", rng=gen)
+    dense = v.toarray()
+    for r in (0.25, _spread_covariance(64, 3)):
+        want = bogoliubov.weighted_hs_norm(r, dense - w)
+        assert bogoliubov.weighted_hs_norm(r, v - w) == pytest.approx(want, rel=1e-14)
+        want = bogoliubov.araki_commutator(r, dense, w)
+        assert bogoliubov.araki_commutator(r, v, w) == pytest.approx(want, rel=1e-14)
+        want = bogoliubov.araki_commutator(r, w, dense)
+        assert bogoliubov.araki_commutator(r, w, v) == pytest.approx(want, rel=1e-14)
+
+
+def test_criteria_refuse_a_complex_covariance_from_a_rule():
+    # a rule's R reaches CovarianceState as it is: a cast to float first
+    # would drop the imaginary part with a warning and norm the real part
+    with pytest.raises(ValueError, match="covariance must be real-entried"):
+        bogoliubov.extension_criterion(lambda n: (0.25 + 1e-3j) * np.eye(n), np.eye, np.eye, [4, 8])

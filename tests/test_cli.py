@@ -3,6 +3,7 @@ import io
 import json
 import textwrap
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -694,6 +695,24 @@ def test_criterion_kinds_take_no_blas_norm_or_product(tmp_path, monkeypatch, kin
     monkeypatch.setattr(np.linalg, "norm", refuse)
     config = write_config(tmp_path, kind, {"sizes": "4 8 16 128", "case": case})
     assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "run, case",
+    [(cli._run_innerness, case) for case in cli._INNERNESS_CASES]
+    + [(cli._run_extension, case) for case in cli._EXTENSION_CASES],
+)
+def test_criterion_kinds_form_no_dense_square(run, case):
+    # the cases are CSR diagonals: a run up to size 4096 holds a few stored
+    # entries per row at a time, not the 128 MiB of one dense 4096 x 4096 float
+    n = 4096
+    tracemalloc.start()
+    try:
+        run(1, 0.3, [64, 256, 1024, n], case)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * np.dtype(float).itemsize // 64
 
 
 def test_conjugacy_builds_no_dilation(tmp_path, monkeypatch):

@@ -107,6 +107,67 @@ def test_hs_norm_is_the_pairwise_sum_of_the_whole_array_to_the_bit(size):
     assert opalg.hs_norm(c) == np.sqrt(np.add.reduce(np.square(c.view(float))))
 
 
+def _with_duplicates_and_zeros(n, dtype, seed):
+    """An ``n x n`` CSR array of about ``4 n`` entries, some stored twice in a
+    row and some stored as zeros, not in canonical format."""
+    gen = np.random.default_rng(seed)
+    lengths = gen.integers(0, 9, n)
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    indices = gen.integers(0, n, indptr[-1])
+    data = gen.standard_normal(indptr[-1]).astype(dtype)
+    if dtype is complex:
+        data += 1j * gen.standard_normal(indptr[-1])
+    data[::7] = 0.0
+    return sparse.csr_array((data, indices, indptr), shape=(n, n))
+
+
+@pytest.mark.parametrize("n", [1, 5, 64, 700])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+def test_hs_norm_of_a_sparse_matrix_is_that_of_its_dense_form(fmt, dtype, n):
+    a = _with_duplicates_and_zeros(n, dtype, n).asformat(fmt)
+    want = opalg.hs_norm(a.toarray())
+    assert abs(opalg.hs_norm(a) - want) <= 1e-15 * want
+
+
+def test_hs_norm_sums_duplicates_and_leaves_the_matrix_as_it_is():
+    # 1 and -1 stored at one position cancel; the squares of the stored
+    # entries would give sqrt(2 + 9)
+    a = sparse.csr_array(([1.0, -1.0, 3.0, 0.0], [2, 2, 0, 1], [0, 2, 3, 4]), shape=(3, 3))
+    assert opalg.hs_norm(a) == 3.0
+    for a in (a, _with_duplicates_and_zeros(64, complex, 1)):
+        arrays = [x.copy() for x in (a.data, a.indices, a.indptr)]
+        opalg.hs_norm(a)
+        assert not a.has_canonical_format
+        assert all(map(np.array_equal, (a.data, a.indices, a.indptr), arrays))
+
+
+def test_hs_norm_of_an_empty_sparse_matrix_is_zero():
+    for a in (
+        sparse.csr_array((0, 0)),
+        sparse.csr_array((5, 5), dtype=complex),
+        sparse.csr_array(([0.0, 0.0], [0, 3], [0, 1, 2, 2, 2]), shape=(4, 4)),
+    ):
+        assert opalg.hs_norm(a) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
+def test_hs_norm_of_a_sparse_matrix_propagates_nan_and_inf(bad):
+    a = sparse.eye_array(6, format="csr", dtype=complex)
+    a.data[3] = bad
+    want = opalg.hs_norm(a.toarray())
+    got = opalg.hs_norm(a)
+    assert (np.isnan(got), np.isinf(got)) == (np.isnan(want), np.isinf(want))
+    assert np.isnan(want) or np.isinf(want)
+
+
+def test_as_operator_takes_a_square_sparse_matrix_as_it_is():
+    a = sparse.eye_array(4, format="csr")
+    assert opalg.as_operator(a) is a
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(4, 3\)"):
+        opalg.as_operator(sparse.eye_array(4, 3, format="csr"))
+
+
 def test_adjoint_and_inner_compatibility():
     # <u, A v> == <A* u, v>
     a = random_matrix(7)

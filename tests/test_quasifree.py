@@ -191,6 +191,11 @@ def test_covariance_spectrum_guard():
         quasifree.CovarianceState(np.diag([0.0, 0.5]))
 
 
+def test_covariance_must_be_dense():
+    with pytest.raises(ValueError, match="covariance must be a dense matrix"):
+        quasifree.CovarianceState(sparse.diags_array([0.25, 0.5]))
+
+
 def test_doubled_fields_satisfy_car():
     state = random_covariance(2)
     rep = quasifree.doubled_representation(state)
