@@ -6,9 +6,14 @@ under multiplication on the Laplace side by a Blaschke product (a Volterra
 convolution, :func:`theta_apply`), and every inner product is evaluated
 exactly, without quadrature.
 
-:func:`window_defects` evaluates ``||(Theta - 1) f||^2`` for many window
-exponentials ``f`` at once from the same closed forms, as array expressions;
-``ExpCombo`` is its term-by-term oracle.
+:func:`window_defects` evaluates ``||(Theta - 1) f_k||^2`` for many window
+exponentials ``f_k`` at once from the same closed forms, as array expressions;
+``ExpCombo`` is its term-by-term oracle.  The frequency of ``f_k`` is a whole
+number ``k`` of periods of the window, so ``exp(mu_k length)`` is real and
+every boundary factor splits into a per-rate and a per-exponent factor: the
+closed form takes no transcendental function per (rate, exponent) pair, only
+multiply-adds and two divisions, and its values are those of the mode at the
+exact frequency ``2 pi k / length``.
 """
 
 import cmath
@@ -143,61 +148,91 @@ def theta_apply(lambdas, combo):
     return ExpCombo(terms).compress()
 
 
-def window_defects(lambdas, mus, length):
-    """``||(Theta - 1) f||^2`` for the unit-norm ``f = c exp(mu u)`` on a window
-    ``(0, length)``, one value per rate in ``mus``.
+def window_exponent(k, delta):
+    """``mu_{k,delta} = -1/(2|k|) + 2 pi i k / delta`` (``mu_0 = -1/2``),
+    elementwise over an array ``k``."""
+    k = np.asarray(k)
+    return (-0.5 / np.maximum(np.abs(k), 1) + 1j * (2.0 * np.pi * k / delta))[()]
+
+
+def window_defects(lambdas, ks, length):
+    """``||(Theta - 1) f_k||^2`` for the unit-norm window exponentials
+    ``f_k = c exp(mu_k u)`` on ``(0, length)``, ``mu_k = window_exponent(k,
+    length)``, one value per integer frequency in ``ks``.
 
     With ``a_j = r_j/(mu - l_j)`` (so ``c_0 = sum_j a_j = B(mu) - 1``),
     ``(Theta - 1) f`` is ``c sum_j a_j (exp(mu u) - exp(l_j u))`` on the window
     and ``c sum_j r_j q_j exp(l_j (u - length))`` after it, where
     ``q_j = (exp(mu length) - exp(l_j length))/(mu - l_j)``.  Over the window
     it is the Hermitian form of the ``(n+1)``-square Gram matrix of
-    ``(exp(mu u), exp(l_1 u), ..., exp(l_n u))`` in ``(c_0, -a_1, ..., -a_n)``.
-    Only the first row of that Gram matrix depends on ``mu``: its corner is
-    ``norm = _eint(2 Re mu)``, which also normalizes ``f``, and the rest is
-    ``cross_j = _eint(conj(mu) + l_j)``; the first column is its conjugate.
-    So the window part is
+    ``(exp(mu u), exp(l_1 u), ..., exp(l_n u))`` in ``(c_0, -a_1, ..., -a_n)``:
     ``|c_0|^2 norm - 2 Re(conj(c_0) sum_j cross_j a_j) + a^* inner a``, with
-    the ``n``-square ``inner = _eint(conj(l_i) + l_j)`` taken once for all
-    rates: ``n + 1`` exponential integrals per rate and ``n^2`` per call.  The
-    tail part is the ``n``-square form with the half-line Gram matrix
-    ``_eint(conj(l_i) + l_j, inf) = -1/(conj(l_i) + l_j)``.
+    ``norm = int |exp(mu u)|^2`` (which also normalizes ``f``),
+    ``cross_j = int exp((conj(mu) + l_j) u)`` and the ``n``-square
+    ``inner = _eint(conj(l_i) + l_j)`` taken once for all rates.  The tail part
+    is the ``n``-square form with the half-line Gram matrix
+    ``-1/(conj(l_i) + l_j)``.
+
+    The frequency ``Im mu_k = 2 pi k / length`` is a whole number of periods
+    of the window, so ``exp(mu_k length) = exp(s_k)`` with the real
+    ``s_k = Re(mu_k) length``.  With ``w_j = l_j length`` every boundary
+    factor is then a product of per-rate and per-exponent factors:
+    ``cross_j = (expm1 s_k + exp(s_k) expm1 w_j)/(conj(mu_k) + l_j)``,
+    ``r_j q_j = a_j (expm1 s_k - expm1 w_j)`` and
+    ``norm = expm1(2 s_k)/(2 Re mu_k)``, with
+    ``expm1(2 s) = expm1(s) (exp(s) + 1)``.  That is two real transcendentals
+    per rate and one complex ``expm1`` per exponent; each (exponent, rate)
+    pair costs multiply-adds and two divisions, on ``(n, K)`` arrays whose
+    sums over exponents are row adds.  The values are those of the mode at
+    the exact frequency: outside the Gauss-Legendre rows below, where
+    ``|mu - l_j| length <= 4``, no ``2 pi k`` is rounded into an exponent.
 
     When the window exponentials nearly coincide (every ``|mu - l_j| length``
-    small) that form cancels to ``~(|mu - l_j| length)^2`` of its terms.  So
-    wherever the window integrand is smooth, ``(max_j |mu - l_j| + |Re mu|)
-    length <= 4``, the window part is instead the Gauss-Legendre sum of
+    small) the closed form cancels to ``~(|mu - l_j| length)^2`` of its terms,
+    and ``expm1 s_k - expm1 w_j`` to ``|mu - l_j| length``.  So wherever the
+    window integrand is smooth, ``(max_j |mu - l_j| + |Re mu|) length <= 4``,
+    the window part is instead the Gauss-Legendre sum of
     ``|c sum_j a_j expm1((l_j - mu) u)|^2 exp(2 Re(mu) u)``, whose exponents
-    are then at most 8 in size.
+    are then at most 8 in size, and ``r_j q_j`` is that integrand's term at
+    ``u = length``, ``-exp(s_k) a_j expm1((l_j - mu) length)``.
     """
-    lam = np.asarray(lambdas, dtype=complex)
-    residues = np.asarray(blaschke_residues(lambdas), dtype=complex)
-    mu = np.asarray(mus, dtype=complex).reshape(-1, 1)
+    lam = np.asarray(lambdas, dtype=complex)[:, None]
+    residues = np.asarray(blaschke_residues(lambdas), dtype=complex)[:, None]
+    mu = window_exponent(ks, length)
     gap = mu - lam
-    if np.any(np.abs(gap) < 1e-12 * np.maximum(1.0, np.abs(lam))):
+    dist = np.abs(gap)
+    if np.any(dist < 1e-12 * np.maximum(1.0, np.abs(lam))):
         raise ValueError("input exponent collides with a Blaschke pole")
     a = residues / gap
 
-    norm = _eint(2.0 * mu[:, 0].real, length).real
-    cross = _eint(mu.conj() + lam, length)
-    inner = _eint(lam.conj()[:, None] + lam[None, :], length)
-    c0 = a.sum(axis=1)
+    sigma = mu.real
+    s = sigma * length
+    em_s, e_s = np.expm1(s), np.exp(s)
+    em_w = np.expm1(lam * length)
+    norm = em_s * (e_s + 1.0) / (2.0 * sigma)
+    cross = (em_s + e_s * em_w) / (mu.conj() + lam)
+    c0 = a.sum(axis=0)
     window = (
-        np.abs(c0) ** 2 * norm
-        - 2.0 * (c0.conj() * np.sum(cross * a, axis=1)).real
-        + np.sum((a.conj() @ inner) * a, axis=1).real
+        (c0.real ** 2 + c0.imag ** 2) * norm
+        - 2.0 * (c0.conj() * (cross * a).sum(axis=0)).real
+        + _form(_eint(lam.conj() + lam.T, length), a)
     )
+    tail_coeffs = a * (em_s - em_w)
 
-    smooth = (np.abs(gap).max(axis=1, initial=0.0) + np.abs(mu[:, 0].real)) * length <= 4.0
+    smooth = (dist.max(axis=0, initial=0.0) + np.abs(sigma)) * length <= 4.0
     if np.any(smooth):
         u = length * _GL_NODES
-        terms = np.expm1(-gap[smooth][:, :, None] * u)
-        vals = np.einsum("kj,kjm->km", a[smooth], terms)
-        tilt = np.exp(2.0 * mu[smooth].real * u)
+        terms = np.expm1(-gap[:, smooth, None] * np.append(u, length))
+        vals = np.einsum("jk,jkm->km", a[:, smooth], terms[:, :, :-1])
+        tilt = np.exp(2.0 * sigma[smooth, None] * u)
         window[smooth] = length * (np.abs(vals) ** 2 * tilt) @ _GL_WEIGHTS
+        tail_coeffs[:, smooth] = -e_s[smooth] * a[:, smooth] * terms[:, :, -1]
 
-    q = np.exp(lam * length) * np.expm1(gap * length) / gap
-    tail_coeffs = residues * q
-    tail_gram = _eint(lam.conj()[:, None] + lam[None, :], np.inf)
-    tail = np.einsum("ki,ij,kj->k", tail_coeffs.conj(), tail_gram, tail_coeffs).real
+    tail = _form(_eint(lam.conj() + lam.T, np.inf), tail_coeffs)
     return (window + tail) / norm
+
+
+def _form(gram, x):
+    """``Re sum_ij conj(x_i) gram_ij x_j`` per column of ``x``."""
+    y = gram @ x
+    return (x.real * y.real + x.imag * y.imag).sum(axis=0)

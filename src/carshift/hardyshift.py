@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import get_blas_funcs
 
 from . import expcalc
-from .expcalc import ExpCombo
+from .expcalc import ExpCombo, window_exponent  # also read as hardyshift.window_exponent
 from .opalg import (
     RANK_TOL, adjoint, lowrank_hs_norm, lowrank_operator_norm, operator_norm, triangular_factor
 )
@@ -46,10 +46,7 @@ class ExponentialFamily:
         if not lambdas:
             raise ValueError("an exponent family needs at least one exponent")
         failures = [f"Re lambda_{k} >= 0" for k, l in enumerate(lambdas) if l.real >= 0]
-        for i in range(len(lambdas)):
-            for j in range(i + 1, len(lambdas)):
-                if abs(lambdas[i] - lambdas[j]) < 1e-12:
-                    failures.append(f"lambda_{i} == lambda_{j}")
+        failures += [f"lambda_{i} == lambda_{j}" for i, j in _coincident_pairs(lambdas)]
         if failures:
             raise ValueError(f"condition (1) violated: {failures}")
 
@@ -61,6 +58,26 @@ class ExponentialFamily:
     def s_value(self):
         """``s = sum |Re l_k|`` -- the total decay rate."""
         return float(-sum(l.real for l in self.lambdas))
+
+
+def _coincident_pairs(lambdas):
+    """The pairs ``i < j`` with ``|l_i - l_j| < 1e-12``, in ascending order.
+
+    Such a pair is also less than 1e-12 apart in real part, so after a sort by
+    real part each exponent is compared only with the ones after it in that
+    band: ``O(N log N)`` for exponents whose real parts spread.
+    """
+    re = [l.real for l in lambdas]
+    order = np.argsort(re, kind="stable").tolist()
+    pairs = []
+    for p, i in enumerate(order):
+        for q in range(p + 1, len(order)):
+            j = order[q]
+            if re[j] - re[i] >= 1e-12:
+                break
+            if abs(lambdas[i] - lambdas[j]) < 1e-12:
+                pairs.append((min(i, j), max(i, j)))
+    return sorted(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +249,6 @@ def fit_power(xs, ys):
 # window defects of the Blaschke multiplier
 
 
-def window_exponent(k, delta):
-    """``mu_{k,delta} = -1/(2|k|) + 2 pi i k / delta`` (``mu_0 = -1/2``),
-    elementwise over an array ``k``."""
-    k = np.asarray(k)
-    return (-0.5 / np.maximum(np.abs(k), 1) + 1j * (2.0 * np.pi * k / delta))[()]
-
-
 def prop2_defect(family, delta, k_max):
     """Hilbert-Schmidt estimate for the window defect of ``Theta``.
 
@@ -247,14 +257,17 @@ def prop2_defect(family, delta, k_max):
     ``f_{k,delta}``, ``|k| <= k_max`` (the projected defect is dominated by
     this and decays at least as fast):
     ``sum_sq = sum_k ||(Theta - 1) f_{k,delta}||^2``, each term in closed form
-    by :func:`expcalc.window_defects`.  ``Theta`` commutes with translation,
+    by :func:`expcalc.window_defects`, at the exact frequency ``2 pi k /
+    delta``: since ``exp(mu_k delta) = exp(-delta/(2|k|))``, a pair of a rate
+    and an exponent costs multiply-adds and two divisions, and no
+    transcendental function.  ``Theta`` commutes with translation,
     so no term depends on where the window starts.  Returns the partial sum,
     its square root, a ``1/k^2`` tail estimate from the median of
     ``k^2 ||(Theta - 1) f_k||^2`` over ``|k| >= max(2, k_max // 2)``, and the
     per-``k`` contributions as a pair of arrays ``(k, value)``.
     """
     ks = np.arange(-k_max, k_max + 1)
-    values = expcalc.window_defects(family.lambdas, window_exponent(ks, delta), delta)
+    values = expcalc.window_defects(family.lambdas, ks, delta)
     total = float(np.sum(values))
     far = np.abs(ks) >= max(2, k_max // 2)
     if np.any(far):

@@ -2,12 +2,13 @@
 
 import cmath
 
+import mpmath
 import numpy as np
 from scipy import integrate, sparse
 from scipy.linalg import solve_triangular
 
 from carshift import fock
-from carshift.expcalc import _GL_NODES, _GL_WEIGHTS, ExpCombo, _eint, blaschke_residues
+from carshift.expcalc import _GL_NODES, _GL_WEIGHTS, ExpCombo, blaschke_residues, window_exponent
 from carshift.hardyshift import gram_exponentials
 from carshift.opalg import adjoint, anticommutator, hs_norm, psd_sqrt, sector_stacks
 from carshift.quasifree import CovarianceState
@@ -176,11 +177,16 @@ def norm_sq(combo):
     return max(combo.inner(combo).real, 0.0)
 
 
-def full_gram_window_defects(lambdas, mus, length):
+def full_gram_window_defects(lambdas, ks, length):
     """``expcalc.window_defects`` with the whole ``(n+1)``-square window Gram
     matrix of ``(exp(mu u), exp(l_1 u), ..., exp(l_n u))`` taken for every
-    rate, ``(n+1)^2`` exponential integrals per rate, and the normalizer taken
-    once more; the Gauss-Legendre rows and the tail as in the library.
+    rate, ``(n+1)^2`` exponential integrals per rate.  Each entry is ``expm1``
+    of its exponent with the frequency ``omega_k = 2 pi k / length`` taken
+    out, since ``exp(+-i omega_k length) = 1``, over the rate sum that keeps
+    it: the value of the mode at the exact frequency.  The normalizer is the
+    Gram matrix's corner, the tail coefficients are
+    ``r_j exp(l_j length) expm1((Re mu - l_j) length)/(mu - l_j)`` on every
+    row, and the Gauss-Legendre window rows are the library's.
 
     Returns the values and, per rate, the sum of the moduli of the window
     form's terms over the normalizer: the size that rounding in any
@@ -188,13 +194,16 @@ def full_gram_window_defects(lambdas, mus, length):
     the Blaschke residues are large and cancel."""
     lam = np.asarray(lambdas, dtype=complex)
     residues = np.asarray(blaschke_residues(lambdas), dtype=complex)
-    mu = np.asarray(mus, dtype=complex).reshape(-1, 1)
+    mu = window_exponent(ks, length).reshape(-1, 1)
     gap = mu - lam
     a = residues / gap
 
     coeffs = np.concatenate([a.sum(axis=1, keepdims=True), -a], axis=1)
     rates = np.concatenate([mu, np.broadcast_to(lam, gap.shape)], axis=1)
-    window_gram = _eint(rates.conj()[:, :, None] + rates[:, None, :], length)
+    reduced = np.concatenate([mu.real + 0j, np.broadcast_to(lam, gap.shape)], axis=1)
+    window_gram = np.expm1((reduced.conj()[:, :, None] + reduced[:, None, :]) * length) / (
+        rates.conj()[:, :, None] + rates[:, None, :]
+    )
     window = np.einsum("ki,kij,kj->k", coeffs.conj(), window_gram, coeffs).real
     scale = np.einsum("ki,kij,kj->k", np.abs(coeffs), np.abs(window_gram), np.abs(coeffs))
 
@@ -206,12 +215,56 @@ def full_gram_window_defects(lambdas, mus, length):
         tilt = np.exp(2.0 * mu[smooth].real * u)
         window[smooth] = length * (np.abs(vals) ** 2 * tilt) @ _GL_WEIGHTS
 
-    q = np.exp(lam * length) * np.expm1(gap * length) / gap
+    q = np.exp(lam * length) * np.expm1((mu.real - lam) * length) / gap
     tail_coeffs = residues * q
     tail_gram = -1.0 / (lam.conj()[:, None] + lam[None, :])
     tail = np.einsum("ki,ij,kj->k", tail_coeffs.conj(), tail_gram, tail_coeffs).real
-    norm = _eint(2.0 * mu[:, 0].real, length).real
+    norm = window_gram[:, 0, 0].real
     return (window + tail) / norm, scale / norm
+
+
+def pairwise_coincidences(lambdas):
+    """The distinctness failures of a family by the loop over all pairs:
+    ``lambda_i == lambda_j`` for ``i < j`` with ``|l_i - l_j| < 1e-12``."""
+    return [
+        f"lambda_{i} == lambda_{j}"
+        for i in range(len(lambdas))
+        for j in range(i + 1, len(lambdas))
+        if abs(lambdas[i] - lambdas[j]) < 1e-12
+    ]
+
+
+def mp_window_defect(lambdas, k, delta):
+    """``||(Theta - 1) f_k||^2`` at 50 digits for the unit-norm window
+    exponential of ``mu_k = -1/(2|k|) + 2 pi i k / delta`` on ``(0, delta)``,
+    its frequency exact: the Volterra terms of every pole, paired term by
+    term as ``ExpCombo.inner`` pairs them."""
+    with mpmath.workdps(50):
+        lam = [mpmath.mpc(complex(l)) for l in lambdas]
+        delta = mpmath.mpf(delta)
+        mu = mpmath.mpc(mpmath.mpf(-0.5) / max(abs(k), 1), 2 * mpmath.pi * k / delta)
+
+        def eint(rho, length):
+            return -1 / rho if length == mpmath.inf else mpmath.expm1(rho * length) / rho
+
+        c = 1 / mpmath.sqrt(eint(2 * mu.real, delta).real)
+        terms = []
+        for j, lj in enumerate(lam):
+            r = lj + mpmath.conj(lj)
+            for i, li in enumerate(lam):
+                if i != j:
+                    r *= (lj + mpmath.conj(li)) / (lj - li)
+            d = c * r / (mu - lj)
+            q = (mpmath.exp(mu * delta) - mpmath.exp(lj * delta)) / (mu - lj)
+            terms += [(d, mu, 0, delta), (-d, lj, 0, delta), (c * r * q, lj, delta, mpmath.inf)]
+        total = mpmath.mpc(0)
+        for c1, m1, s1, e1 in terms:
+            for c2, m2, s2, e2 in terms:
+                lo, hi = max(s1, s2), min(e1, e2)
+                if hi > lo:
+                    pre = mpmath.conj(c1) * c2 * mpmath.exp(mpmath.conj(m1) * (lo - s1) + m2 * (lo - s2))
+                    total += pre * eint(mpmath.conj(m1) + m2, hi - lo)
+        return float(total.real)
 
 
 def basis_combos(basis):

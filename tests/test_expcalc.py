@@ -5,14 +5,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from carshift import expcalc
-from carshift.expcalc import ExpCombo, _eint, blaschke_residues, theta_apply, window_defects
-from carshift.hardyshift import window_exponent
-import oracles
+from carshift.expcalc import (
+    ExpCombo, _eint, blaschke_residues, theta_apply, window_defects, window_exponent
+)
 from oracles import (
     add,
     backshift,
     evaluate,
     full_gram_window_defects,
+    mp_window_defect,
     norm_sq,
     quad_inner,
     shift,
@@ -213,21 +214,28 @@ def test_window_defects_match_the_full_gram_form(lambdas, octaves, k_max):
     gaps = [abs(a - b) for i, a in enumerate(lambdas) for b in lambdas[i + 1:]]
     gaps += [abs(mu - lam) for mu in mus for lam in lambdas]
     assume(min(gaps) > 0.25)
-    got = window_defects(lambdas, mus, delta)
-    want, scale = full_gram_window_defects(lambdas, mus, delta)
+    got = window_defects(lambdas, ks, delta)
+    want, scale = full_gram_window_defects(lambdas, ks, delta)
     assert np.all(np.abs(got - want) <= 1e-12 * want + 8 * np.finfo(float).eps * scale)
-    # the k = 0 row is a Gauss-Legendre row wherever its integrand is smooth,
-    # and that branch is the oracle's, bit for bit
-    zero = np.flatnonzero(ks == 0)[0]
-    if (max(abs(-0.5 - lam) for lam in lambdas) + 0.5) * delta <= 4.0:
-        assert got[zero] == want[zero]
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.01])
+@pytest.mark.parametrize("lambdas", [[-0.5 + 1e-6j, -2.0 + 0.5j], [-0.5 + 1e-9j, -2.0 + 0.5j, -1.0]])
+def test_window_defects_near_a_pole_match_mpmath(lambdas, delta):
+    # an exponent within 1e-6 of mu_0 = -1/2: the closed window form cancels
+    # to ~1e-12 of its terms there and expm1(s_0) - expm1(w_j) to ~1e-6, so
+    # the k = 0 value holds 1e-13 only as a Gauss-Legendre row with its tail
+    # coefficients from that row's end point
+    value = window_defects(lambdas, [0], delta)[0]
+    exact = mp_window_defect(lambdas, 0, delta)
+    assert abs(value - exact) <= 1e-13 * exact
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
-def test_window_defects_take_n_plus_one_integrals_per_rate(monkeypatch, n):
-    # K (n+1) entries, one normalizer and n cross integrals per rate, and the
-    # n^2 exponent block twice, over the window and over the half line of the
-    # tail; the full Gram form takes K (n+1)^2 + K
+def test_window_defects_take_no_integral_per_rate(monkeypatch, n):
+    # the n^2 exponent block twice, over the window and over the half line of
+    # the tail, whatever the number of rates: the boundary factors of each
+    # (exponent, rate) pair are products of per-rate and per-exponent ones
     entries = []
     eint = expcalc._eint
 
@@ -236,16 +244,16 @@ def test_window_defects_take_n_plus_one_integrals_per_rate(monkeypatch, n):
         return eint(rho, length)
 
     monkeypatch.setattr(expcalc, "_eint", counting)
-    monkeypatch.setattr(oracles, "_eint", counting)
-    rates = window_exponent(np.arange(-50, 51), 0.125)
-    window_defects(FAMILY_SIX[:n], rates, 0.125)
-    assert sum(entries) == len(rates) * (n + 1) + 2 * n * n
-    entries.clear()
-    full_gram_window_defects(FAMILY_SIX[:n], rates, 0.125)
-    assert sum(entries) == len(rates) * (n + 1) ** 2 + len(rates)
+    for k_max in (1, 50, 2048):
+        entries.clear()
+        window_defects(FAMILY_SIX[:n], np.arange(-k_max, k_max + 1), 0.125)
+        assert entries == [n * n, n * n]
 
 
 def test_window_defects_refuse_a_rate_on_a_pole():
+    # the family holds mu_2 = -1/4 + 8 pi i, the window exponent of k = 2 at
+    # length 1/2
+    lambdas = FAMILY_SIX[:5] + [window_exponent(2, 0.5)]
+    window_defects(lambdas, [-2, 0, 1, 3], 0.5)  # does not raise
     with pytest.raises(ValueError, match="collides"):
-        window_defects(FAMILY_SIX, [1.5j, -0.75 + 2.0j], 0.5)
-
+        window_defects(lambdas, [0, 2], 0.5)

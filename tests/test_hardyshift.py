@@ -1,11 +1,10 @@
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
-from carshift import bogoliubov
+from carshift import bogoliubov, expcalc
 from carshift import hardyshift as hs
 from carshift.expcalc import ExpCombo, theta_apply
 from carshift.opalg import adjoint, hs_norm, lowrank_hs_norm, operator_norm
@@ -21,7 +20,9 @@ from oracles import (
     flow_matrix,
     lapack_backward_shift_matrix,
     lapack_coeff,
+    mp_window_defect,
     norm_sq,
+    pairwise_coincidences,
     quad_inner,
     scaled,
     shift,
@@ -66,6 +67,46 @@ def test_empty_family_rejected():
 def test_condition1_rejects_repeated_exponents():
     with pytest.raises(ValueError, match="lambda_0 == lambda_2"):
         hs.ExponentialFamily([-1.0 + 0.5j, -2.0, -1.0 + 0.5j])
+
+
+NEAR_OFFSETS = st.sampled_from([0.0, 2.0 ** -41, 5e-13, 9.999e-13, 1e-12, 1.0001e-12, 3e-12])
+
+
+@st.composite
+def near_duplicate_families(draw):
+    """Exponents with copies shifted by about the distinctness tolerance in
+    real part, imaginary part or both, shuffled; some on the right
+    half-plane."""
+    exponent = st.builds(complex, st.floats(-3.0, 0.5), st.floats(-2.0, 2.0))
+    bases = draw(st.lists(exponent, min_size=1, max_size=8))
+    lambdas = list(bases)
+    for base in bases:
+        for _ in range(draw(st.integers(0, 3))):
+            sign = draw(st.sampled_from([-1.0, 1.0]))
+            lambdas.append(base + sign * draw(NEAR_OFFSETS) + 1j * draw(NEAR_OFFSETS))
+    return draw(st.permutations(lambdas))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(lambdas=near_duplicate_families())
+def test_condition1_finds_the_pairs_of_the_pairwise_loop(lambdas):
+    # the sorted band scan reports the pairs of the O(N^2) loop, in its order
+    failures = [f"Re lambda_{k} >= 0" for k, l in enumerate(lambdas) if l.real >= 0]
+    failures += pairwise_coincidences(lambdas)
+    if failures:
+        with pytest.raises(ValueError) as info:
+            hs.ExponentialFamily(lambdas)
+        assert str(info.value) == f"condition (1) violated: {failures}"
+    else:
+        hs.ExponentialFamily(lambdas)  # does not raise
+
+
+def test_condition1_refuses_minus_one_over_k_squared_from_12600_exponents():
+    # -1/k^2 and -1/(k+1)^2 lie about 2/k^3 apart, below 1e-12 from k = 12600
+    lambdas = [complex(-1.0 / k ** 2) for k in range(1, 12601)]
+    hs.ExponentialFamily(lambdas[:-1])  # does not raise
+    with pytest.raises(ValueError, match=r"\['lambda_12598 == lambda_12599'\]"):
+        hs.ExponentialFamily(lambdas)
 
 
 def test_condition1_sets_no_bound_on_imaginary_parts():
@@ -304,46 +345,28 @@ def test_prop2_estimate_rate():
     assert hs.fit_power(deltas, vals) == pytest.approx(0.5, abs=0.15)
 
 
-def mp_window_defect(lambdas, mu, delta):
-    """``||(Theta - 1) f||^2`` at 50 digits for the unit-norm exponential of
-    rate ``mu`` on ``(0, delta)``: the Volterra terms of every pole, paired
-    term by term as ``ExpCombo.inner`` pairs them."""
-    with mpmath.workdps(50):
-        lam = [mpmath.mpc(complex(l)) for l in lambdas]
-        mu, delta = mpmath.mpc(complex(mu)), mpmath.mpf(delta)
-
-        def eint(rho, length):
-            return -1 / rho if length == mpmath.inf else mpmath.expm1(rho * length) / rho
-
-        c = 1 / mpmath.sqrt(eint(2 * mu.real, delta).real)
-        terms = []
-        for k, lk in enumerate(lam):
-            r = lk + mpmath.conj(lk)
-            for j, lj in enumerate(lam):
-                if j != k:
-                    r *= (lk + mpmath.conj(lj)) / (lk - lj)
-            d = c * r / (mu - lk)
-            q = (mpmath.exp(mu * delta) - mpmath.exp(lk * delta)) / (mu - lk)
-            terms += [(d, mu, 0, delta), (-d, lk, 0, delta), (c * r * q, lk, delta, mpmath.inf)]
-        total = mpmath.mpc(0)
-        for c1, m1, s1, e1 in terms:
-            for c2, m2, s2, e2 in terms:
-                lo, hi = max(s1, s2), min(e1, e2)
-                if hi > lo:
-                    pre = mpmath.conj(c1) * c2 * mpmath.exp(mpmath.conj(m1) * (lo - s1) + m2 * (lo - s2))
-                    total += pre * eint(mpmath.conj(m1) + m2, hi - lo)
-        return total.real
-
-
 def test_prop2_per_k_matches_mpmath():
+    # on dyadic window lengths the rounded frequency fl(2 pi k / delta) is
+    # within 7e-14 relative of the exact one; FAMILY_SIX's residues cancel
     for lambdas, delta in [(FAMILY_THREE, 2.0 ** -10), (FAMILY_SIX, 2.0 ** -3)]:
         rep = hs.prop2_defect(hs.ExponentialFamily(lambdas), delta, 2048)
         ks, values = rep["per_k"]
         assert list(ks) == list(range(-2048, 2049))
         assert rep["sum_sq"] == pytest.approx(np.sum(values), rel=1e-15)
         for k in (0, 1, -1, 2, 64, 1024, 2047, 2048, -2048):
-            exact = mp_window_defect(lambdas, hs.window_exponent(k, delta), delta)
+            exact = mp_window_defect(lambdas, k, delta)
             assert abs(values[k + 2048] - exact) <= 1e-12 * exact, (len(lambdas), k)
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.07, 1.0 / 3.0, 0.01])
+def test_window_defects_at_the_exact_frequency(delta):
+    # mu_k at 50 digits, with the frequency 2 pi k / delta exact: a whole
+    # number of periods of the window, which no rounded 2 pi k gives
+    ks = [0, 1, -1, 2, 64, 1000, 4097, 8191, 8192, -8192]
+    values = expcalc.window_defects(FAMILY_THREE, ks, delta)
+    for k, value in zip(ks, values):
+        exact = mp_window_defect(FAMILY_THREE, k, delta)
+        assert abs(value - exact) <= 1e-13 * exact, k
 
 
 def combo_window_defect(family, mu, start, delta):
